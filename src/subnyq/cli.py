@@ -15,10 +15,10 @@ from .errors import ConfigError, EstimationError
 from .harness import (
     ALGORITHM_NAMES,
     SweepConfig,
-    _run_algorithm,
     default_scenario,
     default_sweep,
     emit_csv,
+    run_algorithm,
     run_sweep,
     scenario_from_dict,
     sweep_from_dict,
@@ -81,7 +81,7 @@ def cmd_single(args):
     algorithms = _algorithms_from_args(args, ("JDFPI", "JDFSDPJ"))
     for name in algorithms:
         try:
-            result = _run_algorithm(name, scenario)
+            result = run_algorithm(name, scenario)
         except EstimationError as exc:
             print(f"algorithm {name} failed at step {exc.step}: {exc}",
                   file=sys.stderr)

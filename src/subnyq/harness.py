@@ -1,18 +1,20 @@
 """Monte Carlo harness: seeded trials, RMSE sweeps, CRB columns, CSV output."""
 
 import csv
-import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .crb import crb_input_from_scenario, crb_phase, freq_crb_numerical
 from .errors import ConfigError, EstimationError
 from .estimators import EstimationResult, jdfpi, jdfsd_full, jdfsdpj
-from .model import ArrayGeometry, MultiCosetPattern
+from .model import ArrayGeometry, MultiCosetPattern, selected_channel_columns
 from .siggen import (
     ScenarioConfig,
+    SnapshotSet,
     SourceTruth,
     assemble_full_snapshots,
     assemble_snapshots,
@@ -21,6 +23,7 @@ from .siggen import (
 __all__ = [
     "ALGORITHM_NAMES",
     "SweepConfig",
+    "TrialData",
     "TrialRecord",
     "ResultRow",
     "ResultTable",
@@ -28,6 +31,7 @@ __all__ = [
     "default_sweep",
     "match_estimates",
     "derive_trial_seed",
+    "run_algorithm",
     "run_trial",
     "run_sweep",
     "emit_csv",
@@ -40,14 +44,50 @@ ALGORITHM_NAMES = ("JDFPI", "JDFSDPJ", "JDFSD-full")
 SWEEP_VARIABLES = ("snr_db", "n_sources")
 
 
-def _run_algorithm(name: str, scenario: ScenarioConfig) -> EstimationResult:
+class TrialData:
+    """The receiver output of one seeded trial, assembled on first use.
+
+    One instance is shared by every algorithm run on the trial, so they all
+    see the same snapshots (common random numbers) and the trial is
+    synthesized once.  When the full-structure output is among the
+    `algorithms`, it is assembled and the simplified rows are taken from it;
+    they agree bit-exactly with `assemble_snapshots` for the same seed.
+    The arrays are shared: consumers must not modify them.
+    """
+
+    def __init__(self, scenario: ScenarioConfig, algorithms=()):
+        self.scenario = scenario
+        self._from_full = "JDFSD-full" in algorithms
+
+    @cached_property
+    def full(self) -> np.ndarray:
+        return assemble_full_snapshots(self.scenario)
+
+    @cached_property
+    def snapshots(self) -> SnapshotSet:
+        if not self._from_full:
+            return assemble_snapshots(self.scenario)
+        M, P = self.scenario.geom.M, self.scenario.pattern.P
+        return SnapshotSet(W=self.full[selected_channel_columns(M, P)],
+                           f_s=self.scenario.pattern.f_s, M=M, P=P)
+
+
+def run_algorithm(name: str, scenario: ScenarioConfig,
+                  data: TrialData | None = None) -> EstimationResult:
+    """Run pipeline `name` on `scenario`'s snapshots.
+
+    `data` must hold the realization of `scenario` (same seed); without it
+    the snapshots are assembled here.
+    """
+    if name not in ALGORITHM_NAMES:
+        raise ConfigError(f"unknown algorithm {name!r}; choose from {ALGORITHM_NAMES}")
+    if data is None:
+        data = TrialData(scenario)
     if name == "JDFPI":
-        return jdfpi(assemble_snapshots(scenario), scenario)
+        return jdfpi(data.snapshots, scenario)
     if name == "JDFSDPJ":
-        return jdfsdpj(assemble_snapshots(scenario), scenario)
-    if name == "JDFSD-full":
-        return jdfsd_full(assemble_full_snapshots(scenario), scenario)
-    raise ConfigError(f"unknown algorithm {name!r}; choose from {ALGORITHM_NAMES}")
+        return jdfsdpj(data.snapshots, scenario)
+    return jdfsd_full(data.full, scenario)
 
 
 def default_scenario(K: int = 3, snr_db: float | None = 10.0,
@@ -172,50 +212,47 @@ def match_estimates(scenario: ScenarioConfig, result: EstimationResult):
     """Optimal truth-to-estimate assignment; returns (phase, frequency) errors
     per true source.
 
-    Exhaustive over permutations (K <= 8), minimizing the sum of squared
-    errors with phase normalized by pi and frequency by one band width.
+    Minimizes the sum of squared errors with phase normalized by pi and
+    frequency by one band width.  The cost separates per (truth, estimate)
+    pair, so the Hungarian method solves it exactly for any K.
     """
     K = scenario.n_sources
     if result.n_sources != K:
         raise ConfigError(
             f"estimate count {result.n_sources} does not match truth count {K}"
         )
-    if K > 8:
-        raise ConfigError("exhaustive matching supports at most 8 sources")
     true_phi = scenario.phases()
     true_f = np.array([s.f_c for s in scenario.sources])
-    f_norm = scenario.pattern.f_s
-    best_cost = np.inf
-    best_perm = None
-    for perm in itertools.permutations(range(K)):
-        perm = list(perm)
-        dphi = wrap_phase(result.phi[perm] - true_phi) / np.pi
-        df = (result.f[perm] - true_f) / f_norm
-        cost = float(np.sum(dphi**2 + df**2))
-        if cost < best_cost:
-            best_cost = cost
-            best_perm = perm
-    phase_err = wrap_phase(result.phi[best_perm] - true_phi)
-    freq_err = result.f[best_perm] - true_f
+    dphi = wrap_phase(result.phi[None, :] - true_phi[:, None]) / np.pi
+    df = (result.f[None, :] - true_f[:, None]) / scenario.pattern.f_s
+    _, perm = linear_sum_assignment(dphi**2 + df**2)
+    phase_err = wrap_phase(result.phi[perm] - true_phi)
+    freq_err = result.f[perm] - true_f
     return phase_err, freq_err
 
 
-def derive_trial_seed(master_seed: int, sweep_index: int, algorithm_index: int,
-                      trial_index: int) -> int:
+def derive_trial_seed(master_seed: int, sweep_index: int, trial_index: int) -> int:
+    """Seed of one (sweep point, trial); every algorithm of the trial shares it."""
     ss = np.random.SeedSequence(
-        entropy=master_seed, spawn_key=(sweep_index, algorithm_index, trial_index)
+        entropy=master_seed, spawn_key=(sweep_index, trial_index)
     )
     return int(ss.generate_state(1, np.uint64)[0])
 
 
 def run_trial(scenario: ScenarioConfig, algorithm: str, seed: int,
-              sweep_value=None, trial_index: int = 0) -> TrialRecord:
-    """One seeded trial; estimation failures are recorded, not raised."""
+              sweep_value=None, trial_index: int = 0,
+              data: TrialData | None = None) -> TrialRecord:
+    """One seeded trial; estimation failures are recorded, not raised.
+
+    `data` shares the snapshots of `scenario.with_seed(seed)` with the
+    other algorithms run on the same trial; without it they are assembled
+    for this call alone.
+    """
     scen = scenario.with_seed(seed)
     if sweep_value is None:
         sweep_value = scen.snr_db
     try:
-        result = _run_algorithm(algorithm, scen)
+        result = run_algorithm(algorithm, scen, data)
     except EstimationError as exc:
         return TrialRecord(
             sweep_value=sweep_value, algorithm=algorithm, trial_index=trial_index,
@@ -228,20 +265,19 @@ def run_trial(scenario: ScenarioConfig, algorithm: str, seed: int,
     )
 
 
-def _run_task(task) -> TrialRecord:
-    scenario, algorithm, seed, value, trial_index = task
-    return run_trial(scenario, algorithm, seed, sweep_value=value,
-                     trial_index=trial_index)
+def _run_task(task) -> list[TrialRecord]:
+    """Every algorithm of one (sweep point, trial), on one shared data set."""
+    scenario, algorithms, seed, value, trial_index = task
+    data = TrialData(scenario.with_seed(seed), algorithms)
+    return [run_trial(scenario, algorithm, seed, sweep_value=value,
+                      trial_index=trial_index, data=data)
+            for algorithm in algorithms]
 
 
-def _crb_values(scenario: ScenarioConfig, algorithm: str):
+def _crb_values(inp, full_structure: bool):
     """(phase, frequency) bound columns: RMS over the per-source diagonals."""
-    if scenario.sigma2 <= 0:
-        return float("nan"), float("nan")
-    inp = crb_input_from_scenario(scenario)
-    full = algorithm == "JDFSD-full"
-    phase_crb = crb_phase(inp, full_structure=full).crb_matrix
-    freq_crb = freq_crb_numerical(inp, full_structure=full)
+    phase_crb = crb_phase(inp, full_structure=full_structure).crb_matrix
+    freq_crb = freq_crb_numerical(inp, full_structure=full_structure)
     return (
         float(np.sqrt(np.mean(np.diag(phase_crb).real))),
         float(np.sqrt(np.mean(np.diag(freq_crb).real))),
@@ -249,31 +285,32 @@ def _crb_values(scenario: ScenarioConfig, algorithm: str):
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> ResultTable:
-    """Run every (sweep value, algorithm, trial) and aggregate RMSE per point.
+    """Run every (sweep value, trial, algorithm) and aggregate RMSE per point.
 
-    Deterministic in `config` (including `master_seed`); any worker count
-    produces the identical table because per-trial seeds are pre-derived and
-    records are aggregated in task order.  On KeyboardInterrupt the completed
-    records are aggregated into a partial table that is returned via the
-    exception's `partial` attribute.
+    Each (sweep value, trial) is synthesized once and every algorithm runs
+    on the same snapshots; records come in (sweep value, trial, algorithm)
+    order.  Deterministic in `config` (including `master_seed`); any worker
+    count produces the identical table because per-trial seeds are
+    pre-derived and records are aggregated in task order.  On
+    KeyboardInterrupt the completed records are aggregated into a partial
+    table that is returned via the exception's `partial` attribute.
     """
     tasks = []
     for s_idx, value in enumerate(config.sweep_values):
         scenario = scenario_for_value(config.base, config.sweep_variable, value)
-        for a_idx, algorithm in enumerate(config.algorithms):
-            for trial in range(config.n_trials):
-                seed = derive_trial_seed(config.master_seed, s_idx, a_idx, trial)
-                tasks.append((scenario, algorithm, seed, value, trial))
+        for trial in range(config.n_trials):
+            seed = derive_trial_seed(config.master_seed, s_idx, trial)
+            tasks.append((scenario, config.algorithms, seed, value, trial))
 
     records: list[TrialRecord] = []
     try:
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                for rec in pool.map(_run_task, tasks, chunksize=8):
-                    records.append(rec)
+                for group in pool.map(_run_task, tasks, chunksize=4):
+                    records.extend(group)
         else:
             for task in tasks:
-                records.append(_run_task(task))
+                records.extend(_run_task(task))
     except KeyboardInterrupt as exc:
         exc.partial = _aggregate(config, records)
         raise
@@ -285,11 +322,18 @@ def _aggregate(config: SweepConfig, records) -> ResultTable:
     rows = []
     for value in config.sweep_values:
         scenario = scenario_for_value(config.base, config.sweep_variable, value)
+        # one bound per receiver structure: JDFPI and JDFSDPJ share one
+        structures = {algorithm == "JDFSD-full" for algorithm in config.algorithms}
+        if scenario.sigma2 > 0:
+            inp = crb_input_from_scenario(scenario)
+            bounds = {full: _crb_values(inp, full) for full in structures}
+        else:
+            bounds = dict.fromkeys(structures, (float("nan"), float("nan")))
         for algorithm in config.algorithms:
             group = [r for r in records
                      if r.sweep_value == value and r.algorithm == algorithm]
             good = [r for r in group if not r.failed]
-            phase_crb, freq_crb = _crb_values(scenario, algorithm)
+            phase_crb, freq_crb = bounds[algorithm == "JDFSD-full"]
             for metric, crb_val, key in (
                 ("phase_rmse", phase_crb, "phase_errors"),
                 ("freq_rmse", freq_crb, "freq_errors"),

@@ -5,9 +5,14 @@ sampling at offsets n*L + c_p carries a known extra phase exp(j*2*pi*f*c_p*T_N)
 relative to the aligned (constant-B) model, where f is the in-band frequency.
 A digital front end removes it with an all-pass per-branch filter; here the
 generator applies the exact per-source equivalent, so noiseless snapshots lie
-exactly in the span of the joint steering columns. The noise path is honest
-decimation of white Nyquist-rate streams (the alignment filter is all-pass, so
-it leaves white noise white).
+exactly in the span of the joint steering columns.
+
+The noise is drawn per digitized channel, not per Nyquist-rate sensor stream:
+the branches sample distinct Nyquist slots of independent white streams, so
+the decimated noise is i.i.d. circular Gaussian with the same variance, and
+the alignment filter is all-pass, so it leaves white noise white. Only the
+channels a receiver keeps are drawn. `synthesize_streams` followed by
+`multicoset_sample` is the Nyquist-rate reference for that distribution.
 """
 
 import struct
@@ -192,17 +197,18 @@ def _envelope_series(coeff, n_points: int) -> np.ndarray:
     return np.fft.ifft(buf) * n_points
 
 
-def _draw_noise(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
-    """White circular Gaussian Nyquist-rate streams, one row per sensor."""
-    M = config.geom.M
-    n_fine = config.n_snapshots * config.pattern.L
-    sigma2 = config.sigma2
+def _white_noise(rng: np.random.Generator, rows: int, cols: int,
+                 sigma2: float) -> np.ndarray:
+    """Circular Gaussian noise of variance sigma2, shape (rows, cols).
+
+    Row r takes its own block of 2*cols consecutive draws (re/im interleaved),
+    so a prefix of rows does not depend on how many rows are drawn.
+    """
     if sigma2 == 0.0:
-        return np.zeros((M, n_fine), dtype=complex)
-    scale = np.sqrt(sigma2 / 2.0)
-    return scale * (
-        rng.standard_normal((M, n_fine)) + 1j * rng.standard_normal((M, n_fine))
-    )
+        return np.zeros((rows, cols), dtype=complex)
+    draws = rng.standard_normal((rows, 2 * cols))
+    draws *= np.sqrt(sigma2 / 2.0)
+    return draws.view(np.complex128)
 
 
 def synthesize_streams(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
@@ -218,7 +224,7 @@ def synthesize_streams(config: ScenarioConfig, rng: np.random.Generator) -> np.n
         carrier = np.exp(2j * np.pi * src.f_c * t_idx * pattern.T_N)
         a = np.exp(-1j * phis[k] * np.arange(geom.M))
         streams += np.outer(a, src.amplitude * g * carrier)
-    streams += _draw_noise(config, rng)
+    streams += _white_noise(rng, geom.M, n_fine, config.sigma2)
     return streams
 
 
@@ -238,60 +244,63 @@ def multicoset_sample(stream: np.ndarray, pattern: MultiCosetPattern,
     )
 
 
-def _assemble(config: ScenarioConfig):
-    """Aligned signal matrix over all M*P channels plus raw noise streams."""
+def _aligned_signal(config: ScenarioConfig, rng: np.random.Generator,
+                    channels) -> np.ndarray:
+    """Noiseless aligned signal on `channels` (flat indices m*P + p).
+
+    Row r is accumulated element-wise from channel channels[r] alone, so it
+    does not depend on which other channels are listed.
+    """
     geom, pattern = config.geom, config.pattern
     N = config.n_snapshots
-    L = pattern.L
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.rng_seed)))
     coeffs = _draw_envelopes(config, rng)
-    noise = _draw_noise(config, rng)
-
-    K = config.n_sources
-    if K:
-        coarse_idx = np.arange(N) * L
-        base = np.zeros((K, N), dtype=complex)
-        for k, src in enumerate(config.sources):
-            g = _envelope_series(coeffs[k], N)
-            base[k] = src.amplitude * g * np.exp(
-                2j * np.pi * src.f_c * coarse_idx * pattern.T_N
-            )
-        bands = [config.band_of(k) for k in range(K)]
-        G_S = build_G_selected(config.phases(), bands, geom, pattern)
-        signal_full = np.sqrt(L) * (G_S @ base)
-    else:
-        signal_full = np.zeros((geom.M * pattern.P, N), dtype=complex)
-    return signal_full, noise
+    signal = np.zeros((len(channels), N), dtype=complex)
+    if not config.n_sources:
+        return signal
+    bands = [config.band_of(k) for k in range(config.n_sources)]
+    G = build_G_selected(config.phases(), bands, geom, pattern)[channels]
+    G *= np.sqrt(pattern.L)
+    coarse_t = np.arange(N) * pattern.L * pattern.T_N
+    for k, src in enumerate(config.sources):
+        g = _envelope_series(coeffs[k], N)
+        signal += np.outer(G[:, k], src.amplitude * g
+                           * np.exp(2j * np.pi * src.f_c * coarse_t))
+    return signal
 
 
-def _channel_rows(signal_full, noise, config: ScenarioConfig, channels):
-    pattern = config.pattern
-    N = config.n_snapshots
-    rows = np.empty((len(channels), N), dtype=complex)
-    for r, flat in enumerate(channels):
-        m, p = divmod(flat, pattern.P)
-        rows[r] = signal_full[flat] + noise[m, pattern.offsets[p]::pattern.L][:N]
+def _channel_rows(config: ScenarioConfig, channels) -> np.ndarray:
+    """Receiver output on `channels` (flat indices m*P + p), in that order.
+
+    The envelopes are drawn first, then one noise row per listed channel in
+    list order, so two calls whose channel lists share a prefix agree
+    bit-exactly on those rows.
+    """
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.rng_seed)))
+    rows = _aligned_signal(config, rng, channels)
+    rows += _white_noise(rng, len(channels), config.n_snapshots, config.sigma2)
     return rows
 
 
 def assemble_snapshots(config: ScenarioConfig) -> SnapshotSet:
     """Simplified receiver output W ((M+P-1) x N), deterministic in rng_seed."""
-    signal_full, noise = _assemble(config)
-    channels = selected_channel_columns(config.geom.M, config.pattern.P)
-    W = _channel_rows(signal_full, noise, config, channels)
-    return SnapshotSet(W=W, f_s=config.pattern.f_s,
-                       M=config.geom.M, P=config.pattern.P)
+    M, P = config.geom.M, config.pattern.P
+    W = _channel_rows(config, selected_channel_columns(M, P))
+    return SnapshotSet(W=W, f_s=config.pattern.f_s, M=M, P=P)
 
 
 def assemble_full_snapshots(config: ScenarioConfig) -> np.ndarray:
     """Full-structure output (M*P x N), sensor-major channel order.
 
-    Rows selected by the J matrix agree bit-exactly with
+    Noise is drawn for the J-selected channels first and for the others
+    after them, so the rows selected by the J matrix agree bit-exactly with
     `assemble_snapshots(config).W` for the same seed.
     """
-    signal_full, noise = _assemble(config)
-    channels = np.arange(config.geom.M * config.pattern.P)
-    return _channel_rows(signal_full, noise, config, channels)
+    M, P = config.geom.M, config.pattern.P
+    selected = selected_channel_columns(M, P)
+    order = np.concatenate([selected, np.setdiff1d(np.arange(M * P), selected)])
+    Y = np.empty((M * P, config.n_snapshots), dtype=complex)
+    Y[order] = _channel_rows(config, order)
+    return Y
 
 
 _MAGIC = b"SNYQ"
@@ -316,6 +325,10 @@ def load_snapshots(path) -> tuple[np.ndarray, int]:
     """Inverse of `dump_snapshots`; returns (W, seed)."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise ConfigError(
+                f"{path}: header is {len(header)} bytes, expected {_HEADER.size}"
+            )
         magic, rows, cols, _, seed = _HEADER.unpack(header)
         if magic != _MAGIC:
             raise ConfigError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}")

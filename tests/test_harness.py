@@ -122,6 +122,94 @@ def test_table_invariant_to_source_order():
         assert a.rmse == pytest.approx(b.rmse, rel=1e-5)
 
 
+def test_sweep_synthesizes_each_trial_once(monkeypatch):
+    import subnyq.harness as harness
+
+    calls = []
+    for name in ("assemble_snapshots", "assemble_full_snapshots"):
+        original = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda config, _f=original, _n=name:
+                            calls.append(_n) or _f(config))
+    run_sweep(small_sweep(n_trials=2, values=(20.0,)))
+    assert calls == ["assemble_snapshots"] * 2
+    calls.clear()
+    run_sweep(small_sweep(n_trials=2, values=(20.0,),
+                          algorithms=("JDFPI", "JDFSDPJ", "JDFSD-full")))
+    assert calls == ["assemble_full_snapshots"] * 2
+
+
+def test_sweep_computes_each_bound_once_per_structure(monkeypatch):
+    # JDFPI and JDFSDPJ share the simplified-structure bound
+    import subnyq.harness as harness
+
+    calls = []
+    for name in ("crb_input_from_scenario", "crb_phase", "freq_crb_numerical"):
+        original = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda *a, _f=original, _n=name, **kw:
+                            calls.append((_n, kw.get("full_structure"))) or _f(*a, **kw))
+    table = run_sweep(small_sweep(n_trials=1, values=(20.0,),
+                                  algorithms=("JDFPI", "JDFSDPJ", "JDFSD-full")))
+    assert sorted(calls, key=str) == sorted([
+        ("crb_input_from_scenario", None),
+        ("crb_phase", False), ("crb_phase", True),
+        ("freq_crb_numerical", False), ("freq_crb_numerical", True),
+    ], key=str)
+    crb = {(r.algorithm, r.metric): r.crb for r in table.rows}
+    assert crb[("JDFPI", "phase_rmse")] == crb[("JDFSDPJ", "phase_rmse")]
+    assert crb[("JDFSD-full", "phase_rmse")] < crb[("JDFSDPJ", "phase_rmse")]
+
+
+def random_layout(rng, K, M=8):
+    """K random tones on an M-sensor array with the default pattern; bands
+    may repeat (matching does not need distinct bands)."""
+    from subnyq.model import ArrayGeometry
+    from subnyq.siggen import ScenarioConfig, SourceTruth
+
+    pattern = default_scenario().pattern
+    sources = tuple(SourceTruth(theta=float(rng.uniform(-1.4, 1.4)),
+                                f_c=float(rng.uniform(0.0, pattern.f_N)))
+                    for _ in range(K))
+    return ScenarioConfig(geom=ArrayGeometry(M=M, d=0.5, c_prop=1.0),
+                          pattern=pattern, sources=sources, snr_db=None,
+                          n_snapshots=64)
+
+
+def test_match_estimates_equals_exhaustive_search():
+    import itertools
+
+    rng = np.random.default_rng(42)
+    for _ in range(40):
+        K = int(rng.integers(1, 7))
+        scenario = random_layout(rng, K)
+        true_phi = scenario.phases()
+        true_f = np.array([s.f_c for s in scenario.sources])
+        f_norm = scenario.pattern.f_s
+        # estimates near a shuffled truth, some far enough to make greedy
+        # nearest-neighbour matching wrong
+        perm = rng.permutation(K)
+        phi = true_phi[perm] + rng.normal(0.0, 0.5, K)
+        f = true_f[perm] + rng.normal(0.0, 2.0 * f_norm, K)
+        result = EstimationResult(algorithm="test", phi=phi,
+                                  band=np.zeros(K, dtype=int),
+                                  f_residual=np.zeros(K), f=f,
+                                  theta=np.zeros(K))
+        best = min(itertools.permutations(range(K)), key=lambda p: float(np.sum(
+            (wrap_phase(phi[list(p)] - true_phi) / np.pi) ** 2
+            + ((f[list(p)] - true_f) / f_norm) ** 2)))
+        phase_err, freq_err = match_estimates(scenario, result)
+        np.testing.assert_array_equal(phase_err, wrap_phase(phi[list(best)] - true_phi))
+        np.testing.assert_array_equal(freq_err, f[list(best)] - true_f)
+
+
+def test_match_estimates_nine_sources():
+    scenario = random_layout(np.random.default_rng(9), K=9, M=10)
+    perm = [4, 8, 0, 7, 2, 6, 1, 5, 3]
+    result = result_from_truth(scenario, perm, phi_jitter=1e-6)
+    phase_err, freq_err = match_estimates(scenario, result)
+    np.testing.assert_allclose(phase_err, 1e-6, atol=1e-12)
+    np.testing.assert_allclose(freq_err, 0.0, atol=1e-12)
+
+
 def test_match_estimates_rejects_count_mismatch():
     scenario = default_scenario(K=3, snr_db=None)
     short = result_from_truth(default_scenario(K=2, snr_db=None), [0, 1])
@@ -130,10 +218,34 @@ def test_match_estimates_rejects_count_mismatch():
 
 
 def test_trial_seeds_distinct_and_deterministic():
-    seeds = {derive_trial_seed(0, s, a, t)
-             for s in range(3) for a in range(2) for t in range(50)}
+    seeds = {derive_trial_seed(0, s, t) for s in range(3) for t in range(100)}
     assert len(seeds) == 300
-    assert derive_trial_seed(5, 1, 0, 9) == derive_trial_seed(5, 1, 0, 9)
+    assert derive_trial_seed(5, 1, 9) == derive_trial_seed(5, 1, 9)
+
+
+def test_sweep_algorithms_share_each_trial():
+    # common random numbers: every algorithm of one (point, trial) carries
+    # the same seed, and taking the simplified rows from the full output
+    # when JDFSD-full is in the sweep changes no simplified-path result
+    config = small_sweep(n_trials=2, values=(10.0, 20.0),
+                         algorithms=("JDFPI", "JDFSDPJ", "JDFSD-full"))
+    records = run_sweep(config).records
+    assert len(records) == 2 * 3 * 2
+    seeds = {}
+    for rec in records:
+        seeds.setdefault((rec.sweep_value, rec.trial_index), set()).add(rec.seed)
+    assert len(seeds) == 4
+    assert all(len(s) == 1 for s in seeds.values())
+    assert len(set().union(*seeds.values())) == 4
+
+    simplified = run_sweep(replace(config, algorithms=("JDFPI", "JDFSDPJ"))).records
+    shared = [r for r in records if r.algorithm != "JDFSD-full"]
+    key = lambda r: (r.sweep_value, r.algorithm, r.trial_index)
+    for a, b in zip(sorted(shared, key=key), sorted(simplified, key=key)):
+        assert (a.seed, a.failed) == (b.seed, b.failed)
+        if not a.failed:
+            np.testing.assert_array_equal(a.phase_errors, b.phase_errors)
+            np.testing.assert_array_equal(a.freq_errors, b.freq_errors)
 
 
 def test_run_trial_deterministic():

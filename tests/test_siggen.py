@@ -163,6 +163,40 @@ def test_noise_only_covariance_is_white():
     assert dev < 5.0 / np.sqrt(W.shape[1])
 
 
+def _noise_statistics(Y, sigma2):
+    """Worst deviations of per-channel power, cross-channel covariance and
+    pseudo-covariance from circular white noise of power sigma2."""
+    n = Y.shape[1]
+    R = Y @ Y.conj().T / n
+    C = Y @ Y.T / n
+    return (np.max(np.abs(np.diag(R).real - sigma2)),
+            np.max(np.abs(R - np.diag(np.diag(R)))),
+            np.max(np.abs(C)))
+
+
+def test_direct_channel_noise_matches_decimated_nyquist_streams():
+    # the receiver draws decimated noise per channel; the reference decimates
+    # white Nyquist-rate sensor streams through the coset sampler
+    pattern = MultiCosetPattern(L=7, offsets=(0, 2, 3), f_N=1.0)
+    geom = ArrayGeometry(M=5, d=0.5, c_prop=1.0)
+    n = 20000
+    config = ScenarioConfig(geom=geom, pattern=pattern, sources=(),
+                            snr_db=-3.0, n_snapshots=n, rng_seed=17)
+    sigma2 = config.sigma2
+    direct = assemble_full_snapshots(config)
+    streams = synthesize_streams(config, np.random.default_rng(17))
+    reference = np.vstack([multicoset_sample(s, pattern, n) for s in streams])
+    assert direct.shape == reference.shape == (geom.M * pattern.P, n)
+    limit = 5.0 * sigma2 / np.sqrt(n)
+    for Y in (direct, reference):
+        power, cross, pseudo = _noise_statistics(Y, sigma2)
+        assert power < limit and cross < limit and pseudo < limit
+    # the two covariance estimates agree with each other as well
+    R_direct = direct @ direct.conj().T / n
+    R_reference = reference @ reference.conj().T / n
+    assert np.max(np.abs(R_direct - R_reference)) < 2.0 * limit
+
+
 def test_snr_sets_noise_power():
     config = tone_scenario(snr_db=10.0)
     assert abs(config.sigma2 - 0.1) < 1e-12
@@ -242,6 +276,14 @@ def test_dump_load_round_trip(tmp_path):
 def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.snyq"
     path.write_bytes(b"JUNK" + bytes(20))
+    with pytest.raises(ConfigError):
+        load_snapshots(path)
+
+
+@pytest.mark.parametrize("size", [0, 4, 23])
+def test_load_rejects_short_header(tmp_path, size):
+    path = tmp_path / "short.snyq"
+    path.write_bytes((b"SNYQ" + bytes(20))[:size])
     with pytest.raises(ConfigError):
         load_snapshots(path)
 
