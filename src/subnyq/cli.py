@@ -18,6 +18,7 @@ from .harness import (
     default_scenario,
     default_sweep,
     emit_csv,
+    format_csv,
     run_algorithm,
     run_sweep,
     scenario_from_dict,
@@ -125,13 +126,7 @@ def _run_and_emit(sweep: SweepConfig, args):
         emit_csv(table, args.out)
         print(f"wrote {len(table.rows)} rows to {args.out}")
     else:
-        print(",".join(("sweep_var", "sweep_value", "algorithm", "metric",
-                        "rmse", "crb", "n_success", "n_trials")))
-        for r in sorted(table.rows, key=lambda r: (float(r.sweep_value),
-                                                   r.algorithm, r.metric)):
-            print(f"{r.sweep_variable},{r.sweep_value},{r.algorithm},"
-                  f"{r.metric},{r.rmse:.6e},{r.crb:.6e},"
-                  f"{r.n_success},{r.n_trials}")
+        sys.stdout.write(format_csv(table))
     return EXIT_OK
 
 

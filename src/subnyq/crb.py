@@ -38,7 +38,6 @@ __all__ = [
     "full_steering_derivative",
     "projector_complement",
     "crb_phase",
-    "crb_phase_per_branch",
     "fim_numerical",
     "freq_crb_numerical",
     "crb_input_from_scenario",
@@ -152,32 +151,6 @@ def crb_phase(inp: CrbInput, full_structure: bool = False) -> CrbResult:
         per_source_std=np.sqrt(np.diag(crb).real),
         fim=fim,
     )
-
-
-def crb_phase_per_branch(inp: CrbInput, full_structure: bool = False) -> CrbResult:
-    """`crb_phase` in the per-branch bookkeeping.
-
-    Uses the prefactor sigma^2 / (2 N) with the branch-scale source
-    covariance L * R_S, where N = T_obs * f_s is the snapshot count per
-    branch.  Since N * L = T_obs * f_N the two bookkeepings are identical;
-    this entry point exists to document the equivalence.
-    """
-    build, _, deriv = _builders(full_structure)
-    H = build(inp.phis, inp.bands, inp.geom, inp.pattern)
-    P = projector_complement(H)
-    E = np.column_stack(
-        [deriv(p, b, inp.geom, inp.pattern) for p, b in zip(inp.phis, inp.bands)]
-    )
-    R_branch = inp.pattern.L * inp.R_S
-    quad = np.real((E.conj().T @ P @ E) * R_branch.T)
-    N = inp.T_obs * inp.pattern.f_s
-    fim = (2.0 * N / inp.sigma2) * quad
-    cond = np.linalg.cond(fim)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise RankDeficiencyError("phase Fisher information is singular")
-    crb = np.linalg.inv(fim)
-    return CrbResult(crb_matrix=crb,
-                     per_source_std=np.sqrt(np.diag(crb).real), fim=fim)
 
 
 def _psd_sqrt(R: np.ndarray) -> np.ndarray:

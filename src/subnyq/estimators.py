@@ -11,13 +11,17 @@ Two pipelines operate on the simplified receiver output W:
 
 `jdfsd_full` is the full-structure (all M*P channels) baseline of the same
 subspace search, used for comparison only.
+
+Every phase search (spatial MUSIC and both joint searches) minimizes a
+noise-subspace cost that is, per band, a trigonometric polynomial in the
+phase; its minima are found exactly as roots of the derivative polynomial,
+with no phase grid.
 """
 
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     ConfigError,
@@ -33,9 +37,7 @@ from .model import (
     build_G_selected,
     build_H_selected,
     doa_from_phase,
-    full_steering,
-    joint_steering,
-    spatial_steering,
+    selected_channel_columns,
 )
 
 __all__ = [
@@ -44,7 +46,6 @@ __all__ = [
     "EstimationResult",
     "sample_covariance",
     "decompose",
-    "default_phase_grid",
     "music_spatial",
     "ls_solve",
     "ctf_support",
@@ -59,7 +60,6 @@ __all__ = [
 COND_LIMIT = 1e10
 CTF_RESIDUAL_TOL = 1e-8
 PAIRING_AMBIGUITY_RATIO = 3.0
-NMS_RADIUS = 3  # grid cells suppressed around an accepted 2-D peak
 
 
 @dataclass(frozen=True)
@@ -124,59 +124,101 @@ def decompose(R: np.ndarray, K: int) -> SubspaceDecomposition:
     )
 
 
-def default_phase_grid(step: float = 1e-3) -> np.ndarray:
-    """Uniform grid over (-pi, pi]; the phase axis is periodic."""
-    n = int(np.ceil(2.0 * np.pi / step))
-    return -np.pi + (2.0 * np.pi / n) * np.arange(1, n + 1)
+def _phase_minima(C: np.ndarray):
+    """Local minima over phi of cost_s(phi) = v(phi)^H C_s v(phi), with
+    v_m = exp(-j m phi), for a stack C of S Hermitian M x M matrices.
+
+    cost_s is the trigonometric polynomial sum_{|d| < M} r_d exp(j d phi),
+    r_d the sum of C_s's d-th subdiagonal, so its stationary points are roots
+    on the unit circle of a degree-2(M-1) polynomial in w = exp(j phi)
+    (root-MUSIC; Barabell, ICASSP 1983).  Every row is rooted at once as the
+    eigenvalues of its companion matrix; the root angles are polished by
+    Newton steps on the real polynomial, and each converged point of positive
+    curvature is kept once.  No grid is involved.
+
+    Returns flat arrays (row, phi, cost) over the minima of all rows, phi in
+    (-pi, pi].
+    """
+    S, M, _ = C.shape
+    d = np.arange(1, M)
+    r = np.stack([np.trace(C, offset=-k, axis1=1, axis2=2) for k in range(M)],
+                 axis=1)
+    # c'(phi) = sum_d j d r_d w^d with r_{-d} = conj(r_d); coefficients of
+    # w^(M-1) c'(phi), highest power first
+    coef = 1j * np.concatenate(
+        [d[::-1] * r[:, :0:-1], np.zeros((S, 1)), -d * r[:, 1:].conj()], axis=1)
+
+    # degree of each row: a vanishing corner entry C_s[M-1, 0] lowers it.
+    # Dropping terms below 1e-12 only moves the starting points: Newton
+    # below runs on the full polynomial.
+    big = np.abs(r) > 1e-12 * np.abs(r).max(axis=1, keepdims=True)
+    big[:, 0] = True
+    D = M - 1 - np.argmax(big[:, ::-1], axis=1)
+    n = 2 * (M - 1)
+    roots = np.full((S, n), np.nan, dtype=complex)
+    top = np.flatnonzero(D == M - 1)
+    if top.size:
+        comp = np.zeros((top.size, n, n), dtype=complex)
+        comp[:, 0, :] = -coef[top, 1:] / coef[top, :1]
+        comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        roots[top] = np.linalg.eigvals(comp)
+    for s in np.flatnonzero((D > 0) & (D < M - 1)):
+        roots[s, :2 * D[s]] = np.roots(coef[s, M - 1 - D[s]:M + D[s]])
+
+    rd = r[:, None, 1:]
+
+    def terms(phi):
+        """r_d exp(j d phi) per d, and the slope and curvature of the cost."""
+        e = rd * np.exp(1j * phi[..., None] * d)
+        return (e, -2.0 * np.sum(d * e, axis=-1).imag,
+                -2.0 * np.sum(d**2 * e, axis=-1).real)
+
+    phi = np.angle(roots)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(3):
+            _, slope, curv = terms(phi)
+            phi = phi - slope / curv
+        e, slope, curv = terms(phi)
+        phi = np.pi - np.mod(np.pi - phi, 2.0 * np.pi)
+        # a root that Newton carried onto another root's point counts once
+        gap = np.abs(np.angle(np.exp(1j * (phi[:, :, None] - phi[:, None, :]))))
+    cost = r[:, :1].real + 2.0 * np.sum(e, axis=-1).real
+    # Roots off the circle come in pairs (w, 1/conj(w)) where c' nears zero
+    # without crossing it; from their angles Newton either fails this slope
+    # test or lands on a real root found again below.
+    ok = (curv > 0) & (np.abs(slope) <= 1e-12 * np.sum(d * np.abs(rd), axis=-1))
+    earlier = np.tri(n, k=-1, dtype=bool)
+    ok &= ~np.any((gap < 1e-7) & ok[:, None, :] & earlier, axis=2)
+    row, col = np.nonzero(ok)
+    return row, phi[row, col], cost[row, col]
 
 
-def _local_maxima(values: np.ndarray) -> np.ndarray:
-    """Indices of strict circular local maxima."""
-    left = np.roll(values, 1)
-    right = np.roll(values, -1)
-    return np.nonzero((values > left) & (values > right))[0]
+def _search(X: np.ndarray, K: int, G: np.ndarray, step: str):
+    """The K lowest minima over (phi, l) of ||U_N^H G_l v(phi)||^2.
+
+    U_N is the noise subspace of X's sample covariance at model order K, and
+    the stack G maps v(phi) to the steering vector of each band l.  Minima
+    are ranked by (cost, band, phi).  Returns (phis, bands).
+    """
+    U_N = decompose(sample_covariance(X), K).U_N
+    T = U_N.conj().T @ G
+    band, phi, cost = _phase_minima(T.conj().transpose(0, 2, 1) @ T)
+    if phi.size < K:
+        raise PeakCountError(
+            f"found {phi.size} noise-subspace cost minima, need {K}",
+            found=int(phi.size), wanted=K, step=step,
+        )
+    pick = np.lexsort((phi, band, cost))[:K]
+    return phi[pick], band[pick]
 
 
-def _refine_phase(cost, grid: np.ndarray, idx: int) -> float:
-    """Minimize the continuous noise-subspace cost inside the grid cell pair
-    around `idx` (periodic in phi)."""
-    step = grid[1] - grid[0]
-    center = grid[idx]
-    res = minimize_scalar(
-        lambda phi: cost(center + phi),
-        bounds=(-step, step),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    phi = center + res.x
-    # wrap back into (-pi, pi]
-    return float(np.angle(np.exp(1j * phi))) if abs(phi) > np.pi else float(phi)
-
-
-def music_spatial(Q: np.ndarray, K: int, grid: np.ndarray | None = None) -> np.ndarray:
-    """Spatial-phase MUSIC on the sensor view Q; returns K refined phases."""
+def music_spatial(Q: np.ndarray, K: int) -> np.ndarray:
+    """Spatial-phase MUSIC on the sensor view Q; returns the K phases that
+    minimize the noise-subspace cost, sorted."""
     M = Q.shape[0]
     if K >= M:
         raise ConfigError(f"spatial MUSIC needs K < M, got K={K}, M={M}")
-    if grid is None:
-        grid = default_phase_grid()
-    dec = decompose(sample_covariance(Q), K)
-    U_N = dec.U_N
-    A = np.exp(-1j * np.outer(np.arange(M), grid))
-    denom = np.sum(np.abs(U_N.conj().T @ A) ** 2, axis=0)
-    peaks = _local_maxima(-denom)
-    if peaks.size < K:
-        raise PeakCountError(
-            f"found {peaks.size} spatial-spectrum peaks, need {K}",
-            found=int(peaks.size), wanted=K, step="music_spatial",
-        )
-    best = peaks[np.argsort(denom[peaks])[:K]]
-
-    def cost_at(phi):
-        a = spatial_steering(phi, M)
-        return float(np.sum(np.abs(U_N.conj().T @ a) ** 2))
-
-    phis = np.array([_refine_phase(cost_at, grid, i) for i in best])
+    phis, _ = _search(Q, K, np.eye(M)[None], "music_spatial")
     return np.sort(phis)
 
 
@@ -351,14 +393,14 @@ def _finish(W: np.ndarray, phis: np.ndarray, bands, config, algorithm: str,
     )
 
 
-def jdfpi(snapshots, config, grid: np.ndarray | None = None) -> EstimationResult:
+def jdfpi(snapshots, config) -> EstimationResult:
     """Individual-estimates pipeline: spatial MUSIC + CTF support + pairing."""
     K = config.n_sources
     pattern = config.pattern
     if K > pattern.P - 1:
         raise ConfigError(f"JDFPI needs K <= P-1, got K={K}, P={pattern.P}")
     try:
-        phis = music_spatial(snapshots.Q, K, grid)
+        phis = music_spatial(snapshots.Q, K)
     except EstimationError as exc:
         raise _tagged("music_spatial", exc)
     A = build_A(phis, config.geom.M)
@@ -379,113 +421,22 @@ def jdfpi(snapshots, config, grid: np.ndarray | None = None) -> EstimationResult
     return _finish(snapshots.W, phis, support.bands, config, "JDFPI")
 
 
-def _joint_peaks(spectrum: np.ndarray, grid: np.ndarray, K: int, step: str):
-    """Top-K (band, grid index) peaks of a bands x grid pseudo-spectrum, with
-    per-band non-maximum suppression."""
-    n_grid = grid.size
-    candidates = []
-    for l in range(spectrum.shape[0]):
-        for idx in _local_maxima(spectrum[l]):
-            candidates.append((spectrum[l, idx], l, int(idx)))
-    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-    picks: list[tuple[int, int]] = []
-    for _, l, idx in candidates:
-        near = any(
-            pl == l and min(abs(pi - idx), n_grid - abs(pi - idx)) <= NMS_RADIUS
-            for pl, pi in picks
-        )
-        if near:
-            continue
-        picks.append((l, idx))
-        if len(picks) == K:
-            break
-    if len(picks) < K:
-        raise PeakCountError(
-            f"found {len(picks)} joint-spectrum peaks, need {K}",
-            found=len(picks), wanted=K, step=step,
-        )
-    return picks
+def _channel_maps(M: int, B: np.ndarray) -> np.ndarray:
+    """(L, M*P, M) stack of I_M kron B[:, l], the map v(phi) -> a(phi) kron B_l."""
+    P, L = B.shape
+    return np.einsum("mn,pl->lmpn", np.eye(M), B).reshape(L, M * P, M)
 
 
-def _dedupe_picks(pairs, grid_step: float, K: int, step: str):
-    """Collapse refined picks that landed on the same (phi, band) point."""
-    kept = []
-    for phi, band in pairs:
-        dup = any(b == band and abs(p - phi) < 0.5 * grid_step for p, b in kept)
-        if not dup:
-            kept.append((phi, band))
-    if len(kept) < K:
-        raise PeakCountError(
-            f"only {len(kept)} distinct (phi, band) picks after refinement",
-            found=len(kept), wanted=K, step=step,
-        )
-    return kept
-
-
-def jdfsdpj(snapshots, config, grid: np.ndarray | None = None) -> EstimationResult:
+def jdfsdpj(snapshots, config) -> EstimationResult:
     """Joint 2-D subspace search over (phi, band) on the simplified output."""
-    K = config.n_sources
-    geom, pattern = config.geom, config.pattern
-    M, P, L = geom.M, pattern.P, pattern.L
-    if grid is None:
-        grid = default_phase_grid()
-    dec = decompose(sample_covariance(snapshots.W), K)
-    U_N = dec.U_N
-    B = build_B(pattern)
-
-    # a_l(phi) = [B[:, l]; a_m(phi) * B[0, l], m = 2..M]: the sensor-1 block is
-    # constant in phi, so one (M-1)-row projection serves every band.
-    E_grid = np.exp(-1j * np.outer(np.arange(1, M), grid))
-    S_mat = U_N[P:].conj().T @ E_grid
-    head = U_N[:P].conj().T @ B  # column l pairs with band l
-    spectrum = np.empty((L, grid.size))
-    for l in range(L):
-        V = head[:, l][:, None] + B[0, l] * S_mat
-        spectrum[l] = 1.0 / np.sum(np.abs(V) ** 2, axis=0)
-
-    picks = _joint_peaks(spectrum, grid, K, step="jdfsdpj_search")
-
-    def cost_for(band):
-        def cost(phi):
-            a = joint_steering(phi, band, geom, pattern)
-            return float(np.sum(np.abs(U_N.conj().T @ a) ** 2))
-        return cost
-
-    refined = [(_refine_phase(cost_for(l), grid, idx), l) for l, idx in picks]
-    refined = _dedupe_picks(refined, grid[1] - grid[0], K, step="jdfsdpj_search")
-    phis = np.array([p for p, _ in refined])
-    bands = [b for _, b in refined]
+    M, P = config.geom.M, config.pattern.P
+    G = _channel_maps(M, build_B(config.pattern))[:, selected_channel_columns(M, P)]
+    phis, bands = _search(snapshots.W, config.n_sources, G, "jdfsdpj_search")
     return _finish(snapshots.W, phis, bands, config, "JDFSDPJ")
 
 
-def jdfsd_full(Y_full: np.ndarray, config, grid: np.ndarray | None = None) -> EstimationResult:
+def jdfsd_full(Y_full: np.ndarray, config) -> EstimationResult:
     """Full-structure baseline: the same joint search on all M*P channels."""
-    K = config.n_sources
-    geom, pattern = config.geom, config.pattern
-    M, P, L = geom.M, pattern.P, pattern.L
-    if grid is None:
-        grid = default_phase_grid()
-    dec = decompose(sample_covariance(Y_full), K)
-    U_N = dec.U_N
-    B = build_B(pattern)
-
-    A_grid = np.exp(-1j * np.outer(np.arange(M), grid))
-    U3 = U_N.conj().reshape(M, P, -1)
-    spectrum = np.empty((L, grid.size))
-    for l in range(L):
-        T = np.einsum("mpr,p->rm", U3, B[:, l])
-        spectrum[l] = 1.0 / np.sum(np.abs(T @ A_grid) ** 2, axis=0)
-
-    picks = _joint_peaks(spectrum, grid, K, step="jdfsd_full_search")
-
-    def cost_for(band):
-        def cost(phi):
-            g = full_steering(phi, band, geom, pattern)
-            return float(np.sum(np.abs(U_N.conj().T @ g) ** 2))
-        return cost
-
-    refined = [(_refine_phase(cost_for(l), grid, idx), l) for l, idx in picks]
-    refined = _dedupe_picks(refined, grid[1] - grid[0], K, step="jdfsd_full_search")
-    phis = np.array([p for p, _ in refined])
-    bands = [b for _, b in refined]
+    G = _channel_maps(config.geom.M, build_B(config.pattern))
+    phis, bands = _search(Y_full, config.n_sources, G, "jdfsd_full_search")
     return _finish(Y_full, phis, bands, config, "JDFSD-full", full_structure=True)

@@ -1,6 +1,7 @@
 """Monte Carlo harness: seeded trials, RMSE sweeps, CRB columns, CSV output."""
 
 import csv
+import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -34,6 +35,7 @@ __all__ = [
     "run_algorithm",
     "run_trial",
     "run_sweep",
+    "format_csv",
     "emit_csv",
     "read_csv",
     "scenario_from_dict",
@@ -358,21 +360,28 @@ CSV_HEADER = ("sweep_var", "sweep_value", "algorithm", "metric",
               "rmse", "crb", "n_success", "n_trials")
 
 
-def emit_csv(table: ResultTable, path) -> None:
-    """Deterministic CSV: rows ordered by (sweep value, algorithm, metric),
-    floats in full double-precision scientific notation."""
+def format_csv(table: ResultTable) -> str:
+    """Deterministic CSV text: rows ordered by (sweep value, algorithm,
+    metric), floats in full double-precision scientific notation."""
     rows = sorted(table.rows,
                   key=lambda r: (float(r.sweep_value), r.algorithm, r.metric))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for r in rows:
+        writer.writerow([
+            r.sweep_variable, format_value(r.sweep_value), r.algorithm,
+            r.metric, f"{r.rmse:.17e}", f"{r.crb:.17e}",
+            r.n_success, r.n_trials,
+        ])
+    return out.getvalue()
+
+
+def emit_csv(table: ResultTable, path) -> None:
+    """Write `format_csv(table)` to `path`."""
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_HEADER)
-            for r in rows:
-                writer.writerow([
-                    r.sweep_variable, format_value(r.sweep_value), r.algorithm,
-                    r.metric, f"{r.rmse:.17e}", f"{r.crb:.17e}",
-                    r.n_success, r.n_trials,
-                ])
+            fh.write(format_csv(table))
     except OSError as exc:
         raise OSError(f"cannot write result table to {path}: {exc}") from exc
 

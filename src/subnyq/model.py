@@ -12,7 +12,7 @@ Conventions used throughout the package:
 * J keeps all P branches of sensor 1 followed by branch 1 of sensors 2..M.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .errors import ConfigError, SpatialAliasingError
 __all__ = [
     "ArrayGeometry",
     "MultiCosetPattern",
-    "SteeringSet",
     "phase_from_doa",
     "doa_from_phase",
     "spatial_steering",
@@ -33,7 +32,6 @@ __all__ = [
     "build_H",
     "build_H_selected",
     "build_G_selected",
-    "steering_set",
 ]
 
 
@@ -205,22 +203,3 @@ def build_G_selected(phis, bands, geom: ArrayGeometry,
     phis, bands = _check_selected(phis, bands, geom.M * pattern.P, pattern.L)
     cols = [full_steering(p, b, geom, pattern) for p, b in zip(phis, bands)]
     return np.column_stack(cols)
-
-
-@dataclass(frozen=True)
-class SteeringSet:
-    """Bundle of the receiver matrices for a fixed set of source phases."""
-
-    A: np.ndarray
-    B: np.ndarray
-    J: np.ndarray
-    H: np.ndarray = field(repr=False)
-
-
-def steering_set(phis, geom: ArrayGeometry, pattern: MultiCosetPattern) -> SteeringSet:
-    return SteeringSet(
-        A=build_A(phis, geom.M),
-        B=build_B(pattern),
-        J=build_J(geom.M, pattern.P),
-        H=build_H(phis, geom, pattern),
-    )

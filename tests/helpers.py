@@ -1,16 +1,18 @@
 """Shared generators for randomized tests.
 
-Random-but-valid scenario construction: distinct bands, spatial phases
-separated by more than a few search-grid cells, and a coset pattern whose
-columns are incoherent enough for greedy support recovery to be well posed.
+Random-but-valid scenario construction: distinct bands, well-separated
+spatial phases, and a coset pattern whose columns are incoherent enough for
+greedy support recovery to be well posed.  Also the grid-and-refine phase
+search, kept as the reference for the estimators' polynomial-root search.
 """
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from subnyq.model import ArrayGeometry, MultiCosetPattern, build_B, phase_from_doa
 from subnyq.siggen import ScenarioConfig, SourceTruth
 
-MIN_PHASE_SEPARATION = 0.15  # rad, well above the search grid step
+MIN_PHASE_SEPARATION = 0.15  # rad, far above the oracle's grid step
 
 
 def pattern_coherence(pattern: MultiCosetPattern) -> float:
@@ -114,3 +116,49 @@ def random_scenario(rng: np.random.Generator, K: int | None = None,
     return ScenarioConfig(geom=geom, pattern=pattern, sources=sources,
                           snr_db=snr_db, n_snapshots=n_snapshots,
                           rng_seed=int(rng.integers(0, 2**31)))
+
+
+# The phase grid and peak suppression of the grid-and-refine search that the
+# estimators' polynomial-root search replaced; kept as its reference.
+ORACLE_GRID = -np.pi + (2.0 * np.pi / 6284) * np.arange(1, 6285)
+ORACLE_NMS_RADIUS = 3
+
+
+def grid_search_oracle(U_N: np.ndarray, steering, n_bands: int, K: int):
+    """Grid-and-refine minimization of ||U_N^H s_l(phi)||^2 over (phi, l).
+
+    `steering(phis, l)` returns band l's steering vectors as columns.  Scans
+    a 6,284-point phase grid per band, takes the K strongest pseudo-spectrum
+    peaks with per-band non-maximum suppression, refines each with a bounded
+    scalar minimization inside its grid-cell pair, and drops refined picks
+    that landed on the same point.  Returns (phis, bands) in pick order, or
+    fewer than K picks when the spectrum has fewer peaks.
+    """
+    def cost(phis, l):
+        return np.sum(np.abs(U_N.conj().T @ steering(phis, l)) ** 2, axis=0)
+
+    grid, n_grid = ORACLE_GRID, ORACLE_GRID.size
+    step = grid[1] - grid[0]
+    candidates = []
+    for l in range(n_bands):
+        spec = 1.0 / cost(grid, l)
+        peaks = np.nonzero((spec > np.roll(spec, 1)) & (spec > np.roll(spec, -1)))[0]
+        candidates.extend((spec[i], l, int(i)) for i in peaks)
+    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+    picks = []
+    for _, l, idx in candidates:
+        if any(pl == l and min(abs(pi - idx), n_grid - abs(pi - idx))
+               <= ORACLE_NMS_RADIUS for pl, pi in picks):
+            continue
+        picks.append((l, idx))
+        if len(picks) == K:
+            break
+    kept = []
+    for l, idx in picks:
+        res = minimize_scalar(lambda x: cost(np.array([grid[idx] + x]), l)[0],
+                              bounds=(-step, step), method="bounded",
+                              options={"xatol": 1e-12})
+        phi = float(np.angle(np.exp(1j * (grid[idx] + res.x))))
+        if not any(b == l and abs(p - phi) < 0.5 * step for p, b in kept):
+            kept.append((phi, l))
+    return (np.array([p for p, _ in kept]), np.array([b for _, b in kept], dtype=int))

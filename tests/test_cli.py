@@ -115,6 +115,20 @@ def test_sweep_snr_stdout_when_no_out(tmp_path, capsys):
     assert "JDFSDPJ" in out
 
 
+@pytest.mark.parametrize("command,variable,values", [
+    ("sweep-snr", "snr_db", (10.0, 20.0)),
+    ("sweep-k", "n_sources", (1, 2)),
+])
+def test_sweep_stdout_equals_out_file(tmp_path, capsys, command, variable, values):
+    scenario_json(tmp_path)
+    sweep = sweep_json(tmp_path, variable=variable, values=values)
+    out = tmp_path / "r.csv"
+    assert main([command, "--config", sweep, "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert main([command, "--config", sweep]) == EXIT_OK
+    assert capsys.readouterr().out == out.read_text()
+
+
 def test_sweep_trials_and_algorithms_overrides(tmp_path):
     scenario_json(tmp_path)
     sweep = sweep_json(tmp_path, values=(20.0,))

@@ -8,7 +8,6 @@ from subnyq.crb import (
     CrbInput,
     crb_input_from_scenario,
     crb_phase,
-    crb_phase_per_branch,
     fim_numerical,
     freq_crb_numerical,
     full_steering_derivative,
@@ -19,6 +18,7 @@ from subnyq.errors import ConfigError, RankDeficiencyError
 from subnyq.model import (
     ArrayGeometry,
     MultiCosetPattern,
+    build_G_selected,
     build_H_selected,
     full_steering,
     joint_steering,
@@ -99,11 +99,20 @@ def test_selected_structure_bound_dominates_full():
 
 
 def test_per_branch_bookkeeping_is_equivalent():
+    # per-branch bookkeeping: prefactor 2 N / sigma^2 with N = T_obs * f_s
+    # snapshots and the branch-scale source covariance L * R_S; N * L equals
+    # T_obs * f_N, so it must give crb_phase's Fisher information
     inp = make_input()
-    for full in (False, True):
+    N = inp.T_obs * inp.pattern.f_s
+    R_branch = inp.pattern.L * inp.R_S
+    for full, build, deriv in ((False, build_H_selected, steering_derivative),
+                               (True, build_G_selected, full_steering_derivative)):
+        P = projector_complement(build(inp.phis, inp.bands, GEOM, PATTERN))
+        E = np.column_stack([deriv(p, b, GEOM, PATTERN)
+                             for p, b in zip(inp.phis, inp.bands)])
+        fim = (2.0 * N / inp.sigma2) * np.real((E.conj().T @ P @ E) * R_branch.T)
         a = crb_phase(inp, full_structure=full).crb_matrix
-        b = crb_phase_per_branch(inp, full_structure=full).crb_matrix
-        np.testing.assert_allclose(a, b, rtol=1e-12)
+        np.testing.assert_allclose(a, np.linalg.inv(fim), rtol=1e-12)
 
 
 def test_bound_result_fields_consistent():

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import random_scenario
+from helpers import grid_search_oracle, random_scenario
 from subnyq.errors import (
     ConfigError,
     EmptySupportError,
@@ -14,9 +14,10 @@ from subnyq.errors import (
     RankDeficiencyError,
 )
 from subnyq.estimators import (
+    _phase_minima,
+    _search,
     ctf_support,
     decompose,
-    default_phase_grid,
     jdfpi,
     jdfsd_full,
     jdfsdpj,
@@ -28,7 +29,7 @@ from subnyq.estimators import (
     unfold_frequency,
 )
 from subnyq.harness import match_estimates
-from subnyq.model import MultiCosetPattern, build_A, build_B
+from subnyq.model import MultiCosetPattern, build_A, build_B, build_J
 from subnyq.siggen import assemble_full_snapshots, assemble_snapshots
 
 PATTERN = MultiCosetPattern(L=11, offsets=(0, 1, 4, 6), f_N=1.0)
@@ -57,12 +58,32 @@ def test_decompose_orders_and_splits():
         decompose(np.eye(4), 4)
 
 
-def test_phase_grid_covers_circle():
-    grid = default_phase_grid(1e-3)
-    assert grid[0] > -np.pi and grid[-1] == pytest.approx(np.pi)
-    steps = np.diff(grid)
-    np.testing.assert_allclose(steps, steps[0], atol=1e-12)
-    assert steps[0] <= 1e-3 + 1e-9
+def cosine_cost(M, A, B, k, phi0):
+    """Hermitian C with v(phi)^H C v(phi) = A - B cos(k (phi - phi0)), whose
+    minima are phi0 + 2 pi i / k with cost A - B."""
+    C = np.zeros((M, M), dtype=complex)
+    C[0, 0] = A
+    C[k, 0] = -0.5 * B * np.exp(-1j * k * phi0)
+    C[0, k] = np.conj(C[k, 0])
+    return C
+
+
+def test_phase_minima_closed_form():
+    M = 5
+    C = np.stack([
+        cosine_cost(M, 3.0, 1.0, 4, 0.4),   # full degree: batched companion
+        cosine_cost(M, 2.0, 1.5, 2, -2.9),  # zero corner entry: degree drop
+        2.0 * np.eye(M),                    # constant cost: no minima
+        np.zeros((M, M)),
+    ])
+    rows, phis, costs = _phase_minima(C)
+    assert set(rows) <= {0, 1}
+    for row, k, phi0, floor in ((0, 4, 0.4, 2.0), (1, 2, -2.9, 0.5)):
+        got = np.sort(phis[rows == row])
+        want = np.sort(np.angle(np.exp(1j * (phi0 + 2 * np.pi * np.arange(k) / k))))
+        np.testing.assert_allclose(got, want, atol=1e-12)
+        np.testing.assert_allclose(costs[rows == row], floor, atol=1e-12)
+    assert np.all((phis > -np.pi) & (phis <= np.pi))
 
 
 def test_music_spatial_recovers_phases():
@@ -217,6 +238,46 @@ def test_noiseless_pipeline_exact_recovery(pipeline, full):
         assert sorted(result.band) == bands
 
 
+def phase_band(result):
+    return result.phi, result.band
+
+
+def test_root_search_matches_grid_oracle():
+    # each search against the grid-and-refine search it replaced: same
+    # bands, and phases within the 1e-8 rad that the oracle's bounded scalar
+    # refinement resolves
+    rng = np.random.default_rng(16)
+    for i in range(24):
+        config = random_scenario(rng, snr_db=(None, 0.0, 10.0, 20.0)[i % 4],
+                                 n_snapshots=256)
+        K, M, pattern = config.n_sources, config.geom.M, config.pattern
+        B = build_B(pattern)
+        J = build_J(M, pattern.P)
+        snap = assemble_snapshots(config)
+        full = assemble_full_snapshots(config)
+        searches = (
+            (snap.Q, lambda ph, l: build_A(ph, M), 1,
+             lambda: (music_spatial(snap.Q, K), np.zeros(K, dtype=int))),
+            (snap.W, lambda ph, l: J @ np.kron(build_A(ph, M), B[:, [l]]), pattern.L,
+             lambda: phase_band(jdfsdpj(snap, config))),
+            (full, lambda ph, l: np.kron(build_A(ph, M), B[:, [l]]), pattern.L,
+             lambda: phase_band(jdfsd_full(full, config))),
+        )
+        for X, steering, n_bands, search in searches:
+            U_N = decompose(sample_covariance(X), K).U_N
+            want_phi, want_band = grid_search_oracle(U_N, steering, n_bands, K)
+            if want_phi.size < K:
+                with pytest.raises(PeakCountError) as info:
+                    search()
+                assert info.value.found == want_phi.size
+                continue
+            phi, band = search()
+            got, want = np.lexsort((phi, band)), np.lexsort((want_phi, want_band))
+            np.testing.assert_array_equal(band[got], want_band[want])
+            gap = np.angle(np.exp(1j * (phi[got] - want_phi[want])))
+            assert np.max(np.abs(gap)) < 1e-8
+
+
 def test_decompose_flags_weak_separation():
     # pure noise: no eigenvalue gap at the requested model order
     dec = decompose(np.eye(5), 1)
@@ -346,15 +407,18 @@ def test_jdfpi_rejects_too_many_sources_for_branches():
 
 
 def test_peak_count_error_reports_counts():
-    # white noise with an absurd model order cannot yield enough distinct
-    # joint peaks once non-maximum suppression collapses them
-    rng = np.random.default_rng(10)
-    from subnyq.estimators import _joint_peaks
-    spectrum = np.ones((3, 100))
-    spectrum[0, 10] = 2.0  # a single strict local maximum
+    # strong rows 1-2 leave the noise subspace span(e_3, e_4), where the
+    # channel map makes the search cost 2 - cos(phi): one minimum, at 0
+    X = np.diag([3.0, 2.0, 1.0, 1.0]).astype(complex)
+    G = np.zeros((1, 4, 2), dtype=complex)
+    G[0, 2:] = np.linalg.cholesky(np.array([[1.0, -0.5], [-0.5, 1.0]])).T
+    phis, bands = _search(X, 1, G, "test_step")
+    np.testing.assert_allclose(phis, [0.0], atol=1e-12)
+    assert list(bands) == [0]
     with pytest.raises(PeakCountError) as info:
-        _joint_peaks(spectrum, np.linspace(-np.pi, np.pi, 100), 2, step="t")
+        _search(X, 2, G, "test_step")
     assert info.value.found == 1 and info.value.wanted == 2
+    assert info.value.step == "test_step"
 
 
 def test_joint_support_flat_indexing():

@@ -20,7 +20,6 @@ from subnyq.model import (
     phase_from_doa,
     selected_channel_columns,
     spatial_steering,
-    steering_set,
 )
 
 GEOM = ArrayGeometry(M=5, d=0.5, c_prop=1.0)
@@ -148,10 +147,12 @@ def test_doa_from_phase_rejects_aliased_phase():
         doa_from_phase(3.0, 0.1, geom)
 
 
-def test_steering_set_bundles_consistent_matrices():
+def test_combined_matrix_is_selected_kron():
     phis = [0.2, 1.1]
-    s = steering_set(phis, GEOM, PATTERN)
-    np.testing.assert_allclose(s.H, s.J @ np.kron(s.A, s.B), atol=1e-13)
+    H = build_H(phis, GEOM, PATTERN)
+    J = build_J(GEOM.M, PATTERN.P)
+    np.testing.assert_allclose(
+        H, J @ np.kron(build_A(phis, GEOM.M), build_B(PATTERN)), atol=1e-13)
 
 
 @pytest.mark.parametrize("kwargs", [
