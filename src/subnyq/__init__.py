@@ -2,7 +2,7 @@
 multi-coset sub-Nyquist array receiver, with CRB evaluation and a Monte
 Carlo RMSE harness."""
 
-from .crb import CrbInput, CrbResult, crb_phase, fim_numerical, freq_crb_numerical
+from .crb import CrbInput, CrbResult, crb_phase, freq_crb_numerical
 from .errors import (
     ConfigError,
     EmptySupportError,

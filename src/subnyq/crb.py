@@ -1,4 +1,4 @@
-"""Cramer-Rao bounds for the spatial phases, plus numerical validation oracles.
+"""Cramer-Rao bounds: analytic for the spatial phases, numerical for frequency.
 
 The analytic phase bound follows the conditional (deterministic-signal) form
 
@@ -11,10 +11,11 @@ T_obs * f_N is the number of Nyquist slots spanned by the observation, which
 reconciles the two common bookkeepings of the time/bandwidth prefactor
 (per-branch snapshots carry L-times the per-slot signal power).
 
-`fim_numerical` validates it independently: finite differences of the mean
-plus explicit elimination of the per-snapshot signal nuisances.  The
-frequency bound has no analytic form here; `freq_crb_numerical` computes it
-for the tone-structured model only.
+The frequency bound has no analytic form here; `freq_crb_numerical`
+computes the deterministic tone-model bound (Stoica & Nehorai, IEEE TASSP
+1989) numerically.  Each derivative of the mean is a spatial vector times a
+temporal one, so its Fisher matrix is the Hadamard product of two small Gram
+matrices and the (rows * N) x 4K derivative matrix is never formed.
 """
 
 from dataclasses import dataclass, field
@@ -38,7 +39,6 @@ __all__ = [
     "full_steering_derivative",
     "projector_complement",
     "crb_phase",
-    "fim_numerical",
     "freq_crb_numerical",
     "crb_input_from_scenario",
 ]
@@ -153,71 +153,17 @@ def crb_phase(inp: CrbInput, full_structure: bool = False) -> CrbResult:
     )
 
 
-def _psd_sqrt(R: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(R)
-    vals = np.clip(vals, 0.0, None)
-    return vecs @ np.diag(np.sqrt(vals)) @ vecs.conj().T
-
-
-def fim_numerical(inp: CrbInput, full_structure: bool = False,
-                  n_fim: int = 8, fd_step: float = 1e-5) -> np.ndarray:
-    """Phase Fisher information by brute force, scaled to `inp.T_obs`.
-
-    Builds a small deterministic snapshot set whose empirical covariance
-    equals the per-snapshot signal covariance exactly, differentiates the
-    mean numerically in each phase, treats the per-snapshot signal values as
-    unknown real nuisances, and eliminates them by a Schur complement.  Its
-    inverse is directly comparable with `crb_phase(...).crb_matrix`.
-    """
-    K = inp.n_sources
-    n_fim = max(n_fim, 2 * K)
-    build, _, _ = _builders(full_structure)
-    L = inp.pattern.L
-
-    # snapshots with exact covariance L * R_S (per-branch-sample scale)
-    C = np.exp(2j * np.pi * np.outer(np.arange(K), np.arange(n_fim)) / n_fim)
-    s = _psd_sqrt(L * inp.R_S) @ C
-
-    phis = np.array(inp.phis)
-
-    def mean(ph):
-        return build(ph, inp.bands, inp.geom, inp.pattern) @ s
-
-    d_phi = []
-    for i in range(K):
-        hi = phis.copy()
-        lo = phis.copy()
-        hi[i] += fd_step
-        lo[i] -= fd_step
-        d_phi.append(((mean(hi) - mean(lo)) / (2.0 * fd_step)).ravel())
-
-    H = build(phis, inp.bands, inp.geom, inp.pattern)
-    rows = H.shape[0]
-    d_nuis = []
-    for k in range(K):
-        for n in range(n_fim):
-            col = np.zeros((rows, n_fim), dtype=complex)
-            col[:, n] = H[:, k]
-            d_nuis.append(col.ravel())          # d/d Re(s_{k,n})
-            d_nuis.append(1j * col.ravel())     # d/d Im(s_{k,n})
-
-    D = np.column_stack(d_phi + d_nuis)
-    F = (2.0 / inp.sigma2) * np.real(D.conj().T @ D)
-    F_pp = F[:K, :K]
-    F_pn = F[:K, K:]
-    F_nn = F[K:, K:]
-    schur = F_pp - F_pn @ np.linalg.solve(F_nn, F_pn.T)
-    return schur * (inp.n_snapshots / n_fim)
-
-
 def freq_crb_numerical(inp: CrbInput, full_structure: bool = False,
                        fd_step: float = 1e-5) -> np.ndarray:
     """Numerical frequency bound (Hz^2) for tone sources, K x K.
 
     Uses the structured tone model with unknown per-source phase, amplitude,
     spatial phase and in-band frequency; returns the in-band frequency block
-    of the inverted Fisher information.  Purely numerical; no analytic
-    frequency formula is claimed.
+    of the inverted Fisher information.  Every derivative of the mean,
+    vectorized, is kron(g_c, t_c): g_c a finite-difference steering
+    derivative or a column of H, t_c a tone times 1, j 2 pi n T_s, 1/rho_k
+    or j.  Hence F = (2 / sigma^2) Re((G^H G) o (T^H T)) with G rows x 4K
+    and T N x 4K.  Purely numerical; no analytic frequency formula is claimed.
     """
     if inp.f_residuals is None:
         raise ConfigError("frequency bound needs the in-band residuals")
@@ -234,23 +180,25 @@ def freq_crb_numerical(inp: CrbInput, full_structure: bool = False,
          for r, f in zip(rho, inp.f_residuals)]
     )
     H = build(inp.phis, inp.bands, inp.geom, inp.pattern)
-
-    cols = []
-    for k in range(K):
-        dh = (
-            steer(inp.phis[k] + fd_step, inp.bands[k], inp.geom, pattern)
-            - steer(inp.phis[k] - fd_step, inp.bands[k], inp.geom, pattern)
-        ) / (2.0 * fd_step)
-        cols.append(np.outer(dh, tones[k]))                        # d/d phi_k
-    for k in range(K):
-        cols.append(np.outer(H[:, k], tones[k] * 2j * np.pi * n * T_s))  # d/d f_k
-    for k in range(K):
-        cols.append(np.outer(H[:, k], tones[k] / rho[k]))          # d/d rho_k
-    for k in range(K):
-        cols.append(np.outer(H[:, k], 1j * tones[k]))              # d/d alpha_k
-
-    D = np.column_stack([c.ravel() for c in cols])
-    F = (2.0 / inp.sigma2) * np.real(D.conj().T @ D)
+    dH = np.column_stack([
+        (steer(p + fd_step, b, inp.geom, pattern)
+         - steer(p - fd_step, b, inp.geom, pattern)) / (2.0 * fd_step)
+        for p, b in zip(inp.phis, inp.bands)
+    ])
+    # column c of the derivative matrix is kron(G[:, c], T[:, c]) with
+    # parameters ordered (phi, f, rho, alpha), K of each; T[:, c] is
+    # scale[c] * n^power[c] * tones[source[c]], so T^H T needs only the
+    # moments sum_n n^p conj(tones[a]) tones[b], p = 0, 1, 2
+    G = np.hstack([dH, H, H, H])
+    power = np.repeat([0, 1, 0, 0], K)
+    scale = np.concatenate([np.ones(K), np.full(K, 2j * np.pi * T_s), 1.0 / rho,
+                            np.full(K, 1j)])
+    source = np.tile(np.arange(K), 4)
+    weighted = tones.conj() * n ** np.arange(3.0)[:, None, None]
+    moments = weighted @ tones.T
+    TT = (scale.conj()[:, None] * scale
+          * moments[power[:, None] + power, source[:, None], source])
+    F = (2.0 / inp.sigma2) * np.real((G.conj().T @ G) * TT)
     cond = np.linalg.cond(F)
     if not np.isfinite(cond) or cond > 1e14:
         raise RankDeficiencyError("tone-model Fisher information is singular")

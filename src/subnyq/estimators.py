@@ -277,24 +277,33 @@ def ctf_support(Y1: np.ndarray, B: np.ndarray, K: int) -> tuple[int, ...]:
 def _improve_support(B: np.ndarray, V: np.ndarray, selected: list[int],
                      max_passes: int = 3) -> list[int]:
     """Greedy pursuit is not exact for coherent dictionaries; polish the
-    support by single-atom swaps while they lower the joint residual."""
+    support by single-atom swaps while they lower the joint residual.
 
-    def resid(cols):
-        coef, *_ = np.linalg.lstsq(B[:, cols], V, rcond=None)
-        return float(np.linalg.norm(V - B[:, cols] @ coef))
+    For each position the residuals of every candidate swap come from one
+    batched SVD, truncated at `lstsq`'s default cutoff so that rank-deficient
+    column sets project as `lstsq` does; swaps are accepted in candidate
+    order while each beats the running minimum."""
+    rcond = np.finfo(float).eps * max(B.shape[0], len(selected))
 
-    best = resid(selected)
+    def resid(column_sets):
+        """Residual norms of V against each column set of a (K, n) array."""
+        mats = B[:, column_sets].transpose(2, 0, 1)
+        u, s, _ = np.linalg.svd(mats, full_matrices=False)
+        u = u * (s > rcond * s[:, :1])[:, None, :]
+        return np.linalg.norm(V - u @ (u.conj().transpose(0, 2, 1) @ V),
+                              axis=(1, 2))
+
+    selected = list(selected)
+    best = resid(np.array(selected)[:, None])[0]
     for _ in range(max_passes):
         improved = False
         for i in range(len(selected)):
-            for cand in range(B.shape[1]):
-                if cand in selected:
-                    continue
-                trial = selected.copy()
-                trial[i] = cand
-                r = resid(trial)
+            cands = np.setdiff1d(np.arange(B.shape[1]), selected)
+            sets = np.repeat(np.array(selected)[:, None], cands.size, axis=1)
+            sets[i] = cands
+            for cand, r in zip(cands, resid(sets)):
                 if r < best * (1.0 - 1e-12):
-                    selected, best = trial, r
+                    selected[i], best = int(cand), r
                     improved = True
         if not improved:
             break

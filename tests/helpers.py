@@ -3,12 +3,16 @@
 Random-but-valid scenario construction: distinct bands, well-separated
 spatial phases, and a coset pattern whose columns are incoherent enough for
 greedy support recovery to be well posed.  Also the grid-and-refine phase
-search, kept as the reference for the estimators' polynomial-root search.
+search, kept as the reference for the estimators' polynomial-root search,
+the sequential support-swap loop, kept as the reference for its batched form,
+and the brute-force Fisher oracles behind the bounds.
 """
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from subnyq.crb import CrbInput, _builders
+from subnyq.errors import ConfigError, RankDeficiencyError
 from subnyq.model import ArrayGeometry, MultiCosetPattern, build_B, phase_from_doa
 from subnyq.siggen import ScenarioConfig, SourceTruth
 
@@ -162,3 +166,135 @@ def grid_search_oracle(U_N: np.ndarray, steering, n_bands: int, K: int):
         if not any(b == l and abs(p - phi) < 0.5 * step for p, b in kept):
             kept.append((phi, l))
     return (np.array([p for p, _ in kept]), np.array([b for _, b in kept], dtype=int))
+
+
+def _psd_sqrt(R: np.ndarray) -> np.ndarray:
+    vals, vecs = np.linalg.eigh(R)
+    vals = np.clip(vals, 0.0, None)
+    return vecs @ np.diag(np.sqrt(vals)) @ vecs.conj().T
+
+
+def fim_numerical(inp: CrbInput, full_structure: bool = False,
+                  n_fim: int = 8, fd_step: float = 1e-5) -> np.ndarray:
+    """Phase Fisher information by brute force, scaled to `inp.T_obs`.
+
+    Builds a small deterministic snapshot set whose empirical covariance
+    equals the per-snapshot signal covariance exactly, differentiates the
+    mean numerically in each phase, treats the per-snapshot signal values as
+    unknown real nuisances, and eliminates them by a Schur complement.  Its
+    inverse is directly comparable with `crb.crb_phase(...).crb_matrix`.
+    """
+    K = inp.n_sources
+    n_fim = max(n_fim, 2 * K)
+    build, _, _ = _builders(full_structure)
+    L = inp.pattern.L
+
+    # snapshots with exact covariance L * R_S (per-branch-sample scale)
+    C = np.exp(2j * np.pi * np.outer(np.arange(K), np.arange(n_fim)) / n_fim)
+    s = _psd_sqrt(L * inp.R_S) @ C
+
+    phis = np.array(inp.phis)
+
+    def mean(ph):
+        return build(ph, inp.bands, inp.geom, inp.pattern) @ s
+
+    d_phi = []
+    for i in range(K):
+        hi = phis.copy()
+        lo = phis.copy()
+        hi[i] += fd_step
+        lo[i] -= fd_step
+        d_phi.append(((mean(hi) - mean(lo)) / (2.0 * fd_step)).ravel())
+
+    H = build(phis, inp.bands, inp.geom, inp.pattern)
+    rows = H.shape[0]
+    d_nuis = []
+    for k in range(K):
+        for n in range(n_fim):
+            col = np.zeros((rows, n_fim), dtype=complex)
+            col[:, n] = H[:, k]
+            d_nuis.append(col.ravel())          # d/d Re(s_{k,n})
+            d_nuis.append(1j * col.ravel())     # d/d Im(s_{k,n})
+
+    D = np.column_stack(d_phi + d_nuis)
+    F = (2.0 / inp.sigma2) * np.real(D.conj().T @ D)
+    F_pp = F[:K, :K]
+    F_pn = F[:K, K:]
+    F_nn = F[K:, K:]
+    schur = F_pp - F_pn @ np.linalg.solve(F_nn, F_pn.T)
+    return schur * (inp.n_snapshots / n_fim)
+
+
+def freq_crb_dense_oracle(inp: CrbInput, full_structure: bool = False,
+                       fd_step: float = 1e-5) -> np.ndarray:
+    """`crb.freq_crb_numerical` computed from the explicit derivative matrix.
+
+    Materializes the (rows * N) x 4K matrix D of vectorized derivatives of
+    the tone-model mean and forms F = (2 / sigma^2) Re(D^H D); the reference
+    for the Kronecker-factored Fisher matrix.
+    """
+    if inp.f_residuals is None:
+        raise ConfigError("frequency bound needs the in-band residuals")
+    K = inp.n_sources
+    build, steer, _ = _builders(full_structure)
+    pattern = inp.pattern
+    N = inp.n_snapshots
+    T_s = 1.0 / pattern.f_s
+    n = np.arange(N)
+
+    rho = np.sqrt(pattern.L * np.diag(inp.R_S).real)
+    tones = np.array(
+        [r * np.exp(2j * np.pi * f * n * T_s)
+         for r, f in zip(rho, inp.f_residuals)]
+    )
+    H = build(inp.phis, inp.bands, inp.geom, inp.pattern)
+
+    cols = []
+    for k in range(K):
+        dh = (
+            steer(inp.phis[k] + fd_step, inp.bands[k], inp.geom, pattern)
+            - steer(inp.phis[k] - fd_step, inp.bands[k], inp.geom, pattern)
+        ) / (2.0 * fd_step)
+        cols.append(np.outer(dh, tones[k]))                        # d/d phi_k
+    for k in range(K):
+        cols.append(np.outer(H[:, k], tones[k] * 2j * np.pi * n * T_s))  # d/d f_k
+    for k in range(K):
+        cols.append(np.outer(H[:, k], tones[k] / rho[k]))          # d/d rho_k
+    for k in range(K):
+        cols.append(np.outer(H[:, k], 1j * tones[k]))              # d/d alpha_k
+
+    D = np.column_stack([c.ravel() for c in cols])
+    F = (2.0 / inp.sigma2) * np.real(D.conj().T @ D)
+    cond = np.linalg.cond(F)
+    if not np.isfinite(cond) or cond > 1e14:
+        raise RankDeficiencyError("tone-model Fisher information is singular")
+    crb = np.linalg.inv(F)
+    return crb[K:2 * K, K:2 * K]
+
+
+def sequential_swap_oracle(B: np.ndarray, V: np.ndarray, selected: list[int],
+                           max_passes: int = 3) -> list[int]:
+    """Single-atom support swaps with one `lstsq` per candidate, accepted in
+    candidate order while each lowers the joint residual; the reference for
+    the estimators' batched swap search."""
+
+    def resid(cols):
+        coef, *_ = np.linalg.lstsq(B[:, cols], V, rcond=None)
+        return float(np.linalg.norm(V - B[:, cols] @ coef))
+
+    best = resid(selected)
+    for _ in range(max_passes):
+        improved = False
+        for i in range(len(selected)):
+            for cand in range(B.shape[1]):
+                if cand in selected:
+                    continue
+                trial = selected.copy()
+                trial[i] = cand
+                r = resid(trial)
+                if r < best * (1.0 - 1e-12):
+                    selected, best = trial, r
+                    improved = True
+        if not improved:
+            break
+    return selected

@@ -8,8 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import random_scenario
-from subnyq.crb import crb_input_from_scenario, crb_phase, fim_numerical
+from helpers import fim_numerical, random_scenario
+from subnyq.crb import crb_input_from_scenario, crb_phase
 from subnyq.estimators import jdfpi, jdfsdpj
 from subnyq.harness import SweepConfig, default_scenario, emit_csv, match_estimates, run_sweep
 from subnyq.model import (

@@ -1,20 +1,23 @@
 """Bound computations against finite-difference and brute-force Fisher oracles."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from helpers import random_scenario
+from helpers import fim_numerical, freq_crb_dense_oracle, random_geometry, random_scenario
 from subnyq.crb import (
     CrbInput,
     crb_input_from_scenario,
     crb_phase,
-    fim_numerical,
     freq_crb_numerical,
     full_steering_derivative,
     projector_complement,
     steering_derivative,
 )
 from subnyq.errors import ConfigError, RankDeficiencyError
+from subnyq.harness import default_scenario
 from subnyq.model import (
     ArrayGeometry,
     MultiCosetPattern,
@@ -153,6 +156,37 @@ def test_frequency_bound_single_tone_closed_form():
     classic = (6 * inp.sigma2
                / ((2 * np.pi) ** 2 * rho2 * N * (N**2 - 1) * T_s**2) / n_ch)
     assert bound == pytest.approx(classic, rel=1e-2)
+
+
+def test_freq_bound_matches_dense_oracle():
+    # the Kronecker-factored Fisher matrix against the explicit derivative
+    # matrix, over every (K, N) pair twice and both receiver structures
+    rng = np.random.default_rng(7)
+    for i in range(24):
+        config = random_scenario(rng, K=1 + i % 4, snr_db=10.0,
+                                 n_snapshots=(64, 256, 1024)[i % 3],
+                                 geom=random_geometry(rng, M_range=(5, 10)))
+        inp = crb_input_from_scenario(config)
+        for full in (False, True):
+            dense = freq_crb_dense_oracle(inp, full_structure=full)
+            # cross terms that vanish exactly (two bands whose coset columns
+            # are orthogonal) are rounding noise in both computations
+            np.testing.assert_allclose(
+                freq_crb_numerical(inp, full_structure=full), dense,
+                rtol=1e-10, atol=1e-12 * np.abs(dense).max())
+
+
+def test_freq_bound_memory_does_not_scale_with_channels():
+    # the dense derivative matrix of this call is 655,360 x 12 (120 MiB)
+    config = replace(default_scenario(K=3), n_snapshots=16384)
+    inp = crb_input_from_scenario(config)
+    tracemalloc.start()
+    try:
+        freq_crb_numerical(inp, full_structure=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_frequency_bound_requires_residuals():

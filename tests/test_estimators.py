@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import grid_search_oracle, random_scenario
+from helpers import grid_search_oracle, random_scenario, sequential_swap_oracle
 from subnyq.errors import (
     ConfigError,
     EmptySupportError,
@@ -14,6 +14,7 @@ from subnyq.errors import (
     RankDeficiencyError,
 )
 from subnyq.estimators import (
+    _improve_support,
     _phase_minima,
     _search,
     ctf_support,
@@ -28,7 +29,7 @@ from subnyq.estimators import (
     sample_covariance,
     unfold_frequency,
 )
-from subnyq.harness import match_estimates
+from subnyq.harness import default_scenario, match_estimates
 from subnyq.model import MultiCosetPattern, build_A, build_B, build_J
 from subnyq.siggen import assemble_full_snapshots, assemble_snapshots
 
@@ -146,6 +147,34 @@ def test_ctf_support_matches_brute_force():
         assert est == tuple(sorted(oracle)) == truth
         hits += 1
     assert hits >= 10
+
+
+def covariance_factor(Y1):
+    """V with V V^H the sample covariance, as `ctf_support` factors it."""
+    eigvals, vecs = np.linalg.eigh(sample_covariance(Y1))
+    keep = eigvals > max(eigvals[-1], 0.0) * 1e-12
+    return vecs[:, keep] * np.sqrt(eigvals[keep])
+
+
+@pytest.mark.parametrize("duplicates", [(), (4, 9)],
+                         ids=["default", "duplicated_columns"])
+def test_batched_swaps_match_sequential_oracle(duplicates):
+    # exact copies of columns make every candidate set holding both copies
+    # rank deficient, which the swap residuals must truncate as lstsq does
+    rng = np.random.default_rng(6)
+    changed = 0
+    for snr_db in (0.0, 10.0, 20.0):
+        for _ in range(20):
+            config = default_scenario(K=3, snr_db=snr_db, n_snapshots=256,
+                                      rng_seed=int(rng.integers(2**31)))
+            B = build_B(config.pattern)
+            B = np.column_stack([B] + [B[:, c] for c in duplicates])
+            V = covariance_factor(assemble_snapshots(config).Y1)
+            start = [int(c) for c in rng.choice(B.shape[1], 3, replace=False)]
+            batched = _improve_support(B, V, start.copy())
+            assert batched == sequential_swap_oracle(B, V, start.copy())
+            changed += sorted(batched) != sorted(start)
+    assert changed >= 30
 
 
 def test_ctf_support_validates_and_rejects_empty():
