@@ -16,6 +16,9 @@ computes the deterministic tone-model bound (Stoica & Nehorai, IEEE TASSP
 1989) numerically.  Each derivative of the mean is a spatial vector times a
 temporal one, so its Fisher matrix is the Hadamard product of two small Gram
 matrices and the (rows * N) x 4K derivative matrix is never formed.
+
+Both bounds use the full-structure steering model and its analytic phase
+derivative; the simplified structure is a selection of its rows.
 """
 
 from dataclasses import dataclass, field
@@ -28,15 +31,12 @@ from .model import (
     MultiCosetPattern,
     build_G_selected,
     build_H_selected,
-    full_steering,
-    joint_steering,
+    selected_channel_columns,
 )
 
 __all__ = [
     "CrbInput",
     "CrbResult",
-    "steering_derivative",
-    "full_steering_derivative",
     "projector_complement",
     "crb_phase",
     "freq_crb_numerical",
@@ -97,24 +97,6 @@ class CrbResult:
     fim: np.ndarray = field(repr=False)
 
 
-def steering_derivative(phi: float, band: int, geom: ArrayGeometry,
-                        pattern: MultiCosetPattern) -> np.ndarray:
-    """d/dphi of the simplified joint steering J (a(phi) kron B_l)."""
-    b0 = np.exp(2j * np.pi * pattern.offsets[0] * band / pattern.L) / np.sqrt(pattern.L)
-    m = np.arange(1, geom.M)
-    tail = -1j * m * np.exp(-1j * phi * m) * b0
-    return np.concatenate([np.zeros(pattern.P, dtype=complex), tail])
-
-
-def full_steering_derivative(phi: float, band: int, geom: ArrayGeometry,
-                             pattern: MultiCosetPattern) -> np.ndarray:
-    """d/dphi of the full-structure steering a(phi) kron B_l."""
-    m = np.arange(geom.M)
-    da = -1j * m * np.exp(-1j * phi * m)
-    b = np.exp(2j * np.pi * np.asarray(pattern.offsets) * band / pattern.L)
-    return np.kron(da, b / np.sqrt(pattern.L))
-
-
 def projector_complement(mat: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the complement of mat's column space."""
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
@@ -123,20 +105,23 @@ def projector_complement(mat: np.ndarray) -> np.ndarray:
     return np.eye(mat.shape[0]) - u @ u.conj().T
 
 
-def _builders(full_structure: bool):
+def _steering(inp: CrbInput, full_structure: bool):
+    """Steering columns on the input's support and their phase derivatives,
+    as rows of the full model: row m*P + p depends on phi only through
+    exp(-j m phi), so its derivative is -j m times the row."""
+    M, P = inp.geom.M, inp.pattern.P
     if full_structure:
-        return build_G_selected, full_steering, full_steering_derivative
-    return build_H_selected, joint_steering, steering_derivative
+        rows, build = np.arange(M * P), build_G_selected
+    else:
+        rows, build = selected_channel_columns(M, P), build_H_selected
+    H = build(inp.phis, inp.bands, inp.geom, inp.pattern)
+    return H, -1j * (rows // P)[:, None] * H
 
 
 def crb_phase(inp: CrbInput, full_structure: bool = False) -> CrbResult:
     """Analytic spatial-phase bound for the selected receiver structure."""
-    build, _, deriv = _builders(full_structure)
-    H = build(inp.phis, inp.bands, inp.geom, inp.pattern)
+    H, E = _steering(inp, full_structure)
     P = projector_complement(H)
-    E = np.column_stack(
-        [deriv(p, b, inp.geom, inp.pattern) for p, b in zip(inp.phis, inp.bands)]
-    )
     quad = np.real((E.conj().T @ P @ E) * inp.R_S.T)
     fim = (2.0 * inp.T_obs * inp.pattern.f_N / inp.sigma2) * quad
     cond = np.linalg.cond(fim)
@@ -153,22 +138,21 @@ def crb_phase(inp: CrbInput, full_structure: bool = False) -> CrbResult:
     )
 
 
-def freq_crb_numerical(inp: CrbInput, full_structure: bool = False,
-                       fd_step: float = 1e-5) -> np.ndarray:
+def freq_crb_numerical(inp: CrbInput, full_structure: bool = False) -> np.ndarray:
     """Numerical frequency bound (Hz^2) for tone sources, K x K.
 
     Uses the structured tone model with unknown per-source phase, amplitude,
     spatial phase and in-band frequency; returns the in-band frequency block
     of the inverted Fisher information.  Every derivative of the mean,
-    vectorized, is kron(g_c, t_c): g_c a finite-difference steering
-    derivative or a column of H, t_c a tone times 1, j 2 pi n T_s, 1/rho_k
-    or j.  Hence F = (2 / sigma^2) Re((G^H G) o (T^H T)) with G rows x 4K
-    and T N x 4K.  Purely numerical; no analytic frequency formula is claimed.
+    vectorized, is kron(g_c, t_c): g_c an analytic steering derivative or a
+    column of H (the simplified structure's rows are a selection of the
+    full model's), t_c a tone times 1, j 2 pi n T_s, 1/rho_k or j.  Hence
+    F = (2 / sigma^2) Re((G^H G) o (T^H T)) with G rows x 4K and T N x 4K.
+    Purely numerical; no analytic frequency formula is claimed.
     """
     if inp.f_residuals is None:
         raise ConfigError("frequency bound needs the in-band residuals")
     K = inp.n_sources
-    build, steer, _ = _builders(full_structure)
     pattern = inp.pattern
     N = inp.n_snapshots
     T_s = 1.0 / pattern.f_s
@@ -179,12 +163,7 @@ def freq_crb_numerical(inp: CrbInput, full_structure: bool = False,
         [r * np.exp(2j * np.pi * f * n * T_s)
          for r, f in zip(rho, inp.f_residuals)]
     )
-    H = build(inp.phis, inp.bands, inp.geom, inp.pattern)
-    dH = np.column_stack([
-        (steer(p + fd_step, b, inp.geom, pattern)
-         - steer(p - fd_step, b, inp.geom, pattern)) / (2.0 * fd_step)
-        for p, b in zip(inp.phis, inp.bands)
-    ])
+    H, dH = _steering(inp, full_structure)
     # column c of the derivative matrix is kron(G[:, c], T[:, c]) with
     # parameters ordered (phi, f, rho, alpha), K of each; T[:, c] is
     # scale[c] * n^power[c] * tones[source[c]], so T^H T needs only the

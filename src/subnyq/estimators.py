@@ -66,7 +66,6 @@ PAIRING_AMBIGUITY_RATIO = 3.0
 class SubspaceDecomposition:
     """Eigendecomposition of a sample covariance split at model order K."""
 
-    R: np.ndarray = field(repr=False)
     eigvals: np.ndarray
     U_S: np.ndarray = field(repr=False)
     U_N: np.ndarray = field(repr=False)
@@ -119,8 +118,7 @@ def decompose(R: np.ndarray, K: int) -> SubspaceDecomposition:
     vecs = vecs[:, ::-1]
     weak = bool(eigvals[K] > 0 and eigvals[K - 1] < 2.0 * eigvals[K])
     return SubspaceDecomposition(
-        R=R, eigvals=eigvals, U_S=vecs[:, :K], U_N=vecs[:, K:],
-        weak_separation=weak,
+        eigvals=eigvals, U_S=vecs[:, :K], U_N=vecs[:, K:], weak_separation=weak,
     )
 
 

@@ -146,30 +146,22 @@ def selected_channel_columns(M: int, P: int) -> np.ndarray:
 
 def joint_steering(phi: float, band: int, geom: ArrayGeometry,
                    pattern: MultiCosetPattern) -> np.ndarray:
-    """Simplified-receiver steering J (a(phi) kron B_l), length M+P-1."""
-    if not 0 <= band < pattern.L:
-        raise ConfigError(f"band index {band} out of [0, {pattern.L - 1}]")
-    a = spatial_steering(phi, geom.M)
-    b = build_B(pattern)[:, band]
-    return np.concatenate([b, a[1:] * b[0]])
+    """Simplified-receiver steering J (a(phi) kron B_l), length M+P-1: the
+    one-column view of `build_H_selected`."""
+    return build_H_selected([phi], [band], geom, pattern)[:, 0]
 
 
 def full_steering(phi: float, band: int, geom: ArrayGeometry,
                   pattern: MultiCosetPattern) -> np.ndarray:
-    """Full-structure steering a(phi) kron B_l, length M*P (no selection)."""
-    if not 0 <= band < pattern.L:
-        raise ConfigError(f"band index {band} out of [0, {pattern.L - 1}]")
-    a = spatial_steering(phi, geom.M)
-    b = build_B(pattern)[:, band]
-    return np.kron(a, b)
+    """Full-structure steering a(phi) kron B_l, length M*P: the one-column
+    view of `build_G_selected`."""
+    return build_G_selected([phi], [band], geom, pattern)[:, 0]
 
 
 def build_H(phis, geom: ArrayGeometry, pattern: MultiCosetPattern) -> np.ndarray:
-    """(M+P-1) x (K*L) matrix H = J (A kron B)."""
-    A = build_A(phis, geom.M)
-    B = build_B(pattern)
-    J = build_J(geom.M, pattern.P)
-    return J @ np.kron(A, B)
+    """(M+P-1) x (K*L) matrix H = J (A kron B), the selected rows of A kron B."""
+    rows = selected_channel_columns(geom.M, pattern.P)
+    return np.kron(build_A(phis, geom.M), build_B(pattern))[rows]
 
 
 def _check_selected(phis, bands, rows: int, L: int):
@@ -189,17 +181,19 @@ def _check_selected(phis, bands, rows: int, L: int):
     return phis, bands
 
 
-def build_H_selected(phis, bands, geom: ArrayGeometry,
-                     pattern: MultiCosetPattern) -> np.ndarray:
-    """(M+P-1) x K matrix of simplified steering columns on a given support."""
-    phis, bands = _check_selected(phis, bands, geom.M + pattern.P - 1, pattern.L)
-    cols = [joint_steering(p, b, geom, pattern) for p, b in zip(phis, bands)]
-    return np.column_stack(cols)
-
-
 def build_G_selected(phis, bands, geom: ArrayGeometry,
                      pattern: MultiCosetPattern) -> np.ndarray:
-    """Full-structure counterpart of `build_H_selected` (M*P rows)."""
+    """(M*P) x K full-structure steering columns a(phi_k) kron B[:, band_k],
+    the package's one steering model (row m*P + p is e^{-j m phi} B[p, l])."""
     phis, bands = _check_selected(phis, bands, geom.M * pattern.P, pattern.L)
-    cols = [full_steering(p, b, geom, pattern) for p, b in zip(phis, bands)]
-    return np.column_stack(cols)
+    G = build_A(phis, geom.M)[:, None, :] * build_B(pattern)[:, bands]
+    return G.reshape(geom.M * pattern.P, phis.size)
+
+
+def build_H_selected(phis, bands, geom: ArrayGeometry,
+                     pattern: MultiCosetPattern) -> np.ndarray:
+    """(M+P-1) x K simplified steering columns: the `selected_channel_columns`
+    rows of `build_G_selected`."""
+    M, P = geom.M, pattern.P
+    phis, bands = _check_selected(phis, bands, M + P - 1, pattern.L)
+    return build_G_selected(phis, bands, geom, pattern)[selected_channel_columns(M, P)]

@@ -11,10 +11,11 @@ The noise is drawn per digitized channel, not per Nyquist-rate sensor stream:
 the branches sample distinct Nyquist slots of independent white streams, so
 the decimated noise is i.i.d. circular Gaussian with the same variance, and
 the alignment filter is all-pass, so it leaves white noise white. Only the
-channels a receiver keeps are drawn. `synthesize_streams` followed by
-`multicoset_sample` is the Nyquist-rate reference for that distribution.
+channels a receiver keeps are drawn. The test suite checks that distribution
+against Nyquist-rate streams decimated slot by slot.
 """
 
+import math
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -33,8 +34,6 @@ __all__ = [
     "SourceTruth",
     "ScenarioConfig",
     "SnapshotSet",
-    "synthesize_streams",
-    "multicoset_sample",
     "assemble_snapshots",
     "assemble_full_snapshots",
     "dump_snapshots",
@@ -97,6 +96,15 @@ class ScenarioConfig:
             raise ConfigError(
                 f"need n_snapshots >= {2 * (M + P - 1)} for covariance "
                 f"estimation, got {self.n_snapshots}"
+            )
+        # coset columns l and l + d are parallel exactly when L divides
+        # d * gcd(c_i - c_0), so g > 1 makes bands l and l + L/g identical
+        offs = self.pattern.offsets
+        g = math.gcd(L, *(c - offs[0] for c in offs[1:]))
+        if g > 1:
+            raise ConfigError(
+                f"coset columns l and l + {L // g} coincide for L={L}, offsets "
+                f"{offs}: their bands cannot be told apart"
             )
         f_N = self.pattern.f_N
         for k, src in enumerate(self.sources):
@@ -209,39 +217,6 @@ def _white_noise(rng: np.random.Generator, rows: int, cols: int,
     draws = rng.standard_normal((rows, 2 * cols))
     draws *= np.sqrt(sigma2 / 2.0)
     return draws.view(np.complex128)
-
-
-def synthesize_streams(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
-    """Nyquist-rate sensor streams x_m[n], shape (M, n_snapshots * L)."""
-    geom, pattern = config.geom, config.pattern
-    n_fine = config.n_snapshots * pattern.L
-    coeffs = _draw_envelopes(config, rng)
-    t_idx = np.arange(n_fine)
-    streams = np.zeros((geom.M, n_fine), dtype=complex)
-    phis = config.phases()
-    for k, src in enumerate(config.sources):
-        g = _envelope_series(coeffs[k], n_fine)
-        carrier = np.exp(2j * np.pi * src.f_c * t_idx * pattern.T_N)
-        a = np.exp(-1j * phis[k] * np.arange(geom.M))
-        streams += np.outer(a, src.amplitude * g * carrier)
-    streams += _white_noise(rng, geom.M, n_fine, config.sigma2)
-    return streams
-
-
-def multicoset_sample(stream: np.ndarray, pattern: MultiCosetPattern,
-                      n_snapshots: int | None = None) -> np.ndarray:
-    """Decimate one Nyquist stream into its P coset branches (P x N)."""
-    stream = np.asarray(stream)
-    if n_snapshots is None:
-        n_snapshots = stream.shape[-1] // pattern.L
-    if stream.shape[-1] < n_snapshots * pattern.L:
-        raise ConfigError(
-            f"stream of length {stream.shape[-1]} too short for "
-            f"{n_snapshots} snapshots at L={pattern.L}"
-        )
-    return np.stack(
-        [stream[c::pattern.L][:n_snapshots] for c in pattern.offsets]
-    )
 
 
 def _aligned_signal(config: ScenarioConfig, rng: np.random.Generator,

@@ -5,18 +5,41 @@ spatial phases, and a coset pattern whose columns are incoherent enough for
 greedy support recovery to be well posed.  Also the grid-and-refine phase
 search, kept as the reference for the estimators' polynomial-root search,
 the sequential support-swap loop, kept as the reference for its batched form,
-and the brute-force Fisher oracles behind the bounds.
+the brute-force Fisher oracles behind the bounds, and the Nyquist-rate
+streams and coset decimation behind the per-channel snapshot synthesis.
 """
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from subnyq.crb import CrbInput, _builders
+from subnyq.crb import CrbInput
 from subnyq.errors import ConfigError, RankDeficiencyError
-from subnyq.model import ArrayGeometry, MultiCosetPattern, build_B, phase_from_doa
-from subnyq.siggen import ScenarioConfig, SourceTruth
+from subnyq.model import (
+    ArrayGeometry,
+    MultiCosetPattern,
+    build_B,
+    build_G_selected,
+    build_H_selected,
+    full_steering,
+    joint_steering,
+    phase_from_doa,
+)
+from subnyq.siggen import (
+    ScenarioConfig,
+    SourceTruth,
+    _draw_envelopes,
+    _envelope_series,
+    _white_noise,
+)
 
 MIN_PHASE_SEPARATION = 0.15  # rad, far above the oracle's grid step
+
+
+def _builders(full_structure: bool):
+    """(steering-matrix builder, one-column steering) of a receiver structure."""
+    if full_structure:
+        return build_G_selected, full_steering
+    return build_H_selected, joint_steering
 
 
 def pattern_coherence(pattern: MultiCosetPattern) -> float:
@@ -186,7 +209,7 @@ def fim_numerical(inp: CrbInput, full_structure: bool = False,
     """
     K = inp.n_sources
     n_fim = max(n_fim, 2 * K)
-    build, _, _ = _builders(full_structure)
+    build, _ = _builders(full_structure)
     L = inp.pattern.L
 
     # snapshots with exact covariance L * R_S (per-branch-sample scale)
@@ -236,7 +259,7 @@ def freq_crb_dense_oracle(inp: CrbInput, full_structure: bool = False,
     if inp.f_residuals is None:
         raise ConfigError("frequency bound needs the in-band residuals")
     K = inp.n_sources
-    build, steer, _ = _builders(full_structure)
+    build, steer = _builders(full_structure)
     pattern = inp.pattern
     N = inp.n_snapshots
     T_s = 1.0 / pattern.f_s
@@ -298,3 +321,36 @@ def sequential_swap_oracle(B: np.ndarray, V: np.ndarray, selected: list[int],
         if not improved:
             break
     return selected
+
+
+def synthesize_streams(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
+    """Nyquist-rate sensor streams x_m[n], shape (M, n_snapshots * L)."""
+    geom, pattern = config.geom, config.pattern
+    n_fine = config.n_snapshots * pattern.L
+    coeffs = _draw_envelopes(config, rng)
+    t_idx = np.arange(n_fine)
+    streams = np.zeros((geom.M, n_fine), dtype=complex)
+    phis = config.phases()
+    for k, src in enumerate(config.sources):
+        g = _envelope_series(coeffs[k], n_fine)
+        carrier = np.exp(2j * np.pi * src.f_c * t_idx * pattern.T_N)
+        a = np.exp(-1j * phis[k] * np.arange(geom.M))
+        streams += np.outer(a, src.amplitude * g * carrier)
+    streams += _white_noise(rng, geom.M, n_fine, config.sigma2)
+    return streams
+
+
+def multicoset_sample(stream: np.ndarray, pattern: MultiCosetPattern,
+                      n_snapshots: int | None = None) -> np.ndarray:
+    """Decimate one Nyquist stream into its P coset branches (P x N)."""
+    stream = np.asarray(stream)
+    if n_snapshots is None:
+        n_snapshots = stream.shape[-1] // pattern.L
+    if stream.shape[-1] < n_snapshots * pattern.L:
+        raise ConfigError(
+            f"stream of length {stream.shape[-1]} too short for "
+            f"{n_snapshots} snapshots at L={pattern.L}"
+        )
+    return np.stack(
+        [stream[c::pattern.L][:n_snapshots] for c in pattern.offsets]
+    )

@@ -72,6 +72,14 @@ def test_unknown_algorithm_is_config_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_coincident_coset_columns_are_config_error(tmp_path, capsys):
+    # columns l and l + 4 of this pattern's coset matrix are identical
+    config = scenario_json(tmp_path, pattern={"L": 12, "offsets": [0, 3, 6, 9]})
+    assert main(["single", "--config", config]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "coincide" in err and "Traceback" not in err
+
+
 def test_invalid_json_is_config_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -9,20 +9,17 @@ import pytest
 from helpers import fim_numerical, freq_crb_dense_oracle, random_geometry, random_scenario
 from subnyq.crb import (
     CrbInput,
+    _steering,
     crb_input_from_scenario,
     crb_phase,
     freq_crb_numerical,
-    full_steering_derivative,
     projector_complement,
-    steering_derivative,
 )
 from subnyq.errors import ConfigError, RankDeficiencyError
 from subnyq.harness import default_scenario
 from subnyq.model import (
     ArrayGeometry,
     MultiCosetPattern,
-    build_G_selected,
-    build_H_selected,
     full_steering,
     joint_steering,
 )
@@ -54,17 +51,21 @@ def test_projector_complement_properties():
         projector_complement(np.ones((5, 2)))
 
 
-@pytest.mark.parametrize("deriv,steer", [
-    (steering_derivative, joint_steering),
-    (full_steering_derivative, full_steering),
+@pytest.mark.parametrize("full,steer", [
+    pytest.param(False, joint_steering, id="simplified"),
+    pytest.param(True, full_steering, id="full"),
 ])
-def test_steering_derivative_matches_finite_difference(deriv, steer):
+def test_steering_derivative_matches_finite_difference(full, steer):
     h = 1e-6
-    for phi, band in [(0.3, 1), (-2.0, 9), (1.7, 5)]:
-        analytic = deriv(phi, band, GEOM, PATTERN)
+    phis, bands = (0.3, -2.0, 1.7), (1, 9, 5)
+    inp = make_input(phis=phis, bands=bands)
+    H, E = _steering(inp, full)
+    for k, (phi, band) in enumerate(zip(phis, bands)):
+        np.testing.assert_allclose(H[:, k], steer(phi, band, GEOM, PATTERN),
+                                   atol=1e-14)
         numeric = (steer(phi + h, band, GEOM, PATTERN)
                    - steer(phi - h, band, GEOM, PATTERN)) / (2 * h)
-        np.testing.assert_allclose(analytic, numeric, atol=1e-8)
+        np.testing.assert_allclose(E[:, k], numeric, atol=1e-8)
 
 
 def test_analytic_bound_matches_numerical_fisher():
@@ -108,11 +109,9 @@ def test_per_branch_bookkeeping_is_equivalent():
     inp = make_input()
     N = inp.T_obs * inp.pattern.f_s
     R_branch = inp.pattern.L * inp.R_S
-    for full, build, deriv in ((False, build_H_selected, steering_derivative),
-                               (True, build_G_selected, full_steering_derivative)):
-        P = projector_complement(build(inp.phis, inp.bands, GEOM, PATTERN))
-        E = np.column_stack([deriv(p, b, GEOM, PATTERN)
-                             for p, b in zip(inp.phis, inp.bands)])
+    for full in (False, True):
+        H, E = _steering(inp, full)
+        P = projector_complement(H)
         fim = (2.0 * N / inp.sigma2) * np.real((E.conj().T @ P @ E) * R_branch.T)
         a = crb_phase(inp, full_structure=full).crb_matrix
         np.testing.assert_allclose(a, np.linalg.inv(fim), rtol=1e-12)

@@ -1,9 +1,16 @@
 """Signal synthesis: decimation, model consistency, noise statistics, file I/O."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from helpers import random_scenario
+from helpers import (
+    multicoset_sample,
+    pattern_coherence,
+    random_scenario,
+    synthesize_streams,
+)
 from subnyq.errors import ConfigError
 from subnyq.model import (
     ArrayGeometry,
@@ -18,8 +25,6 @@ from subnyq.siggen import (
     assemble_snapshots,
     dump_snapshots,
     load_snapshots,
-    multicoset_sample,
-    synthesize_streams,
 )
 
 GEOM = ArrayGeometry(M=6, d=0.5, c_prop=1.0)
@@ -326,6 +331,37 @@ def test_scenario_validation():
         mk(out_of_range)
     with pytest.raises(ConfigError):
         mk((SourceTruth(theta=0.1, f_c=0.5 * f_s),), n_snapshots=4)
+
+
+def one_source_scenario(pattern):
+    return ScenarioConfig(geom=ArrayGeometry(M=4, d=0.5, c_prop=1.0),
+                          pattern=pattern, sources=(SourceTruth(theta=0.1, f_c=0.0),),
+                          n_snapshots=64)
+
+
+@pytest.mark.parametrize("L,offsets,step", [
+    (12, (0, 3, 6, 9), 4),
+    (8, (1, 3), 4),
+    (8, (0, 2, 4, 6), 4),
+])
+def test_coincident_coset_columns_rejected(L, offsets, step):
+    with pytest.raises(ConfigError, match=f"l and l \\+ {step} coincide"):
+        one_source_scenario(MultiCosetPattern(L=L, offsets=offsets))
+
+
+def test_coincident_column_rule_matches_coherence():
+    # the gcd rule must flag exactly the patterns with two parallel columns
+    for L in range(1, 13):
+        for P in range(1, min(L, 4) + 1):
+            for offsets in itertools.combinations(range(L), P):
+                pattern = MultiCosetPattern(L=L, offsets=offsets)
+                try:
+                    one_source_scenario(pattern)
+                    rejected = False
+                except ConfigError as exc:
+                    assert "coincide" in str(exc)
+                    rejected = True
+                assert rejected == (pattern_coherence(pattern) > 1 - 1e-9), offsets
 
 
 def test_band_and_residual_bookkeeping():
