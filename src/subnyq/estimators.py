@@ -15,7 +15,9 @@ subspace search, used for comparison only.
 Every phase search (spatial MUSIC and both joint searches) minimizes a
 noise-subspace cost that is, per band, a trigonometric polynomial in the
 phase; its minima are found exactly as roots of the derivative polynomial,
-with no phase grid.
+with no phase grid.  A joint search roots only the bands whose Rayleigh
+lower bound could still beat the K-th lowest minimum found, which picks
+exactly what rooting every band would.
 """
 
 import warnings
@@ -197,10 +199,32 @@ def _search(X: np.ndarray, K: int, G: np.ndarray, step: str):
     U_N is the noise subspace of X's sample covariance at model order K, and
     the stack G maps v(phi) to the steering vector of each band l.  Minima
     are ranked by (cost, band, phi).  Returns (phis, bands).
+
+    Only bands that can hold one of the K picks are rooted.  Band l's cost
+    is v^H C_l v with ||v||^2 = M, so none of its minima costs less than the
+    Rayleigh bound b_l = M lambda_min(C_l).  The K bands of lowest bound are
+    rooted first; any other band is rooted only if b_l does not exceed the
+    K-th lowest cost found, plus a slack far above rounding.  Every band left
+    out has only minima that cost more than the K-th pick, and rows are
+    rooted independently, so the picks are those of rooting every band.
     """
     U_N = decompose(sample_covariance(X), K).U_N
     T = U_N.conj().T @ G
-    band, phi, cost = _phase_minima(T.conj().transpose(0, 2, 1) @ T)
+    C = T.conj().transpose(0, 2, 1) @ T
+    M = C.shape[-1]
+    bound = M * np.linalg.eigvalsh(C)[:, 0]
+    order = np.argsort(bound, kind="stable")
+    first, rest = order[:K], order[K:]
+    row, phi, cost = _phase_minima(C[first])
+    band = first[row]
+    tau = np.partition(cost, K - 1)[K - 1] if cost.size >= K else np.inf
+    slack = 1e-9 * M * np.trace(C[rest], axis1=1, axis2=2).real
+    rest = rest[bound[rest] <= tau + slack]
+    if rest.size:
+        row, phi2, cost2 = _phase_minima(C[rest])
+        band = np.concatenate([band, rest[row]])
+        phi = np.concatenate([phi, phi2])
+        cost = np.concatenate([cost, cost2])
     if phi.size < K:
         raise PeakCountError(
             f"found {phi.size} noise-subspace cost minima, need {K}",
@@ -296,7 +320,9 @@ def _improve_support(B: np.ndarray, V: np.ndarray, selected: list[int],
     for _ in range(max_passes):
         improved = False
         for i in range(len(selected)):
-            cands = np.setdiff1d(np.arange(B.shape[1]), selected)
+            free = np.ones(B.shape[1], dtype=bool)
+            free[selected] = False
+            cands = np.flatnonzero(free)
             sets = np.repeat(np.array(selected)[:, None], cands.size, axis=1)
             sets[i] = cands
             for cand, r in zip(cands, resid(sets)):

@@ -139,6 +139,9 @@ class SweepConfig:
             raise ConfigError("sweep needs at least one value")
         if self.n_trials < 1:
             raise ConfigError(f"need n_trials >= 1, got {self.n_trials}")
+        if self.master_seed < 0:
+            raise ConfigError(
+                f"master seed must be non-negative, got {self.master_seed}")
         for name in self.algorithms:
             if name not in ALGORITHM_NAMES:
                 raise ConfigError(
@@ -448,7 +451,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             n_snapshots=int(data.get("n_snapshots", 4096)),
             rng_seed=int(data.get("rng_seed", 0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid scenario config: {exc}") from exc
 
 
@@ -463,5 +466,5 @@ def sweep_from_dict(data: dict) -> SweepConfig:
             algorithms=tuple(data.get("algorithms", ("JDFPI", "JDFSDPJ"))),
             master_seed=int(data.get("master_seed", 0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid sweep config: {exc}") from exc

@@ -9,7 +9,8 @@ Conventions used throughout the package:
 * the Kronecker product combines the spatial and coset factors (an M x K
   matrix times a P x L matrix must give an MP x KL matrix, so nothing else
   is dimensionally possible),
-* J keeps all P branches of sensor 1 followed by branch 1 of sensors 2..M.
+* the selection J keeps all P branches of sensor 1 followed by branch 1 of
+  sensors 2..M (`selected_channel_columns`).
 """
 
 from dataclasses import dataclass
@@ -23,13 +24,10 @@ __all__ = [
     "MultiCosetPattern",
     "phase_from_doa",
     "doa_from_phase",
-    "spatial_steering",
     "build_A",
     "build_B",
-    "build_J",
     "joint_steering",
     "full_steering",
-    "build_H",
     "build_H_selected",
     "build_G_selected",
 ]
@@ -46,10 +44,12 @@ class ArrayGeometry:
     def __post_init__(self):
         if self.M < 2:
             raise ConfigError(f"need at least 2 sensors, got M={self.M}")
-        if self.d <= 0:
-            raise ConfigError(f"sensor spacing must be positive, got d={self.d}")
-        if self.c_prop <= 0:
-            raise ConfigError(f"propagation speed must be positive, got {self.c_prop}")
+        if not 0 < self.d < np.inf:
+            raise ConfigError(
+                f"sensor spacing must be positive and finite, got d={self.d}")
+        if not 0 < self.c_prop < np.inf:
+            raise ConfigError(
+                f"propagation speed must be positive and finite, got {self.c_prop}")
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,9 @@ class MultiCosetPattern:
     def __post_init__(self):
         if self.L < 1:
             raise ConfigError(f"downsampling factor must be >= 1, got L={self.L}")
-        if self.f_N <= 0:
-            raise ConfigError(f"Nyquist rate must be positive, got f_N={self.f_N}")
+        if not 0 < self.f_N < np.inf:
+            raise ConfigError(
+                f"Nyquist rate must be positive and finite, got f_N={self.f_N}")
         offs = tuple(int(c) for c in self.offsets)
         object.__setattr__(self, "offsets", offs)
         if not offs:
@@ -107,13 +108,9 @@ def doa_from_phase(phi: float, f: float, geom: ArrayGeometry) -> float:
     return float(np.arcsin(np.clip(arg, -1.0, 1.0)))
 
 
-def spatial_steering(phi: float, M: int) -> np.ndarray:
-    """Length-M ULA steering vector [1, e^{-j phi}, ..., e^{-j phi (M-1)}]."""
-    return np.exp(-1j * phi * np.arange(M))
-
-
 def build_A(phis, M: int) -> np.ndarray:
-    """M x K steering matrix, one `spatial_steering` column per phase."""
+    """M x K ULA steering matrix; column k is [1, e^{-j phi_k}, ...,
+    e^{-j phi_k (M-1)}]."""
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     return np.exp(-1j * np.outer(np.arange(M), phis))
 
@@ -123,18 +120,6 @@ def build_B(pattern: MultiCosetPattern) -> np.ndarray:
     c = np.asarray(pattern.offsets)
     l = np.arange(pattern.L)
     return np.exp(2j * np.pi * np.outer(c, l) / pattern.L) / np.sqrt(pattern.L)
-
-
-def build_J(M: int, P: int) -> np.ndarray:
-    """(M+P-1) x MP selection matrix.
-
-    Rows pick, in order, branches 1..P of sensor 1 and then branch 1 of
-    sensors 2..M out of the sensor-major stacked channel vector.
-    """
-    J = np.zeros((M + P - 1, M * P))
-    cols = selected_channel_columns(M, P)
-    J[np.arange(M + P - 1), cols] = 1.0
-    return J
 
 
 def selected_channel_columns(M: int, P: int) -> np.ndarray:
@@ -156,12 +141,6 @@ def full_steering(phi: float, band: int, geom: ArrayGeometry,
     """Full-structure steering a(phi) kron B_l, length M*P: the one-column
     view of `build_G_selected`."""
     return build_G_selected([phi], [band], geom, pattern)[:, 0]
-
-
-def build_H(phis, geom: ArrayGeometry, pattern: MultiCosetPattern) -> np.ndarray:
-    """(M+P-1) x (K*L) matrix H = J (A kron B), the selected rows of A kron B."""
-    rows = selected_channel_columns(geom.M, pattern.P)
-    return np.kron(build_A(phis, geom.M), build_B(pattern))[rows]
 
 
 def _check_selected(phis, bands, rows: int, L: int):

@@ -61,12 +61,15 @@ class SourceTruth:
     def __post_init__(self):
         if not -np.pi / 2 < self.theta < np.pi / 2:
             raise ConfigError(f"DOA must lie in (-pi/2, pi/2), got {self.theta}")
+        if not np.isfinite(self.amplitude):
+            raise ConfigError(f"amplitude must be finite, got {self.amplitude}")
         if self.envelope not in ENVELOPE_KINDS:
             raise ConfigError(f"unknown envelope kind {self.envelope!r}")
         if self.envelope == "tone" and self.bandwidth != 0.0:
             raise ConfigError("pure-tone sources must have zero bandwidth")
-        if self.envelope == "noise" and self.bandwidth <= 0.0:
-            raise ConfigError("filtered-noise sources need a positive bandwidth")
+        if self.envelope == "noise" and not 0.0 < self.bandwidth < np.inf:
+            raise ConfigError(
+                "filtered-noise sources need a positive, finite bandwidth")
 
     @property
     def power(self) -> float:
@@ -88,6 +91,10 @@ class ScenarioConfig:
         object.__setattr__(self, "sources", tuple(self.sources))
         K = len(self.sources)
         M, P, L = self.geom.M, self.pattern.P, self.pattern.L
+        if self.snr_db is not None and not np.isfinite(self.snr_db):
+            raise ConfigError(f"SNR must be finite or None, got {self.snr_db}")
+        if self.rng_seed < 0:
+            raise ConfigError(f"RNG seed must be non-negative, got {self.rng_seed}")
         if K >= M:
             raise ConfigError(f"need K < M, got K={K}, M={M}")
         if K > M + P - 2:

@@ -2,27 +2,33 @@
 
 Random-but-valid scenario construction: distinct bands, well-separated
 spatial phases, and a coset pattern whose columns are incoherent enough for
-greedy support recovery to be well posed.  Also the grid-and-refine phase
-search, kept as the reference for the estimators' polynomial-root search,
-the sequential support-swap loop, kept as the reference for its batched form,
-the brute-force Fisher oracles behind the bounds, and the Nyquist-rate
-streams and coset decimation behind the per-channel snapshot synthesis.
+greedy support recovery to be well posed.  Also the explicit selection and
+combined matrices J and H = J (A kron B); the grid-and-refine phase search,
+kept as the reference for the estimators' polynomial-root search; the joint
+search that roots every band, kept as the reference for its bound-pruned
+form; the sequential support-swap loop, kept as the reference for its
+batched form; the brute-force Fisher oracles behind the bounds; and the
+Nyquist-rate streams and coset decimation behind the per-channel snapshot
+synthesis.
 """
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from subnyq.crb import CrbInput
-from subnyq.errors import ConfigError, RankDeficiencyError
+from subnyq.errors import ConfigError, PeakCountError, RankDeficiencyError
+from subnyq.estimators import _phase_minima, decompose, sample_covariance
 from subnyq.model import (
     ArrayGeometry,
     MultiCosetPattern,
+    build_A,
     build_B,
     build_G_selected,
     build_H_selected,
     full_steering,
     joint_steering,
     phase_from_doa,
+    selected_channel_columns,
 )
 from subnyq.siggen import (
     ScenarioConfig,
@@ -40,6 +46,20 @@ def _builders(full_structure: bool):
     if full_structure:
         return build_G_selected, full_steering
     return build_H_selected, joint_steering
+
+
+def selection_matrix(M: int, P: int) -> np.ndarray:
+    """(M+P-1) x MP 0/1 selection matrix J of the simplified receiver: the
+    rows of the identity at `selected_channel_columns`."""
+    return np.eye(M * P)[selected_channel_columns(M, P)]
+
+
+def combined_matrix(phis, geom: ArrayGeometry,
+                    pattern: MultiCosetPattern) -> np.ndarray:
+    """(M+P-1) x (K*L) matrix H = J (A kron B): the simplified steering
+    column of every band at each phase, column k*L + l for phase k, band l."""
+    return selection_matrix(geom.M, pattern.P) @ np.kron(
+        build_A(phis, geom.M), build_B(pattern))
 
 
 def pattern_coherence(pattern: MultiCosetPattern) -> float:
@@ -189,6 +209,22 @@ def grid_search_oracle(U_N: np.ndarray, steering, n_bands: int, K: int):
         if not any(b == l and abs(p - phi) < 0.5 * step for p, b in kept):
             kept.append((phi, l))
     return (np.array([p for p, _ in kept]), np.array([b for _, b in kept], dtype=int))
+
+
+def all_band_search(X: np.ndarray, K: int, G: np.ndarray):
+    """The joint subspace search rooting every band's cost, with no bound
+    pruning; the reference for `estimators._search`.  Returns (phis, bands)
+    of the K lowest minima ranked by (cost, band, phi)."""
+    U_N = decompose(sample_covariance(X), K).U_N
+    T = U_N.conj().T @ G
+    band, phi, cost = _phase_minima(T.conj().transpose(0, 2, 1) @ T)
+    if phi.size < K:
+        raise PeakCountError(
+            f"found {phi.size} noise-subspace cost minima, need {K}",
+            found=int(phi.size), wanted=K, step="all_band_search",
+        )
+    pick = np.lexsort((phi, band, cost))[:K]
+    return phi[pick], band[pick]
 
 
 def _psd_sqrt(R: np.ndarray) -> np.ndarray:

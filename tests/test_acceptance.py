@@ -8,17 +8,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import fim_numerical, random_scenario
+from helpers import combined_matrix, fim_numerical, random_scenario, selection_matrix
 from subnyq.crb import crb_input_from_scenario, crb_phase
 from subnyq.estimators import jdfpi, jdfsdpj
 from subnyq.harness import SweepConfig, default_scenario, emit_csv, match_estimates, run_sweep
-from subnyq.model import (
-    build_B,
-    build_H,
-    build_H_selected,
-    build_J,
-    joint_steering,
-)
+from subnyq.model import build_B, build_H_selected, joint_steering
 from subnyq.crb import projector_complement
 from subnyq.siggen import ScenarioConfig, assemble_snapshots
 
@@ -80,10 +74,10 @@ def test_criterion_01_structural_identities(report):
         B = build_B(pattern)
         worst = max(worst, np.max(np.abs(B @ B.conj().T - np.eye(pattern.P))))
 
-        J = build_J(geom.M, pattern.P)
+        J = selection_matrix(geom.M, pattern.P)
         worst = max(worst, np.max(np.abs(J @ J.T - np.eye(J.shape[0]))))
 
-        H = build_H(phis, geom, pattern)
+        H = combined_matrix(phis, geom, pattern)
         for k, phi in enumerate(phis):
             for l in (0, bands[k], pattern.L - 1):
                 col = joint_steering(phi, l, geom, pattern)

@@ -28,7 +28,7 @@ def scenario_json(tmp_path, **overrides):
     return str(path)
 
 
-def sweep_json(tmp_path, variable="snr_db", values=(10.0, 20.0)):
+def sweep_json(tmp_path, variable="snr_db", values=(10.0, 20.0), **overrides):
     data = {
         "base": json.loads((tmp_path / "scenario.json").read_text()),
         "sweep_variable": variable,
@@ -37,6 +37,7 @@ def sweep_json(tmp_path, variable="snr_db", values=(10.0, 20.0)):
         "algorithms": ["JDFSDPJ"],
         "master_seed": 5,
     }
+    data.update(overrides)
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(data))
     return str(path)
@@ -78,6 +79,36 @@ def test_coincident_coset_columns_are_config_error(tmp_path, capsys):
     assert main(["single", "--config", config]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "coincide" in err and "Traceback" not in err
+
+
+# JSON's 1e400 parses to float("inf"), which json.dumps writes as Infinity
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("command,scenario,sweep", [
+    ("single", {"geometry": {"M": INF, "d": 0.5, "c_prop": 1.0}}, None),
+    ("single", {"geometry": {"M": 6, "d": NAN, "c_prop": 1.0}}, None),
+    ("single", {"n_snapshots": INF}, None),
+    ("single", {"snr_db": NAN}, None),
+    ("single", {"sources": [{"theta": 0.5, "f_c": 0.31, "amplitude": [INF, 0]}]},
+     None),
+    ("single", {"sources": [{"theta": 0.5, "f_c": 0.31, "envelope": "noise",
+                             "bandwidth": INF}]}, None),
+    ("single", {"rng_seed": -1}, None),
+    ("sweep-snr", {}, {"values": [NAN]}),
+    ("sweep-snr", {}, {"master_seed": -1}),
+    ("sweep-snr", {}, {"n_trials": INF}),
+], ids=["M_inf", "d_nan", "n_snapshots_inf", "snr_nan", "amplitude_inf",
+        "bandwidth_inf", "rng_seed_negative", "sweep_value_nan",
+        "master_seed_negative", "n_trials_inf"])
+def test_non_finite_or_negative_numbers_are_config_errors(tmp_path, capsys, command,
+                                                          scenario, sweep):
+    config = scenario_json(tmp_path, **scenario)
+    if sweep is not None:
+        config = sweep_json(tmp_path, **sweep)
+    assert main([command, "--config", config]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
 
 
 def test_invalid_json_is_config_error(tmp_path, capsys):

@@ -5,7 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import grid_search_oracle, random_scenario, sequential_swap_oracle
+from helpers import (
+    all_band_search,
+    grid_search_oracle,
+    random_scenario,
+    sequential_swap_oracle,
+)
+from subnyq import estimators
 from subnyq.errors import (
     ConfigError,
     EmptySupportError,
@@ -14,6 +20,7 @@ from subnyq.errors import (
     RankDeficiencyError,
 )
 from subnyq.estimators import (
+    _channel_maps,
     _improve_support,
     _phase_minima,
     _search,
@@ -30,7 +37,12 @@ from subnyq.estimators import (
     unfold_frequency,
 )
 from subnyq.harness import default_scenario, match_estimates
-from subnyq.model import MultiCosetPattern, build_A, build_B, build_J
+from subnyq.model import (
+    MultiCosetPattern,
+    build_A,
+    build_B,
+    selected_channel_columns,
+)
 from subnyq.siggen import assemble_full_snapshots, assemble_snapshots
 
 PATTERN = MultiCosetPattern(L=11, offsets=(0, 1, 4, 6), f_N=1.0)
@@ -76,10 +88,13 @@ def test_phase_minima_closed_form():
         cosine_cost(M, 2.0, 1.5, 2, -2.9),  # zero corner entry: degree drop
         2.0 * np.eye(M),                    # constant cost: no minima
         np.zeros((M, M)),
+        cosine_cost(M, 1.0, 0.5, 1, np.pi),  # minimum at phi = pi, as +pi
+        cosine_cost(M, 3.0, 2.0, 4, 0.0),   # minima at 0, +-pi/2 and pi
     ])
     rows, phis, costs = _phase_minima(C)
-    assert set(rows) <= {0, 1}
-    for row, k, phi0, floor in ((0, 4, 0.4, 2.0), (1, 2, -2.9, 0.5)):
+    assert set(rows) <= {0, 1, 4, 5}
+    for row, k, phi0, floor in ((0, 4, 0.4, 2.0), (1, 2, -2.9, 0.5),
+                                (4, 1, np.pi, 0.5), (5, 4, 0.0, 1.0)):
         got = np.sort(phis[rows == row])
         want = np.sort(np.angle(np.exp(1j * (phi0 + 2 * np.pi * np.arange(k) / k))))
         np.testing.assert_allclose(got, want, atol=1e-12)
@@ -281,13 +296,13 @@ def test_root_search_matches_grid_oracle():
                                  n_snapshots=256)
         K, M, pattern = config.n_sources, config.geom.M, config.pattern
         B = build_B(pattern)
-        J = build_J(M, pattern.P)
+        rows = selected_channel_columns(M, pattern.P)
         snap = assemble_snapshots(config)
         full = assemble_full_snapshots(config)
         searches = (
             (snap.Q, lambda ph, l: build_A(ph, M), 1,
              lambda: (music_spatial(snap.Q, K), np.zeros(K, dtype=int))),
-            (snap.W, lambda ph, l: J @ np.kron(build_A(ph, M), B[:, [l]]), pattern.L,
+            (snap.W, lambda ph, l: np.kron(build_A(ph, M), B[:, [l]])[rows], pattern.L,
              lambda: phase_band(jdfsdpj(snap, config))),
             (full, lambda ph, l: np.kron(build_A(ph, M), B[:, [l]]), pattern.L,
              lambda: phase_band(jdfsd_full(full, config))),
@@ -433,6 +448,99 @@ def test_jdfpi_rejects_too_many_sources_for_branches():
     snap = assemble_snapshots(config)
     with pytest.raises(ConfigError):
         jdfpi(snap, config)
+
+
+@pytest.fixture
+def rooted_rows(monkeypatch):
+    """Row counts of each `_phase_minima` call the estimators make."""
+    calls = []
+
+    def counting(C):
+        calls.append(C.shape[0])
+        return _phase_minima(C)
+
+    monkeypatch.setattr(estimators, "_phase_minima", counting)
+    return calls
+
+
+def search_outcome(search, *args):
+    """(phis, bands) of a search, or the minima count its PeakCountError
+    reports."""
+    try:
+        return search(*args)
+    except PeakCountError as exc:
+        return exc.found
+
+
+def test_pruned_search_equals_all_band_search(rooted_rows):
+    # bound pruning must pick exactly what rooting every band picks, at
+    # model orders below, at and above the true source count
+    rng = np.random.default_rng(17)
+    second_stages = 0
+    for i in range(20):
+        config = random_scenario(rng, snr_db=(None, -10.0, 0.0, 10.0, 20.0)[i % 5],
+                                 n_snapshots=256)
+        M, P = config.geom.M, config.pattern.P
+        G = _channel_maps(M, build_B(config.pattern))
+        for X, maps in ((assemble_snapshots(config).W,
+                         G[:, selected_channel_columns(M, P)]),
+                        (assemble_full_snapshots(config), G)):
+            for K in range(1, 5):
+                rooted_rows.clear()
+                got = search_outcome(_search, X, K, maps, "test_step")
+                second_stages += len(rooted_rows) > 1
+                want = search_outcome(all_band_search, X, K, maps)
+                if isinstance(want, int):
+                    assert got == want
+                    continue
+                np.testing.assert_array_equal(got[1], want[1])
+                np.testing.assert_array_equal(got[0], want[0])
+    assert second_stages >= 10
+
+
+def noise_subspace_maps(n_signal, costs):
+    """(X, G) whose search over K = n_signal sources has band l's cost matrix
+    costs[l]: X's n_signal strong rows leave the noise subspace spanned by
+    the remaining unit vectors, on which G_l is a square root of costs[l]."""
+    M = costs[0].shape[0]
+    X = np.diag([3.0 + k for k in range(n_signal)][::-1] + [1.0] * M)
+    G = np.zeros((len(costs), n_signal + M, M), dtype=complex)
+    for l, C in enumerate(costs):
+        G[l, n_signal:] = np.linalg.cholesky(C).conj().T
+    return X.astype(complex), G
+
+
+def test_pruned_search_roots_bands_the_bound_cannot_exclude(rooted_rows):
+    # band 0 has the lowest Rayleigh bound (0.12) but its minimum costs
+    # 1.85; band 1's bound (1.2) lies under that and its minimum (1.3) wins;
+    # band 2's bound (2.7) lies above it, so band 2 is never rooted
+    M = 3
+    costs = [np.diag([0.05, 1.0, 1.0]) + cosine_cost(M, 0.0, 0.2, 1, 0.3),
+             0.5 * np.eye(M) + cosine_cost(M, 0.0, 0.2, 1, -1.1),
+             np.eye(M) + cosine_cost(M, 0.0, 0.2, 1, 2.0)]
+    X, G = noise_subspace_maps(1, costs)
+    phis, bands = _search(X, 1, G, "test_step")
+    assert rooted_rows == [1, 1]
+    assert list(bands) == [1]
+    np.testing.assert_allclose(phis, [-1.1], atol=1e-12)
+    want_phis, want_bands = all_band_search(X, 1, G)
+    np.testing.assert_array_equal(phis, want_phis)
+    np.testing.assert_array_equal(bands, want_bands)
+
+
+def test_pruned_search_roots_every_band_when_first_stage_falls_short(rooted_rows):
+    # bands 0 and 1 have the lowest bounds but constant costs with no
+    # minima; the count must include band 2's one minimum, as with rooting
+    # every band
+    M = 3
+    costs = [0.1 * np.eye(M), 0.2 * np.eye(M),
+             np.eye(M) + cosine_cost(M, 0.0, 0.2, 1, 0.5)]
+    X, G = noise_subspace_maps(2, costs)
+    with pytest.raises(PeakCountError) as info:
+        _search(X, 2, G, "test_step")
+    assert rooted_rows == [2, 1]
+    assert info.value.found == 1 and info.value.wanted == 2
+    assert search_outcome(all_band_search, X, 2, G) == 1
 
 
 def test_peak_count_error_reports_counts():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_geometry, random_pattern
+from helpers import combined_matrix, random_geometry, random_pattern, selection_matrix
 from subnyq.errors import ConfigError, SpatialAliasingError
 from subnyq.model import (
     ArrayGeometry,
@@ -11,15 +11,12 @@ from subnyq.model import (
     build_A,
     build_B,
     build_G_selected,
-    build_H,
     build_H_selected,
-    build_J,
     doa_from_phase,
     full_steering,
     joint_steering,
     phase_from_doa,
     selected_channel_columns,
-    spatial_steering,
 )
 
 GEOM = ArrayGeometry(M=5, d=0.5, c_prop=1.0)
@@ -46,22 +43,22 @@ def test_coset_matrix_entries():
 
 def test_selection_matrix_small_example():
     # M=3 sensors, P=2 branches: keep channels (s1,b1), (s1,b2), (s2,b1), (s3,b1)
-    J = build_J(3, 2)
     expected = np.zeros((4, 6))
     expected[0, 0] = expected[1, 1] = expected[2, 2] = expected[3, 4] = 1.0
-    np.testing.assert_array_equal(J, expected)
+    np.testing.assert_array_equal(np.eye(6)[selected_channel_columns(3, 2)],
+                                  expected)
     np.testing.assert_array_equal(selected_channel_columns(3, 2), [0, 1, 2, 4])
 
 
 def test_selection_matrix_orthonormal_rows():
     for M, P in [(2, 1), (3, 2), (8, 5), (6, 6)]:
-        J = build_J(M, P)
+        J = selection_matrix(M, P)
         assert J.shape == (M + P - 1, M * P)
         np.testing.assert_array_equal(J @ J.T, np.eye(M + P - 1))
 
 
 def test_spatial_steering_values():
-    a = spatial_steering(0.3, 4)
+    a = build_A(0.3, 4)[:, 0]
     np.testing.assert_allclose(a, np.exp(-1j * 0.3 * np.arange(4)), atol=1e-15)
     assert a[0] == 1.0 + 0.0j
     np.testing.assert_allclose(np.abs(a), 1.0, atol=1e-15)
@@ -70,8 +67,10 @@ def test_spatial_steering_values():
 def test_steering_matrix_columns():
     phis = [0.1, -1.2, 2.5]
     A = build_A(phis, 6)
+    assert A.shape == (6, 3)
     for k, phi in enumerate(phis):
-        np.testing.assert_allclose(A[:, k], spatial_steering(phi, 6), atol=1e-15)
+        np.testing.assert_allclose(A[:, k], np.exp(-1j * phi * np.arange(6)),
+                                   atol=1e-15)
 
 
 def test_joint_steering_matches_selected_kron_column():
@@ -81,8 +80,8 @@ def test_joint_steering_matches_selected_kron_column():
         pattern = random_pattern(rng, max_coherence=1.0)
         phi = rng.uniform(-np.pi, np.pi)
         band = int(rng.integers(pattern.L))
-        J = build_J(geom.M, pattern.P)
-        direct = J @ np.kron(spatial_steering(phi, geom.M),
+        J = selection_matrix(geom.M, pattern.P)
+        direct = J @ np.kron(build_A(phi, geom.M)[:, 0],
                              build_B(pattern)[:, band])
         np.testing.assert_allclose(joint_steering(phi, band, geom, pattern),
                                    direct, atol=1e-13)
@@ -98,13 +97,13 @@ def test_joint_steering_norm():
 def test_full_steering_is_kron():
     phi, band = -0.9, 5
     g = full_steering(phi, band, GEOM, PATTERN)
-    direct = np.kron(spatial_steering(phi, GEOM.M), build_B(PATTERN)[:, band])
+    direct = np.kron(build_A(phi, GEOM.M)[:, 0], build_B(PATTERN)[:, band])
     np.testing.assert_allclose(g, direct, atol=1e-14)
 
 
 def test_combined_matrix_columns():
     phis = [0.4, -2.0]
-    H = build_H(phis, GEOM, PATTERN)
+    H = combined_matrix(phis, GEOM, PATTERN)
     assert H.shape == (GEOM.M + PATTERN.P - 1, 2 * PATTERN.L)
     for k, phi in enumerate(phis):
         for l in range(PATTERN.L):
@@ -127,7 +126,7 @@ def test_selected_builders_pick_columns():
             G_sel[:, k], full_steering(phis[k], bands[k], GEOM, PATTERN),
             atol=1e-14)
     # selection matrix maps the full columns onto the simplified ones
-    J = build_J(GEOM.M, PATTERN.P)
+    J = selection_matrix(GEOM.M, PATTERN.P)
     np.testing.assert_allclose(J @ G_sel, H_sel, atol=1e-14)
 
 
@@ -148,11 +147,17 @@ def test_doa_from_phase_rejects_aliased_phase():
 
 
 def test_combined_matrix_is_selected_kron():
+    # the steering builder over every (phase, band) pair is A kron B, and its
+    # selected rows are H = J (A kron B)
     phis = [0.2, 1.1]
-    H = build_H(phis, GEOM, PATTERN)
-    J = build_J(GEOM.M, PATTERN.P)
+    L = PATTERN.L
+    G = build_G_selected(np.repeat(phis, L), np.tile(np.arange(L), 2),
+                         GEOM, PATTERN)
     np.testing.assert_allclose(
-        H, J @ np.kron(build_A(phis, GEOM.M), build_B(PATTERN)), atol=1e-13)
+        G, np.kron(build_A(phis, GEOM.M), build_B(PATTERN)), atol=1e-13)
+    np.testing.assert_allclose(
+        G[selected_channel_columns(GEOM.M, PATTERN.P)],
+        combined_matrix(phis, GEOM, PATTERN), atol=1e-13)
 
 
 @pytest.mark.parametrize("kwargs", [
