@@ -7,14 +7,15 @@ Exit codes: 0 success, 2 configuration error, 3 estimation failure in
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .crb import crb_input_from_scenario, crb_phase, freq_crb_numerical
-from .errors import ConfigError, EstimationError
+from .errors import ConfigError, EstimationError, RankDeficiencyError
 from .harness import (
-    ALGORITHM_NAMES,
     SweepConfig,
+    check_algorithms,
     default_scenario,
     default_sweep,
     emit_csv,
@@ -54,11 +55,7 @@ def _algorithms_from_args(args, default):
     if not args.algorithms:
         return default
     names = tuple(a.strip() for a in args.algorithms.split(",") if a.strip())
-    for name in names:
-        if name not in ALGORITHM_NAMES:
-            raise ConfigError(
-                f"unknown algorithm {name!r}; choose from {ALGORITHM_NAMES}"
-            )
+    check_algorithms(names)
     return names
 
 
@@ -109,7 +106,6 @@ def _sweep_from_args(args, variable):
     if args.algorithms:
         overrides["algorithms"] = _algorithms_from_args(args, sweep.algorithms)
     if overrides:
-        from dataclasses import replace
         sweep = replace(sweep, **overrides)
     return sweep
 
@@ -141,10 +137,10 @@ def cmd_sweep_k(args):
 def cmd_crb(args):
     scenario = _scenario_from_args(args)
     inp = crb_input_from_scenario(scenario)
-    print("  #  phase_std(sim)   phase_std(full)  freq_std(sim)/f_N")
     sim = crb_phase(inp).per_source_std
     full = crb_phase(inp, full_structure=True).per_source_std
     freq = np.sqrt(np.diag(freq_crb_numerical(inp)).real) / scenario.pattern.f_N
+    print("  #  phase_std(sim)   phase_std(full)  freq_std(sim)/f_N")
     for k in range(inp.n_sources):
         print(f"  {k}  {sim[k]:15.6e}  {full[k]:15.6e}  {freq[k]:15.6e}")
     return EXIT_OK
@@ -210,6 +206,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except RankDeficiencyError as exc:
+        # only the bounds get here (`single` reports its own estimation
+        # failures, sweeps record them per trial); they are undefined for
+        # sources the receiver cannot tell apart
+        print(f"configuration error: bound undefined: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

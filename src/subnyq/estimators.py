@@ -62,6 +62,7 @@ __all__ = [
 COND_LIMIT = 1e10
 CTF_RESIDUAL_TOL = 1e-8
 PAIRING_AMBIGUITY_RATIO = 3.0
+SWAP_PASSES = 3  # rounds of single-atom swaps in `_improve_support`
 
 
 @dataclass(frozen=True)
@@ -296,8 +297,7 @@ def ctf_support(Y1: np.ndarray, B: np.ndarray, K: int) -> tuple[int, ...]:
     return tuple(sorted(_improve_support(B, V, selected)))
 
 
-def _improve_support(B: np.ndarray, V: np.ndarray, selected: list[int],
-                     max_passes: int = 3) -> list[int]:
+def _improve_support(B: np.ndarray, V: np.ndarray, selected: list[int]) -> list[int]:
     """Greedy pursuit is not exact for coherent dictionaries; polish the
     support by single-atom swaps while they lower the joint residual.
 
@@ -317,7 +317,7 @@ def _improve_support(B: np.ndarray, V: np.ndarray, selected: list[int],
 
     selected = list(selected)
     best = resid(np.array(selected)[:, None])[0]
-    for _ in range(max_passes):
+    for _ in range(SWAP_PASSES):
         improved = False
         for i in range(len(selected)):
             free = np.ones(B.shape[1], dtype=bool)
@@ -391,12 +391,6 @@ def unfold_frequency(band: int, f_res: float, pattern) -> float:
     return band * f_slice + f_res
 
 
-def _tagged(step: str, exc: EstimationError) -> EstimationError:
-    if exc.step is None:
-        exc.step = step
-    return exc
-
-
 def _finish(W: np.ndarray, phis: np.ndarray, bands, config, algorithm: str,
             full_structure: bool = False) -> EstimationResult:
     """Steps shared by every pipeline: LS reconstruction, residual frequency,
@@ -405,14 +399,8 @@ def _finish(W: np.ndarray, phis: np.ndarray, bands, config, algorithm: str,
     bands = np.asarray(bands, dtype=int)
     builder = build_G_selected if full_structure else build_H_selected
     mat = builder(phis, bands, geom, pattern)
-    try:
-        S = ls_solve(mat, W)
-    except EstimationError as exc:
-        raise _tagged("ls_solve_joint", exc)
-    try:
-        f_res = np.array([residual_frequency(row, pattern.f_s) for row in S])
-    except EstimationError as exc:
-        raise _tagged("residual_frequency", exc)
+    S = ls_solve(mat, W)
+    f_res = np.array([residual_frequency(row, pattern.f_s) for row in S])
     f = np.array([unfold_frequency(b, r, pattern) for b, r in zip(bands, f_res)])
     theta = np.empty_like(f)
     for k in range(f.size):
@@ -432,24 +420,12 @@ def jdfpi(snapshots, config) -> EstimationResult:
     pattern = config.pattern
     if K > pattern.P - 1:
         raise ConfigError(f"JDFPI needs K <= P-1, got K={K}, P={pattern.P}")
-    try:
-        phis = music_spatial(snapshots.Q, K)
-    except EstimationError as exc:
-        raise _tagged("music_spatial", exc)
+    phis = music_spatial(snapshots.Q, K)
     A = build_A(phis, config.geom.M)
-    try:
-        Z = ls_solve(A, snapshots.Q)
-    except EstimationError as exc:
-        raise _tagged("ls_solve_spatial", exc)
+    Z = ls_solve(A, snapshots.Q)
     B = build_B(pattern)
-    try:
-        omega = ctf_support(snapshots.Y1, B, K)
-    except EstimationError as exc:
-        raise _tagged("ctf_support", exc)
-    try:
-        X_omega = ls_solve(B[:, list(omega)], snapshots.Y1)
-    except EstimationError as exc:
-        raise _tagged("ls_solve_bands", exc)
+    omega = ctf_support(snapshots.Y1, B, K)
+    X_omega = ls_solve(B[:, list(omega)], snapshots.Y1)
     support = pair_supports(Z, X_omega, omega, pattern.L)
     return _finish(snapshots.W, phis, support.bands, config, "JDFPI")
 

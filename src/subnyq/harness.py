@@ -7,7 +7,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .crb import crb_input_from_scenario, crb_phase, freq_crb_numerical
 from .errors import ConfigError, EstimationError
@@ -28,6 +27,7 @@ __all__ = [
     "TrialRecord",
     "ResultRow",
     "ResultTable",
+    "check_algorithms",
     "default_scenario",
     "default_sweep",
     "match_estimates",
@@ -44,6 +44,14 @@ __all__ = [
 
 ALGORITHM_NAMES = ("JDFPI", "JDFSDPJ", "JDFSD-full")
 SWEEP_VARIABLES = ("snr_db", "n_sources")
+
+
+def check_algorithms(names) -> None:
+    """Raise ConfigError unless every name is one of ALGORITHM_NAMES."""
+    for name in names:
+        if name not in ALGORITHM_NAMES:
+            raise ConfigError(
+                f"unknown algorithm {name!r}; choose from {ALGORITHM_NAMES}")
 
 
 class TrialData:
@@ -81,8 +89,7 @@ def run_algorithm(name: str, scenario: ScenarioConfig,
     `data` must hold the realization of `scenario` (same seed); without it
     the snapshots are assembled here.
     """
-    if name not in ALGORITHM_NAMES:
-        raise ConfigError(f"unknown algorithm {name!r}; choose from {ALGORITHM_NAMES}")
+    check_algorithms((name,))
     if data is None:
         data = TrialData(scenario)
     if name == "JDFPI":
@@ -142,11 +149,7 @@ class SweepConfig:
         if self.master_seed < 0:
             raise ConfigError(
                 f"master seed must be non-negative, got {self.master_seed}")
-        for name in self.algorithms:
-            if name not in ALGORITHM_NAMES:
-                raise ConfigError(
-                    f"unknown algorithm {name!r}; choose from {ALGORITHM_NAMES}"
-                )
+        check_algorithms(self.algorithms)
         if not self.algorithms:
             raise ConfigError("sweep needs at least one algorithm")
         for value in self.sweep_values:
@@ -230,10 +233,57 @@ def match_estimates(scenario: ScenarioConfig, result: EstimationResult):
     true_f = np.array([s.f_c for s in scenario.sources])
     dphi = wrap_phase(result.phi[None, :] - true_phi[:, None]) / np.pi
     df = (result.f[None, :] - true_f[:, None]) / scenario.pattern.f_s
-    _, perm = linear_sum_assignment(dphi**2 + df**2)
+    perm = _min_cost_assignment(dphi**2 + df**2)
     phase_err = wrap_phase(result.phi[perm] - true_phi)
     freq_err = result.f[perm] - true_f
     return phase_err, freq_err
+
+
+def _min_cost_assignment(cost: np.ndarray) -> list[int]:
+    """Column assigned to each row of a square cost matrix, minimizing the sum.
+
+    Kuhn-Munkres (Kuhn, Naval Res. Logist. Q. 1955; Munkres, J. SIAM 1957)
+    in its O(n^3) shortest-augmenting-path form: rows join the matching one
+    at a time, each along a path of least reduced cost, with row and column
+    potentials keeping every reduced cost non-negative.  Plain lists, since
+    n is the source count.  Column 0 of `match`, `way`, `v` is the root of
+    each path; rows are numbered from 1 there.
+    """
+    if not np.isfinite(cost).all():
+        raise ValueError("cost matrix contains NaN or infinite entries")
+    rows = cost.tolist()
+    n = len(rows)
+    inf = float("inf")
+    u, v = [0.0] * (n + 1), [0.0] * (n + 1)
+    match, way = [0] * (n + 1), [0] * (n + 1)  # match[j]: row on column j
+    for i in range(1, n + 1):
+        match[0], j0 = i, 0
+        dist, used = [inf] * (n + 1), [False] * (n + 1)
+        while match[j0]:
+            used[j0] = True
+            i0, delta, j1 = match[j0], inf, 0
+            row = rows[i0 - 1]
+            for j in range(1, n + 1):
+                if not used[j]:
+                    reduced = row[j - 1] - u[i0] - v[j]
+                    if reduced < dist[j]:
+                        dist[j], way[j] = reduced, j0
+                    if dist[j] < delta:
+                        delta, j1 = dist[j], j
+            for j in range(n + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    dist[j] -= delta
+            j0 = j1
+        while j0:  # augment: shift each row on the path to its new column
+            match[j0] = match[way[j0]]
+            j0 = way[j0]
+    perm = [0] * n
+    for j in range(1, n + 1):
+        perm[match[j] - 1] = j - 1
+    return perm
 
 
 def derive_trial_seed(master_seed: int, sweep_index: int, trial_index: int) -> int:

@@ -68,9 +68,12 @@ def test_single_seed_override_changes_nothing_but_noise(tmp_path, capsys):
 
 def test_unknown_algorithm_is_config_error(tmp_path, capsys):
     config = scenario_json(tmp_path)
-    assert main(["single", "--config", config,
-                 "--algorithms", "NOPE"]) == EXIT_CONFIG
-    assert "configuration error" in capsys.readouterr().err
+    # the whole list is checked before any algorithm runs
+    for names in ("NOPE", "JDFSDPJ,NOPE"):
+        assert main(["single", "--config", config,
+                     "--algorithms", names]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "configuration error" in captured.err and captured.out == ""
 
 
 def test_coincident_coset_columns_are_config_error(tmp_path, capsys):
@@ -79,6 +82,23 @@ def test_coincident_coset_columns_are_config_error(tmp_path, capsys):
     assert main(["single", "--config", config]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "coincide" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,sweep", [
+    ("crb", None),
+    ("sweep-snr", {}),
+    ("sweep-k", {"variable": "n_sources", "values": (1, 2)}),
+], ids=["crb", "sweep_snr", "sweep_k"])
+def test_coincident_sources_bound_is_config_error(tmp_path, capsys, command, sweep):
+    # two sources at the same DOA and carrier: the bound is undefined
+    same = {"theta": 0.3, "f_c": 0.177}
+    config = scenario_json(tmp_path, sources=[same, same])
+    if sweep is not None:
+        config = sweep_json(tmp_path, **sweep)
+    assert main([command, "--config", config]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 # JSON's 1e400 parses to float("inf"), which json.dumps writes as Infinity

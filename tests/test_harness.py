@@ -1,14 +1,19 @@
 """Monte Carlo harness: matching, seeding, sweeps, CSV and JSON plumbing."""
 
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from subnyq.errors import ConfigError
 from subnyq.estimators import EstimationResult
 from subnyq.harness import (
     SweepConfig,
+    _min_cost_assignment,
     default_scenario,
     default_sweep,
     derive_trial_seed,
@@ -87,13 +92,56 @@ def test_match_estimates_near_swap_agrees_with_brute_force():
     assert got == pytest.approx(best, rel=1e-12)
 
 
+def test_min_cost_assignment_matches_scipy():
+    rng = np.random.default_rng(7)
+    for n in range(1, 13):
+        for _ in range(20):
+            for continuous, cost in (
+                (True, rng.random((n, n))),
+                (False, rng.integers(0, 4, (n, n)).astype(float)),
+                (True, 1e-12 * rng.random((n, n))),
+                (False, np.full((n, n), 2.5)),
+            ):
+                perm = _min_cost_assignment(cost)
+                rows, cols = linear_sum_assignment(cost)
+                assert sorted(perm) == list(range(n))
+                assert cost[rows, perm].sum() == pytest.approx(
+                    cost[rows, cols].sum(), rel=1e-12, abs=0.0)
+                if continuous:
+                    assert perm == cols.tolist()
+
+
+@pytest.mark.parametrize("bad", ["all_nan", "one_nan", "inf", "minus_inf"])
+def test_min_cost_assignment_rejects_non_finite_costs(bad):
+    cost = np.arange(9.0).reshape(3, 3)
+    if bad == "all_nan":
+        cost[:] = np.nan
+    else:
+        cost[1, 2] = {"one_nan": np.nan, "inf": np.inf, "minus_inf": -np.inf}[bad]
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        _min_cost_assignment(cost)
+
+
+def test_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, subnyq; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    # `python -c` puts its working directory first on the path
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
+
+
 def test_run_trial_records_failure_without_raising():
-    from subnyq.siggen import SourceTruth
     base = default_scenario(K=1, snr_db=None, n_snapshots=256)
     silent = replace(base, sources=(replace(base.sources[0], amplitude=0.0),))
-    rec = run_trial(silent, "JDFPI", seed=0)
-    assert rec.failed and rec.failure_step
-    assert rec.phase_errors is None and rec.freq_errors is None
+    # all-zero snapshots: each pipeline fails in its first search
+    for algorithm, step in (("JDFPI", "music_spatial"),
+                            ("JDFSDPJ", "jdfsdpj_search"),
+                            ("JDFSD-full", "jdfsd_full_search")):
+        rec = run_trial(silent, algorithm, seed=0)
+        assert rec.failed and rec.failure_step == step
+        assert rec.phase_errors is None and rec.freq_errors is None
 
 
 def test_failed_trials_excluded_from_rmse():
