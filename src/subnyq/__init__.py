@@ -33,7 +33,6 @@ from .model import (
     ArrayGeometry,
     MultiCosetPattern,
     doa_from_phase,
-    joint_steering,
     phase_from_doa,
 )
 from .siggen import (

@@ -19,6 +19,13 @@ matrices and the (rows * N) x 4K derivative matrix is never formed.
 
 Both bounds use the full-structure steering model and its analytic phase
 derivative; the simplified structure is a selection of its rows.
+
+The two bounds model the waveforms differently: `crb_phase` leaves them
+arbitrary, the tone model knows them to be tones.  For one source the
+phase block of the tone-model inverse equals `crb_phase`; for more it is
+lower.  On the default scenario at K = 3 it is 6-13% lower per source on
+the simplified receiver and 0.4-1% lower on the full one.  A sweep reports
+`crb_phase` as its phase bound.
 """
 
 from dataclasses import dataclass, field
@@ -30,7 +37,6 @@ from .model import (
     ArrayGeometry,
     MultiCosetPattern,
     build_G_selected,
-    build_H_selected,
     selected_channel_columns,
 )
 
@@ -67,6 +73,8 @@ class CrbInput:
         R = np.atleast_2d(np.asarray(self.R_S, dtype=complex))
         object.__setattr__(self, "R_S", R)
         K = len(self.phis)
+        if K == 0:
+            raise ConfigError("bounds need at least one source")
         if len(self.bands) != K or R.shape != (K, K):
             raise ConfigError(
                 f"inconsistent sizes: {K} phases, {len(self.bands)} bands, "
@@ -107,14 +115,11 @@ def projector_complement(mat: np.ndarray) -> np.ndarray:
 
 def _steering(inp: CrbInput, full_structure: bool):
     """Steering columns on the input's support and their phase derivatives,
-    as rows of the full model: row m*P + p depends on phi only through
-    exp(-j m phi), so its derivative is -j m times the row."""
+    on the structure's rows of the full model: row m*P + p depends on phi
+    only through exp(-j m phi), so its derivative is -j m times the row."""
     M, P = inp.geom.M, inp.pattern.P
-    if full_structure:
-        rows, build = np.arange(M * P), build_G_selected
-    else:
-        rows, build = selected_channel_columns(M, P), build_H_selected
-    H = build(inp.phis, inp.bands, inp.geom, inp.pattern)
+    rows = np.arange(M * P) if full_structure else selected_channel_columns(M, P)
+    H = build_G_selected(inp.phis, inp.bands, inp.geom, inp.pattern, rows)
     return H, -1j * (rows // P)[:, None] * H
 
 

@@ -37,7 +37,6 @@ from .model import (
     build_A,
     build_B,
     build_G_selected,
-    build_H_selected,
     doa_from_phase,
     selected_channel_columns,
 )
@@ -77,15 +76,11 @@ class SubspaceDecomposition:
 
 @dataclass(frozen=True)
 class JointSupport:
-    """Per-source band assignment; `flat[i] = i*L + bands[i]` indexes H's columns."""
+    """Per-source band assignment from `pair_supports`."""
 
     bands: tuple[int, ...]
     L: int
     ambiguous: bool = False
-
-    @property
-    def flat(self) -> tuple[int, ...]:
-        return tuple(i * self.L + b for i, b in enumerate(self.bands))
 
 
 @dataclass(frozen=True)
@@ -392,13 +387,13 @@ def unfold_frequency(band: int, f_res: float, pattern) -> float:
 
 
 def _finish(W: np.ndarray, phis: np.ndarray, bands, config, algorithm: str,
-            full_structure: bool = False) -> EstimationResult:
-    """Steps shared by every pipeline: LS reconstruction, residual frequency,
-    unfolding, and the phase-to-DOA conversion."""
+            rows) -> EstimationResult:
+    """Steps shared by every pipeline on the receiver output W, whose rows are
+    the channels `rows` (flat indices m*P + p): LS reconstruction, residual
+    frequency, unfolding, and the phase-to-DOA conversion."""
     geom, pattern = config.geom, config.pattern
     bands = np.asarray(bands, dtype=int)
-    builder = build_G_selected if full_structure else build_H_selected
-    mat = builder(phis, bands, geom, pattern)
+    mat = build_G_selected(phis, bands, geom, pattern, rows)
     S = ls_solve(mat, W)
     f_res = np.array([residual_frequency(row, pattern.f_s) for row in S])
     f = np.array([unfold_frequency(b, r, pattern) for b, r in zip(bands, f_res)])
@@ -427,25 +422,29 @@ def jdfpi(snapshots, config) -> EstimationResult:
     omega = ctf_support(snapshots.Y1, B, K)
     X_omega = ls_solve(B[:, list(omega)], snapshots.Y1)
     support = pair_supports(Z, X_omega, omega, pattern.L)
-    return _finish(snapshots.W, phis, support.bands, config, "JDFPI")
+    rows = selected_channel_columns(config.geom.M, pattern.P)
+    return _finish(snapshots.W, phis, support.bands, config, "JDFPI", rows)
 
 
-def _channel_maps(M: int, B: np.ndarray) -> np.ndarray:
-    """(L, M*P, M) stack of I_M kron B[:, l], the map v(phi) -> a(phi) kron B_l."""
-    P, L = B.shape
-    return np.einsum("mn,pl->lmpn", np.eye(M), B).reshape(L, M * P, M)
+def _joint_search(X: np.ndarray, config, rows, algorithm: str,
+                  step: str) -> EstimationResult:
+    """Joint 2-D subspace search over (phi, band) on the receiver output X,
+    whose rows are the channels `rows` (flat indices m*P + p), then the
+    shared `_finish`.  Band l maps v(phi) to those rows of a(phi) kron B_l:
+    row m*P + p of the map is B[p, l] times the m-th unit row."""
+    M, P = config.geom.M, config.pattern.P
+    G = np.eye(M)[rows // P] * build_B(config.pattern)[rows % P].T[:, :, None]
+    phis, bands = _search(X, config.n_sources, G, step)
+    return _finish(X, phis, bands, config, algorithm, rows)
 
 
 def jdfsdpj(snapshots, config) -> EstimationResult:
     """Joint 2-D subspace search over (phi, band) on the simplified output."""
-    M, P = config.geom.M, config.pattern.P
-    G = _channel_maps(M, build_B(config.pattern))[:, selected_channel_columns(M, P)]
-    phis, bands = _search(snapshots.W, config.n_sources, G, "jdfsdpj_search")
-    return _finish(snapshots.W, phis, bands, config, "JDFSDPJ")
+    rows = selected_channel_columns(config.geom.M, config.pattern.P)
+    return _joint_search(snapshots.W, config, rows, "JDFSDPJ", "jdfsdpj_search")
 
 
 def jdfsd_full(Y_full: np.ndarray, config) -> EstimationResult:
     """Full-structure baseline: the same joint search on all M*P channels."""
-    G = _channel_maps(config.geom.M, build_B(config.pattern))
-    phis, bands = _search(Y_full, config.n_sources, G, "jdfsd_full_search")
-    return _finish(Y_full, phis, bands, config, "JDFSD-full", full_structure=True)
+    rows = np.arange(config.geom.M * config.pattern.P)
+    return _joint_search(Y_full, config, rows, "JDFSD-full", "jdfsd_full_search")

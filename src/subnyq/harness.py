@@ -47,11 +47,14 @@ SWEEP_VARIABLES = ("snr_db", "n_sources")
 
 
 def check_algorithms(names) -> None:
-    """Raise ConfigError unless every name is one of ALGORITHM_NAMES."""
+    """Raise ConfigError unless every name is one of ALGORITHM_NAMES and
+    none is repeated."""
     for name in names:
         if name not in ALGORITHM_NAMES:
             raise ConfigError(
                 f"unknown algorithm {name!r}; choose from {ALGORITHM_NAMES}")
+    if len(set(names)) < len(names):
+        raise ConfigError(f"algorithm listed more than once: {tuple(names)}")
 
 
 class TrialData:
@@ -329,30 +332,40 @@ def _run_task(task) -> list[TrialRecord]:
             for algorithm in algorithms]
 
 
-def _crb_values(inp, full_structure: bool):
-    """(phase, frequency) bound columns: RMS over the per-source diagonals."""
-    phase_crb = crb_phase(inp, full_structure=full_structure).crb_matrix
-    freq_crb = freq_crb_numerical(inp, full_structure=full_structure)
-    return (
-        float(np.sqrt(np.mean(np.diag(phase_crb).real))),
-        float(np.sqrt(np.mean(np.diag(freq_crb).real))),
-    )
+def _point_bounds(scenario: ScenarioConfig, algorithms) -> dict:
+    """(phase, frequency) bound columns of one sweep point, keyed by
+    receiver structure (full or not; JDFPI and JDFSDPJ share one): RMS over
+    the per-source diagonals, NaN for a noiseless scenario."""
+    structures = {algorithm == "JDFSD-full" for algorithm in algorithms}
+    if scenario.sigma2 <= 0:
+        return dict.fromkeys(structures, (float("nan"), float("nan")))
+    inp = crb_input_from_scenario(scenario)
+    bounds = {}
+    for full in structures:
+        phase_crb = crb_phase(inp, full_structure=full).crb_matrix
+        freq_crb = freq_crb_numerical(inp, full_structure=full)
+        bounds[full] = (float(np.sqrt(np.mean(np.diag(phase_crb).real))),
+                        float(np.sqrt(np.mean(np.diag(freq_crb).real))))
+    return bounds
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> ResultTable:
     """Run every (sweep value, trial, algorithm) and aggregate RMSE per point.
 
-    Each (sweep value, trial) is synthesized once and every algorithm runs
-    on the same snapshots; records come in (sweep value, trial, algorithm)
-    order.  Deterministic in `config` (including `master_seed`); any worker
-    count produces the identical table because per-trial seeds are
-    pre-derived and records are aggregated in task order.  On
-    KeyboardInterrupt the completed records are aggregated into a partial
-    table that is returned via the exception's `partial` attribute.
+    Each point's bounds are computed first, so a point whose bound is
+    undefined raises before any trial runs.  Each (sweep value, trial) is
+    synthesized once and every algorithm runs on the same snapshots; records
+    come in (sweep value, trial, algorithm) order.  Deterministic in
+    `config` (including `master_seed`); any worker count produces the
+    identical table because per-trial seeds are pre-derived and records are
+    aggregated in task order.  On KeyboardInterrupt the completed records
+    are aggregated into a partial table that is returned via the
+    exception's `partial` attribute.
     """
-    tasks = []
+    tasks, bounds = [], []
     for s_idx, value in enumerate(config.sweep_values):
         scenario = scenario_for_value(config.base, config.sweep_variable, value)
+        bounds.append(_point_bounds(scenario, config.algorithms))
         for trial in range(config.n_trials):
             seed = derive_trial_seed(config.master_seed, s_idx, trial)
             tasks.append((scenario, config.algorithms, seed, value, trial))
@@ -367,28 +380,22 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> ResultTable:
             for task in tasks:
                 records.extend(_run_task(task))
     except KeyboardInterrupt as exc:
-        exc.partial = _aggregate(config, records)
+        exc.partial = _aggregate(config, records, bounds)
         raise
 
-    return _aggregate(config, records)
+    return _aggregate(config, records, bounds)
 
 
-def _aggregate(config: SweepConfig, records) -> ResultTable:
+def _aggregate(config: SweepConfig, records, bounds) -> ResultTable:
+    """Rows per (sweep value, algorithm, metric); `bounds` holds each
+    point's `_point_bounds`."""
     rows = []
-    for value in config.sweep_values:
-        scenario = scenario_for_value(config.base, config.sweep_variable, value)
-        # one bound per receiver structure: JDFPI and JDFSDPJ share one
-        structures = {algorithm == "JDFSD-full" for algorithm in config.algorithms}
-        if scenario.sigma2 > 0:
-            inp = crb_input_from_scenario(scenario)
-            bounds = {full: _crb_values(inp, full) for full in structures}
-        else:
-            bounds = dict.fromkeys(structures, (float("nan"), float("nan")))
+    for value, point_bounds in zip(config.sweep_values, bounds):
         for algorithm in config.algorithms:
             group = [r for r in records
                      if r.sweep_value == value and r.algorithm == algorithm]
             good = [r for r in group if not r.failed]
-            phase_crb, freq_crb = bounds[algorithm == "JDFSD-full"]
+            phase_crb, freq_crb = point_bounds[algorithm == "JDFSD-full"]
             for metric, crb_val, key in (
                 ("phase_rmse", phase_crb, "phase_errors"),
                 ("freq_rmse", freq_crb, "freq_errors"),

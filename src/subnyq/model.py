@@ -26,9 +26,7 @@ __all__ = [
     "doa_from_phase",
     "build_A",
     "build_B",
-    "joint_steering",
-    "full_steering",
-    "build_H_selected",
+    "selected_channel_columns",
     "build_G_selected",
 ]
 
@@ -129,50 +127,26 @@ def selected_channel_columns(M: int, P: int) -> np.ndarray:
     return np.concatenate([sensor1, others])
 
 
-def joint_steering(phi: float, band: int, geom: ArrayGeometry,
-                   pattern: MultiCosetPattern) -> np.ndarray:
-    """Simplified-receiver steering J (a(phi) kron B_l), length M+P-1: the
-    one-column view of `build_H_selected`."""
-    return build_H_selected([phi], [band], geom, pattern)[:, 0]
-
-
-def full_steering(phi: float, band: int, geom: ArrayGeometry,
-                  pattern: MultiCosetPattern) -> np.ndarray:
-    """Full-structure steering a(phi) kron B_l, length M*P: the one-column
-    view of `build_G_selected`."""
-    return build_G_selected([phi], [band], geom, pattern)[:, 0]
-
-
-def _check_selected(phis, bands, rows: int, L: int):
+def build_G_selected(phis, bands, geom: ArrayGeometry,
+                     pattern: MultiCosetPattern, rows) -> np.ndarray:
+    """len(rows) x K steering columns: rows `rows` (flat channel indices
+    m*P + p) of a(phi_k) kron B[:, band_k], the package's one steering model
+    (row m*P + p is e^{-j m phi} B[p, l]).  The full structure keeps every
+    row, the simplified receiver its `selected_channel_columns`."""
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     bands = np.atleast_1d(np.asarray(bands, dtype=int))
+    rows = np.asarray(rows)
     if phis.shape != bands.shape:
         raise ConfigError(
             f"phase/band lists differ in length: {phis.size} vs {bands.size}"
         )
-    if phis.size > rows:
+    if phis.size > rows.size:
         raise ConfigError(
-            f"{phis.size} sources exceed {rows} output channels; "
+            f"{phis.size} sources exceed {rows.size} output channels; "
             "least squares / CRB undefined"
         )
-    if np.any((bands < 0) | (bands >= L)):
-        raise ConfigError(f"band indices must lie in [0, {L - 1}], got {bands}")
-    return phis, bands
-
-
-def build_G_selected(phis, bands, geom: ArrayGeometry,
-                     pattern: MultiCosetPattern) -> np.ndarray:
-    """(M*P) x K full-structure steering columns a(phi_k) kron B[:, band_k],
-    the package's one steering model (row m*P + p is e^{-j m phi} B[p, l])."""
-    phis, bands = _check_selected(phis, bands, geom.M * pattern.P, pattern.L)
-    G = build_A(phis, geom.M)[:, None, :] * build_B(pattern)[:, bands]
-    return G.reshape(geom.M * pattern.P, phis.size)
-
-
-def build_H_selected(phis, bands, geom: ArrayGeometry,
-                     pattern: MultiCosetPattern) -> np.ndarray:
-    """(M+P-1) x K simplified steering columns: the `selected_channel_columns`
-    rows of `build_G_selected`."""
-    M, P = geom.M, pattern.P
-    phis, bands = _check_selected(phis, bands, M + P - 1, pattern.L)
-    return build_G_selected(phis, bands, geom, pattern)[selected_channel_columns(M, P)]
+    if np.any((bands < 0) | (bands >= pattern.L)):
+        raise ConfigError(
+            f"band indices must lie in [0, {pattern.L - 1}], got {bands}")
+    P = pattern.P
+    return build_A(phis, geom.M)[rows // P] * build_B(pattern)[rows % P][:, bands]

@@ -240,7 +240,7 @@ def _aligned_signal(config: ScenarioConfig, rng: np.random.Generator,
     if not config.n_sources:
         return signal
     bands = [config.band_of(k) for k in range(config.n_sources)]
-    G = build_G_selected(config.phases(), bands, geom, pattern)[channels]
+    G = build_G_selected(config.phases(), bands, geom, pattern, channels)
     G *= np.sqrt(pattern.L)
     coarse_t = np.arange(N) * pattern.L * pattern.T_N
     for k, src in enumerate(config.sources):

@@ -3,7 +3,8 @@
 Random-but-valid scenario construction: distinct bands, well-separated
 spatial phases, and a coset pattern whose columns are incoherent enough for
 greedy support recovery to be well posed.  Also the explicit selection and
-combined matrices J and H = J (A kron B); the grid-and-refine phase search,
+combined matrices J and H = J (A kron B) and the per-band channel maps;
+the grid-and-refine phase search,
 kept as the reference for the estimators' polynomial-root search; the joint
 search that roots every band, kept as the reference for its bound-pruned
 form; the sequential support-swap loop, kept as the reference for its
@@ -24,9 +25,6 @@ from subnyq.model import (
     build_A,
     build_B,
     build_G_selected,
-    build_H_selected,
-    full_steering,
-    joint_steering,
     phase_from_doa,
     selected_channel_columns,
 )
@@ -41,11 +39,26 @@ from subnyq.siggen import (
 MIN_PHASE_SEPARATION = 0.15  # rad, far above the oracle's grid step
 
 
-def _builders(full_structure: bool):
-    """(steering-matrix builder, one-column steering) of a receiver structure."""
-    if full_structure:
-        return build_G_selected, full_steering
-    return build_H_selected, joint_steering
+def structure_rows(geom: ArrayGeometry, pattern: MultiCosetPattern,
+                   full_structure: bool = False) -> np.ndarray:
+    """Flat channel indices m*P + p a receiver structure keeps: every one
+    for the full structure, `selected_channel_columns` for the simplified."""
+    M, P = geom.M, pattern.P
+    return np.arange(M * P) if full_structure else selected_channel_columns(M, P)
+
+
+def steering_column(phi: float, band: int, geom: ArrayGeometry,
+                    pattern: MultiCosetPattern, full_structure: bool = False):
+    """One steering column of a receiver structure."""
+    rows = structure_rows(geom, pattern, full_structure)
+    return build_G_selected([phi], [band], geom, pattern, rows)[:, 0]
+
+
+def channel_maps(M: int, B: np.ndarray, rows) -> np.ndarray:
+    """(L, len(rows), M) stack of the `rows` of I_M kron B[:, l], the map
+    v(phi) -> a(phi) kron B_l of each band, built with `np.kron`."""
+    return np.stack([np.kron(np.eye(M), B[:, [l]])[rows]
+                     for l in range(B.shape[1])])
 
 
 def selection_matrix(M: int, P: int) -> np.ndarray:
@@ -245,7 +258,7 @@ def fim_numerical(inp: CrbInput, full_structure: bool = False,
     """
     K = inp.n_sources
     n_fim = max(n_fim, 2 * K)
-    build, _ = _builders(full_structure)
+    rows = structure_rows(inp.geom, inp.pattern, full_structure)
     L = inp.pattern.L
 
     # snapshots with exact covariance L * R_S (per-branch-sample scale)
@@ -255,7 +268,7 @@ def fim_numerical(inp: CrbInput, full_structure: bool = False,
     phis = np.array(inp.phis)
 
     def mean(ph):
-        return build(ph, inp.bands, inp.geom, inp.pattern) @ s
+        return build_G_selected(ph, inp.bands, inp.geom, inp.pattern, rows) @ s
 
     d_phi = []
     for i in range(K):
@@ -265,12 +278,11 @@ def fim_numerical(inp: CrbInput, full_structure: bool = False,
         lo[i] -= fd_step
         d_phi.append(((mean(hi) - mean(lo)) / (2.0 * fd_step)).ravel())
 
-    H = build(phis, inp.bands, inp.geom, inp.pattern)
-    rows = H.shape[0]
+    H = build_G_selected(phis, inp.bands, inp.geom, inp.pattern, rows)
     d_nuis = []
     for k in range(K):
         for n in range(n_fim):
-            col = np.zeros((rows, n_fim), dtype=complex)
+            col = np.zeros((rows.size, n_fim), dtype=complex)
             col[:, n] = H[:, k]
             d_nuis.append(col.ravel())          # d/d Re(s_{k,n})
             d_nuis.append(1j * col.ravel())     # d/d Im(s_{k,n})
@@ -284,18 +296,19 @@ def fim_numerical(inp: CrbInput, full_structure: bool = False,
     return schur * (inp.n_snapshots / n_fim)
 
 
-def freq_crb_dense_oracle(inp: CrbInput, full_structure: bool = False,
-                       fd_step: float = 1e-5) -> np.ndarray:
-    """`crb.freq_crb_numerical` computed from the explicit derivative matrix.
+def tone_crb_dense_oracle(inp: CrbInput, full_structure: bool = False) -> np.ndarray:
+    """Inverse of the tone-model Fisher matrix from the explicit derivative
+    matrix, 4K x 4K with parameters ordered (phi, f, rho, alpha).
 
     Materializes the (rows * N) x 4K matrix D of vectorized derivatives of
-    the tone-model mean and forms F = (2 / sigma^2) Re(D^H D); the reference
-    for the Kronecker-factored Fisher matrix.
+    the tone-model mean and forms F = (2 / sigma^2) Re(D^H D).  Row m*P + p
+    of a steering column depends on phi only through exp(-j m phi), so its
+    phase derivative is -j m times the row.
     """
     if inp.f_residuals is None:
         raise ConfigError("frequency bound needs the in-band residuals")
     K = inp.n_sources
-    build, steer = _builders(full_structure)
+    rows = structure_rows(inp.geom, inp.pattern, full_structure)
     pattern = inp.pattern
     N = inp.n_snapshots
     T_s = 1.0 / pattern.f_s
@@ -306,15 +319,12 @@ def freq_crb_dense_oracle(inp: CrbInput, full_structure: bool = False,
         [r * np.exp(2j * np.pi * f * n * T_s)
          for r, f in zip(rho, inp.f_residuals)]
     )
-    H = build(inp.phis, inp.bands, inp.geom, inp.pattern)
+    H = build_G_selected(inp.phis, inp.bands, inp.geom, pattern, rows)
+    dH = -1j * (rows // pattern.P)[:, None] * H
 
     cols = []
     for k in range(K):
-        dh = (
-            steer(inp.phis[k] + fd_step, inp.bands[k], inp.geom, pattern)
-            - steer(inp.phis[k] - fd_step, inp.bands[k], inp.geom, pattern)
-        ) / (2.0 * fd_step)
-        cols.append(np.outer(dh, tones[k]))                        # d/d phi_k
+        cols.append(np.outer(dH[:, k], tones[k]))                  # d/d phi_k
     for k in range(K):
         cols.append(np.outer(H[:, k], tones[k] * 2j * np.pi * n * T_s))  # d/d f_k
     for k in range(K):
@@ -327,8 +337,15 @@ def freq_crb_dense_oracle(inp: CrbInput, full_structure: bool = False,
     cond = np.linalg.cond(F)
     if not np.isfinite(cond) or cond > 1e14:
         raise RankDeficiencyError("tone-model Fisher information is singular")
-    crb = np.linalg.inv(F)
-    return crb[K:2 * K, K:2 * K]
+    return np.linalg.inv(F)
+
+
+def freq_crb_dense_oracle(inp: CrbInput, full_structure: bool = False) -> np.ndarray:
+    """`crb.freq_crb_numerical` as the in-band frequency block of
+    `tone_crb_dense_oracle`; the reference for the Kronecker-factored
+    Fisher matrix."""
+    K = inp.n_sources
+    return tone_crb_dense_oracle(inp, full_structure)[K:2 * K, K:2 * K]
 
 
 def sequential_swap_oracle(B: np.ndarray, V: np.ndarray, selected: list[int],

@@ -12,7 +12,7 @@ from helpers import combined_matrix, fim_numerical, random_scenario, selection_m
 from subnyq.crb import crb_input_from_scenario, crb_phase
 from subnyq.estimators import jdfpi, jdfsdpj
 from subnyq.harness import SweepConfig, default_scenario, emit_csv, match_estimates, run_sweep
-from subnyq.model import build_B, build_H_selected, joint_steering
+from subnyq.model import build_B, build_G_selected, selected_channel_columns
 from subnyq.crb import projector_complement
 from subnyq.siggen import ScenarioConfig, assemble_snapshots
 
@@ -78,13 +78,14 @@ def test_criterion_01_structural_identities(report):
         worst = max(worst, np.max(np.abs(J @ J.T - np.eye(J.shape[0]))))
 
         H = combined_matrix(phis, geom, pattern)
+        rows = selected_channel_columns(geom.M, pattern.P)
         for k, phi in enumerate(phis):
             for l in (0, bands[k], pattern.L - 1):
-                col = joint_steering(phi, l, geom, pattern)
+                col = build_G_selected([phi], [l], geom, pattern, rows)[:, 0]
                 worst = max(worst,
                             np.max(np.abs(H[:, k * pattern.L + l] - col)))
 
-        H_sel = build_H_selected(phis, bands, geom, pattern)
+        H_sel = build_G_selected(phis, bands, geom, pattern, rows)
         P_c = projector_complement(H_sel)
         worst = max(worst, np.max(np.abs(P_c - P_c.conj().T)))
         worst = max(worst, np.max(np.abs(P_c @ P_c - P_c)))

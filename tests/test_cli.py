@@ -101,6 +101,27 @@ def test_coincident_sources_bound_is_config_error(tmp_path, capsys, command, swe
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["single", "crb", "sweep-snr"])
+def test_no_sources_is_config_error(tmp_path, capsys, command):
+    config = scenario_json(tmp_path, sources=[])
+    if command == "sweep-snr":
+        config = sweep_json(tmp_path)
+    assert main([command, "--config", config]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["single", "sweep-snr"])
+def test_repeated_algorithm_is_config_error(tmp_path, capsys, command):
+    config = scenario_json(tmp_path)
+    if command == "sweep-snr":
+        config = sweep_json(tmp_path)
+    assert main([command, "--config", config,
+                 "--algorithms", "JDFSDPJ,JDFSDPJ"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "more than once" in captured.err and captured.out == ""
+
+
 # JSON's 1e400 parses to float("inf"), which json.dumps writes as Infinity
 INF, NAN = float("inf"), float("nan")
 

@@ -6,7 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import fim_numerical, freq_crb_dense_oracle, random_geometry, random_scenario
+from helpers import (
+    fim_numerical,
+    freq_crb_dense_oracle,
+    random_geometry,
+    random_scenario,
+    steering_column,
+    tone_crb_dense_oracle,
+)
 from subnyq.crb import (
     CrbInput,
     _steering,
@@ -17,12 +24,7 @@ from subnyq.crb import (
 )
 from subnyq.errors import ConfigError, RankDeficiencyError
 from subnyq.harness import default_scenario
-from subnyq.model import (
-    ArrayGeometry,
-    MultiCosetPattern,
-    full_steering,
-    joint_steering,
-)
+from subnyq.model import ArrayGeometry, MultiCosetPattern
 
 GEOM = ArrayGeometry(M=6, d=0.5, c_prop=1.0)
 PATTERN = MultiCosetPattern(L=11, offsets=(0, 1, 4, 6), f_N=1.0)
@@ -51,15 +53,19 @@ def test_projector_complement_properties():
         projector_complement(np.ones((5, 2)))
 
 
-@pytest.mark.parametrize("full,steer", [
-    pytest.param(False, joint_steering, id="simplified"),
-    pytest.param(True, full_steering, id="full"),
+@pytest.mark.parametrize("full", [
+    pytest.param(False, id="simplified"),
+    pytest.param(True, id="full"),
 ])
-def test_steering_derivative_matches_finite_difference(full, steer):
+def test_steering_derivative_matches_finite_difference(full):
     h = 1e-6
     phis, bands = (0.3, -2.0, 1.7), (1, 9, 5)
     inp = make_input(phis=phis, bands=bands)
     H, E = _steering(inp, full)
+
+    def steer(phi, band, geom, pattern):
+        return steering_column(phi, band, geom, pattern, full)
+
     for k, (phi, band) in enumerate(zip(phis, bands)):
         np.testing.assert_allclose(H[:, k], steer(phi, band, GEOM, PATTERN),
                                    atol=1e-14)
@@ -175,6 +181,26 @@ def test_freq_bound_matches_dense_oracle():
                 rtol=1e-10, atol=1e-12 * np.abs(dense).max())
 
 
+@pytest.mark.parametrize("full", [
+    pytest.param(False, id="simplified"),
+    pytest.param(True, id="full"),
+])
+def test_tone_model_phase_bound_equals_crb_phase_for_one_source(full):
+    # with one source the tone model's amplitude and phase span every
+    # complex multiple of h kron t, and the remaining nuisance direction is
+    # orthogonal to the part of the phase derivative outside h, so its phase
+    # block is the conditional bound; with more sources it is lower
+    rng = np.random.default_rng(9)
+    for i in range(6):
+        config = random_scenario(rng, K=1, snr_db=(0.0, 10.0, 20.0)[i % 3],
+                                 n_snapshots=(64, 256, 1024)[i % 3])
+        inp = crb_input_from_scenario(config)
+        tone = tone_crb_dense_oracle(inp, full_structure=full)[:1, :1]
+        np.testing.assert_allclose(
+            tone, crb_phase(inp, full_structure=full).crb_matrix,
+            rtol=1e-12, atol=0)
+
+
 def test_freq_bound_memory_does_not_scale_with_channels():
     # the dense derivative matrix of this call is 655,360 x 12 (120 MiB)
     config = replace(default_scenario(K=3), n_snapshots=16384)
@@ -205,6 +231,9 @@ def test_input_validation():
                  T_obs=10.0, geom=GEOM, pattern=PATTERN)
     with pytest.raises(ConfigError):
         CrbInput(phis=(0.1,), bands=(1,), R_S=np.array([[1j]]), sigma2=0.01,
+                 T_obs=10.0, geom=GEOM, pattern=PATTERN)
+    with pytest.raises(ConfigError, match="at least one source"):
+        CrbInput(phis=(), bands=(), R_S=np.zeros((0, 0)), sigma2=0.01,
                  T_obs=10.0, geom=GEOM, pattern=PATTERN)
 
 

@@ -7,9 +7,11 @@ import pytest
 
 from helpers import (
     all_band_search,
+    channel_maps,
     grid_search_oracle,
     random_scenario,
     sequential_swap_oracle,
+    steering_column,
 )
 from subnyq import estimators
 from subnyq.errors import (
@@ -20,7 +22,6 @@ from subnyq.errors import (
     RankDeficiencyError,
 )
 from subnyq.estimators import (
-    _channel_maps,
     _improve_support,
     _phase_minima,
     _search,
@@ -41,6 +42,7 @@ from subnyq.model import (
     MultiCosetPattern,
     build_A,
     build_B,
+    build_G_selected,
     selected_channel_columns,
 )
 from subnyq.siggen import assemble_full_snapshots, assemble_snapshots
@@ -335,10 +337,9 @@ def test_noise_subspace_orthogonal_to_truth_noiseless():
     config = random_scenario(rng, K=2, snr_db=None, n_snapshots=128)
     snap = assemble_snapshots(config)
     dec = decompose(sample_covariance(snap.W), 2)
-    from subnyq.model import joint_steering
     for k in range(2):
-        a = joint_steering(config.phases()[k], config.band_of(k),
-                           config.geom, config.pattern)
+        a = steering_column(config.phases()[k], config.band_of(k),
+                            config.geom, config.pattern)
         assert (np.linalg.norm(dec.U_N.conj().T @ a)
                 < 1e-8 * np.linalg.norm(a))
 
@@ -386,9 +387,9 @@ def test_reconstruction_reproduces_noiseless_snapshots():
     rng = np.random.default_rng(13)
     config = random_scenario(rng, K=2, snr_db=None, n_snapshots=128)
     snap = assemble_snapshots(config)
-    from subnyq.model import build_H_selected
     bands = [config.band_of(k) for k in range(2)]
-    H = build_H_selected(config.phases(), bands, config.geom, config.pattern)
+    rows = selected_channel_columns(config.geom.M, config.pattern.P)
+    H = build_G_selected(config.phases(), bands, config.geom, config.pattern, rows)
     S = ls_solve(H, snap.W)
     assert (np.linalg.norm(snap.W - H @ S)
             < 1e-10 * np.linalg.norm(snap.W))
@@ -481,10 +482,11 @@ def test_pruned_search_equals_all_band_search(rooted_rows):
         config = random_scenario(rng, snr_db=(None, -10.0, 0.0, 10.0, 20.0)[i % 5],
                                  n_snapshots=256)
         M, P = config.geom.M, config.pattern.P
-        G = _channel_maps(M, build_B(config.pattern))
+        B = build_B(config.pattern)
         for X, maps in ((assemble_snapshots(config).W,
-                         G[:, selected_channel_columns(M, P)]),
-                        (assemble_full_snapshots(config), G)):
+                         channel_maps(M, B, selected_channel_columns(M, P))),
+                        (assemble_full_snapshots(config),
+                         channel_maps(M, B, np.arange(M * P)))):
             for K in range(1, 5):
                 rooted_rows.clear()
                 got = search_outcome(_search, X, K, maps, "test_step")
@@ -556,9 +558,3 @@ def test_peak_count_error_reports_counts():
         _search(X, 2, G, "test_step")
     assert info.value.found == 1 and info.value.wanted == 2
     assert info.value.step == "test_step"
-
-
-def test_joint_support_flat_indexing():
-    from subnyq.estimators import JointSupport
-    support = JointSupport(bands=(4, 1, 7), L=11)
-    assert support.flat == (4, 12, 29)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from subnyq.errors import ConfigError
+from subnyq.errors import ConfigError, RankDeficiencyError
 from subnyq.estimators import EstimationResult
 from subnyq.harness import (
     SweepConfig,
@@ -207,6 +207,54 @@ def test_sweep_computes_each_bound_once_per_structure(monkeypatch):
     assert crb[("JDFSD-full", "phase_rmse")] < crb[("JDFSDPJ", "phase_rmse")]
 
 
+def test_undefined_bound_raises_before_any_trial(monkeypatch):
+    # two coincident sources: the bound is undefined, and the sweep must say
+    # so before it synthesizes a single trial
+    import subnyq.harness as harness
+
+    calls = []
+    for name in ("assemble_snapshots", "assemble_full_snapshots"):
+        original = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda config, _f=original, _n=name:
+                            calls.append(_n) or _f(config))
+    base = default_scenario(K=2, snr_db=20.0, n_snapshots=256)
+    same = replace(base, sources=(base.sources[0],) * 2)
+    config = SweepConfig(base=same, sweep_variable="snr_db",
+                         sweep_values=(10.0, 20.0), n_trials=2,
+                         algorithms=("JDFPI", "JDFSDPJ", "JDFSD-full"))
+    with pytest.raises(RankDeficiencyError):
+        run_sweep(config)
+    assert calls == []
+
+
+def test_interrupted_sweep_returns_partial_table(monkeypatch):
+    # Ctrl-C after two of four trials: the partial table keeps the completed
+    # records and the bounds, which were computed before the trials
+    import subnyq.harness as harness
+
+    original, done = harness._run_task, []
+
+    def interrupting(task):
+        if len(done) == 2:
+            raise KeyboardInterrupt
+        done.append(task)
+        return original(task)
+
+    monkeypatch.setattr(harness, "_run_task", interrupting)
+    config = small_sweep(n_trials=2, values=(10.0, 20.0))
+    with pytest.raises(KeyboardInterrupt) as info:
+        run_sweep(config)
+    partial = info.value.partial
+    assert len(partial.records) == 2 * len(config.algorithms)
+    assert {r.sweep_value for r in partial.records} == {10.0}
+    monkeypatch.setattr(harness, "_run_task", original)
+    full = {(r.sweep_value, r.algorithm, r.metric): r.crb
+            for r in run_sweep(config).rows}
+    for row in partial.rows:
+        assert row.crb == full[(row.sweep_value, row.algorithm, row.metric)]
+        assert row.n_success <= (2 if row.sweep_value == 10.0 else 0)
+
+
 def random_layout(rng, K, M=8):
     """K random tones on an M-sensor array with the default pattern; bands
     may repeat (matching does not need distinct bands)."""
@@ -344,6 +392,17 @@ def test_sweep_validation():
     with pytest.raises(ConfigError):
         SweepConfig(base=base, sweep_variable="snr_db", sweep_values=(0,),
                     algorithms=("NOPE",))
+
+
+def test_repeated_algorithm_is_config_error():
+    # a repeated name would run twice per trial and count every trial twice
+    base = default_scenario()
+    with pytest.raises(ConfigError, match="more than once"):
+        SweepConfig(base=base, sweep_variable="snr_db", sweep_values=(0,),
+                    algorithms=("JDFSDPJ", "JDFPI", "JDFSDPJ"))
+    with pytest.raises(ConfigError, match="more than once"):
+        sweep_from_dict({"base": scenario_dict(), "sweep_variable": "snr_db",
+                         "sweep_values": [0], "algorithms": ["JDFPI", "JDFPI"]})
 
 
 def test_csv_round_trip(tmp_path):

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from helpers import combined_matrix, random_geometry, random_pattern, selection_matrix
+from helpers import (
+    combined_matrix,
+    random_geometry,
+    random_pattern,
+    selection_matrix,
+    steering_column,
+)
 from subnyq.errors import ConfigError, SpatialAliasingError
 from subnyq.model import (
     ArrayGeometry,
@@ -11,16 +17,15 @@ from subnyq.model import (
     build_A,
     build_B,
     build_G_selected,
-    build_H_selected,
     doa_from_phase,
-    full_steering,
-    joint_steering,
     phase_from_doa,
     selected_channel_columns,
 )
 
 GEOM = ArrayGeometry(M=5, d=0.5, c_prop=1.0)
 PATTERN = MultiCosetPattern(L=7, offsets=(0, 1, 3), f_N=2.0)
+SELECTED = selected_channel_columns(GEOM.M, PATTERN.P)
+ALL_ROWS = np.arange(GEOM.M * PATTERN.P)
 
 
 def test_coset_matrix_rows_orthonormal():
@@ -83,20 +88,20 @@ def test_joint_steering_matches_selected_kron_column():
         J = selection_matrix(geom.M, pattern.P)
         direct = J @ np.kron(build_A(phi, geom.M)[:, 0],
                              build_B(pattern)[:, band])
-        np.testing.assert_allclose(joint_steering(phi, band, geom, pattern),
+        np.testing.assert_allclose(steering_column(phi, band, geom, pattern),
                                    direct, atol=1e-13)
 
 
 def test_joint_steering_norm():
     # P entries of modulus 1/sqrt(L) plus M-1 of the same modulus
-    v = joint_steering(0.7, 2, GEOM, PATTERN)
+    v = steering_column(0.7, 2, GEOM, PATTERN)
     expected = (GEOM.M + PATTERN.P - 1) / PATTERN.L
     assert abs(np.vdot(v, v).real - expected) < 1e-13
 
 
 def test_full_steering_is_kron():
     phi, band = -0.9, 5
-    g = full_steering(phi, band, GEOM, PATTERN)
+    g = steering_column(phi, band, GEOM, PATTERN, full_structure=True)
     direct = np.kron(build_A(phi, GEOM.M)[:, 0], build_B(PATTERN)[:, band])
     np.testing.assert_allclose(g, direct, atol=1e-14)
 
@@ -109,25 +114,26 @@ def test_combined_matrix_columns():
         for l in range(PATTERN.L):
             np.testing.assert_allclose(
                 H[:, k * PATTERN.L + l],
-                joint_steering(phi, l, GEOM, PATTERN), atol=1e-13,
+                steering_column(phi, l, GEOM, PATTERN), atol=1e-13,
             )
 
 
 def test_selected_builders_pick_columns():
     phis = [0.4, -2.0]
     bands = [1, 6]
-    H_sel = build_H_selected(phis, bands, GEOM, PATTERN)
-    G_sel = build_G_selected(phis, bands, GEOM, PATTERN)
+    H_sel = build_G_selected(phis, bands, GEOM, PATTERN, SELECTED)
+    G_sel = build_G_selected(phis, bands, GEOM, PATTERN, ALL_ROWS)
     for k in range(2):
         np.testing.assert_allclose(
-            H_sel[:, k], joint_steering(phis[k], bands[k], GEOM, PATTERN),
-            atol=1e-14)
-        np.testing.assert_allclose(
-            G_sel[:, k], full_steering(phis[k], bands[k], GEOM, PATTERN),
-            atol=1e-14)
+            G_sel[:, k], np.kron(build_A(phis[k], GEOM.M)[:, 0],
+                                 build_B(PATTERN)[:, bands[k]]), atol=1e-14)
     # selection matrix maps the full columns onto the simplified ones
     J = selection_matrix(GEOM.M, PATTERN.P)
-    np.testing.assert_allclose(J @ G_sel, H_sel, atol=1e-14)
+    np.testing.assert_array_equal(J @ G_sel, H_sel)
+    # any row list, in any order, picks those rows of the full columns
+    rows = np.array([7, 0, 14, 3, 3])
+    np.testing.assert_array_equal(
+        build_G_selected(phis, bands, GEOM, PATTERN, rows), G_sel[rows])
 
 
 def test_phase_doa_round_trip():
@@ -152,7 +158,7 @@ def test_combined_matrix_is_selected_kron():
     phis = [0.2, 1.1]
     L = PATTERN.L
     G = build_G_selected(np.repeat(phis, L), np.tile(np.arange(L), 2),
-                         GEOM, PATTERN)
+                         GEOM, PATTERN, ALL_ROWS)
     np.testing.assert_allclose(
         G, np.kron(build_A(phis, GEOM.M), build_B(PATTERN)), atol=1e-13)
     np.testing.assert_allclose(
@@ -184,17 +190,20 @@ def test_pattern_validation(kwargs):
 
 
 def test_band_bounds_checked():
+    for rows in (SELECTED, ALL_ROWS):
+        for band in (PATTERN.L, -1):
+            with pytest.raises(ConfigError):
+                build_G_selected([0.1], [band], GEOM, PATTERN, rows)
     with pytest.raises(ConfigError):
-        joint_steering(0.1, PATTERN.L, GEOM, PATTERN)
-    with pytest.raises(ConfigError):
-        full_steering(0.1, -1, GEOM, PATTERN)
-    with pytest.raises(ConfigError):
-        build_H_selected([0.1], [PATTERN.L], GEOM, PATTERN)
+        build_G_selected([0.1, 0.2], [1], GEOM, PATTERN, ALL_ROWS)
 
 
 def test_selected_builder_rejects_too_many_sources():
-    rows = GEOM.M + PATTERN.P - 1
-    phis = np.linspace(-1, 1, rows + 1)
-    bands = [0] * (rows + 1)
+    # the source count is checked against the rows asked for
+    K = SELECTED.size + 1
+    phis = np.linspace(-1, 1, K)
+    bands = [0] * K
     with pytest.raises(ConfigError):
-        build_H_selected(phis, bands, GEOM, PATTERN)
+        build_G_selected(phis, bands, GEOM, PATTERN, SELECTED)
+    assert build_G_selected(phis, bands, GEOM, PATTERN, ALL_ROWS).shape == (
+        ALL_ROWS.size, K)

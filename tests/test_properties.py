@@ -1,12 +1,23 @@
 """Property-based tests over the valid scenario space (Hypothesis)."""
 
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from helpers import random_scenario  # noqa: E402
+from subnyq.cli import (  # noqa: E402
+    EXIT_CONFIG,
+    EXIT_ESTIMATION,
+    EXIT_IO,
+    EXIT_OK,
+    main,
+)
 from subnyq.estimators import jdfpi, jdfsd_full, jdfsdpj  # noqa: E402
 from subnyq.harness import (  # noqa: E402
     SweepConfig,
@@ -46,3 +57,118 @@ def test_sweep_csv_identical_at_one_and_two_workers(seed):
     )
     assert (format_csv(run_sweep(config, workers=1))
             == format_csv(run_sweep(config, workers=2)))
+
+
+# A small valid scenario (M=4, P=3, L=7, N=64, two tones) and sweep around
+# it; each CLI example replaces one field with a drawn JSON value.
+CLI_SCENARIO = {
+    "geometry": {"M": 4, "d": 0.5, "c_prop": 1.0},
+    "pattern": {"L": 7, "offsets": [0, 1, 3], "f_N": 1.0},
+    "sources": [{"theta": 0.4, "f_c": 0.2}, {"theta": -0.6, "f_c": 0.66}],
+    "snr_db": 20.0,
+    "n_snapshots": 64,
+    "rng_seed": 1,
+}
+CLI_SCENARIO_FIELDS = (
+    (), ("geometry",), ("geometry", "M"), ("geometry", "d"),
+    ("geometry", "c_prop"), ("pattern",), ("pattern", "L"),
+    ("pattern", "offsets"), ("pattern", "offsets", 1), ("pattern", "f_N"),
+    ("sources",), ("sources", 0), ("sources", 0, "theta"),
+    ("sources", 0, "f_c"), ("sources", 0, "amplitude"),
+    ("sources", 0, "envelope"), ("sources", 0, "bandwidth"), ("snr_db",),
+    ("n_snapshots",), ("rng_seed",),
+)
+CLI_SWEEP_FIELDS = (
+    (), ("sweep_variable",), ("sweep_values",), ("sweep_values", 0),
+    ("n_trials",), ("algorithms",), ("algorithms", 0), ("master_seed",),
+) + tuple(("base",) + field for field in CLI_SCENARIO_FIELDS)
+# a field whose number sets a size: larger drawn numbers are left out, so
+# no example asks for more than 2 trials or 512 snapshots
+CLI_SIZE_CAPS = {"n_trials": 2, "n_snapshots": 512}
+# json.dumps has no way to write this literal; it is spliced in as text
+HUGE = "__1e400__"
+
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(min_value=-3, max_value=40),
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, HUGE]),
+    st.text(max_size=6),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=3)),
+    max_leaves=6,
+)
+
+
+def cli_config(command, path, value):
+    """The base JSON config of `command` with the field at `path` replaced."""
+    scenario = json.loads(json.dumps(CLI_SCENARIO))
+    if command == "sweep-snr":
+        config = {"base": scenario, "sweep_variable": "snr_db",
+                  "sweep_values": [10.0, 30.0], "n_trials": 2,
+                  "algorithms": ["JDFPI", "JDFSDPJ"], "master_seed": 3}
+    elif command == "sweep-k":
+        config = {"base": scenario, "sweep_variable": "n_sources",
+                  "sweep_values": [1, 2], "n_trials": 2,
+                  "algorithms": ["JDFSDPJ", "JDFSD-full"], "master_seed": 3}
+    else:
+        config = scenario
+    if not path:
+        return value
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return config
+
+
+def too_large(path, value):
+    cap = CLI_SIZE_CAPS.get(path[-1] if path else None)
+    if cap is None or isinstance(value, bool) or value == HUGE:
+        return False
+    try:
+        return float(value) > cap
+    except (TypeError, ValueError):
+        return False
+
+
+def run_cli(command, path, value, tmp):
+    """Exit code of `command` on its base config with `path` replaced."""
+    config = tmp / "config.json"
+    config.write_text(json.dumps(cli_config(command, path, value))
+                      .replace(json.dumps(HUGE), "1e400"))
+    argv = [command, "--config", str(config)]
+    if command == "dump-snapshots":
+        argv += ["--out", str(tmp / "w.snyq")]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+DOCUMENTED_EXITS = (EXIT_OK, EXIT_CONFIG, EXIT_ESTIMATION, EXIT_IO)
+
+
+@pytest.mark.parametrize("command", ["single", "crb", "dump-snapshots"])
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(path=st.sampled_from(CLI_SCENARIO_FIELDS), value=json_values)
+@example(path=("sources",), value=[])
+def test_scenario_commands_exit_with_a_documented_code(command, path, value,
+                                                       tmp_path_factory):
+    assume(not too_large(path, value))
+    code = run_cli(command, path, value, tmp_path_factory.mktemp("cli"))
+    assert code in DOCUMENTED_EXITS
+
+
+# low-SNR trials may warn about pairing; only the exit code matters here
+@pytest.mark.filterwarnings("ignore:pairing confidence low")
+@pytest.mark.parametrize("command", ["sweep-snr", "sweep-k"])
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(path=st.sampled_from(CLI_SWEEP_FIELDS), value=json_values)
+@example(path=("base", "sources"), value=[])
+def test_sweep_commands_exit_with_a_documented_code(command, path, value,
+                                                    tmp_path_factory):
+    assume(not too_large(path, value))
+    code = run_cli(command, path, value, tmp_path_factory.mktemp("cli"))
+    assert code in DOCUMENTED_EXITS

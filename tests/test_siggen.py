@@ -15,7 +15,7 @@ from subnyq.errors import ConfigError
 from subnyq.model import (
     ArrayGeometry,
     MultiCosetPattern,
-    build_H_selected,
+    build_G_selected,
     selected_channel_columns,
 )
 from subnyq.siggen import (
@@ -121,7 +121,9 @@ def test_noiseless_snapshots_lie_in_steering_span():
         config = random_scenario(rng, snr_db=None, n_snapshots=64)
         snap = assemble_snapshots(config)
         bands = [config.band_of(k) for k in range(config.n_sources)]
-        H = build_H_selected(config.phases(), bands, config.geom, config.pattern)
+        rows = selected_channel_columns(config.geom.M, config.pattern.P)
+        H = build_G_selected(config.phases(), bands, config.geom, config.pattern,
+                             rows)
         # residual after projecting onto the steering columns
         coef, *_ = np.linalg.lstsq(H, snap.W, rcond=None)
         resid = np.linalg.norm(snap.W - H @ coef)
