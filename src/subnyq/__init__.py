@@ -37,7 +37,6 @@ from .model import (
 )
 from .siggen import (
     ScenarioConfig,
-    SnapshotSet,
     SourceTruth,
     assemble_full_snapshots,
     assemble_snapshots,

@@ -150,12 +150,12 @@ def cmd_dump_snapshots(args):
     scenario = _scenario_from_args(args)
     if args.seed is not None:
         scenario = scenario.with_seed(args.seed)
-    snap = assemble_snapshots(scenario)
+    W = assemble_snapshots(scenario)
     try:
-        dump_snapshots(snap.W, scenario.rng_seed, args.out)
+        dump_snapshots(W, scenario.rng_seed, args.out)
     except OSError as exc:
         raise OSError(f"cannot write snapshots to {args.out}: {exc}") from exc
-    print(f"wrote {snap.W.shape[0]}x{snap.W.shape[1]} snapshots to {args.out}")
+    print(f"wrote {W.shape[0]}x{W.shape[1]} snapshots to {args.out}")
     return EXIT_OK
 
 

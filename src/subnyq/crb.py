@@ -43,7 +43,6 @@ from .model import (
 __all__ = [
     "CrbInput",
     "CrbResult",
-    "projector_complement",
     "crb_phase",
     "freq_crb_numerical",
     "crb_input_from_scenario",
@@ -105,7 +104,7 @@ class CrbResult:
     fim: np.ndarray = field(repr=False)
 
 
-def projector_complement(mat: np.ndarray) -> np.ndarray:
+def _projector_complement(mat: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the complement of mat's column space."""
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
     if s[-1] == 0.0 or s[0] / s[-1] > 1e10:
@@ -126,7 +125,7 @@ def _steering(inp: CrbInput, full_structure: bool):
 def crb_phase(inp: CrbInput, full_structure: bool = False) -> CrbResult:
     """Analytic spatial-phase bound for the selected receiver structure."""
     H, E = _steering(inp, full_structure)
-    P = projector_complement(H)
+    P = _projector_complement(H)
     quad = np.real((E.conj().T @ P @ E) * inp.R_S.T)
     fim = (2.0 * inp.T_obs * inp.pattern.f_N / inp.sigma2) * quad
     cond = np.linalg.cond(fim)

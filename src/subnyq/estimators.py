@@ -79,7 +79,6 @@ class JointSupport:
     """Per-source band assignment from `pair_supports`."""
 
     bands: tuple[int, ...]
-    L: int
     ambiguous: bool = False
 
 
@@ -329,7 +328,7 @@ def _improve_support(B: np.ndarray, V: np.ndarray, selected: list[int]) -> list[
     return selected
 
 
-def pair_supports(Z: np.ndarray, X_omega: np.ndarray, omega, L: int) -> JointSupport:
+def pair_supports(Z: np.ndarray, X_omega: np.ndarray, omega) -> JointSupport:
     """Assign each source row of Z a band from omega by cross-correlation."""
     omega = tuple(omega)
     N = Z.shape[1]
@@ -347,7 +346,7 @@ def pair_supports(Z: np.ndarray, X_omega: np.ndarray, omega, L: int) -> JointSup
             f"{PAIRING_AMBIGUITY_RATIO}x of the runner-up",
             stacklevel=2,
         )
-    return JointSupport(bands=tuple(bands), L=L, ambiguous=ambiguous)
+    return JointSupport(bands=tuple(bands), ambiguous=ambiguous)
 
 
 def residual_frequency(x: np.ndarray, f_s: float) -> float:
@@ -409,21 +408,28 @@ def _finish(W: np.ndarray, phis: np.ndarray, bands, config, algorithm: str,
     )
 
 
-def jdfpi(snapshots, config) -> EstimationResult:
-    """Individual-estimates pipeline: spatial MUSIC + CTF support + pairing."""
+def jdfpi(W: np.ndarray, config) -> EstimationResult:
+    """Individual-estimates pipeline: spatial MUSIC + CTF support + pairing.
+
+    W is the simplified receiver output, whose rows are the channels
+    `selected_channel_columns(M, P)` (flat indices m*P + p).  The sensor view
+    Q (branch 0 of every sensor) is its rows with p = 0; the branch view Y1
+    (every branch of sensor 0) is its rows with m = 0.
+    """
     K = config.n_sources
     pattern = config.pattern
     if K > pattern.P - 1:
         raise ConfigError(f"JDFPI needs K <= P-1, got K={K}, P={pattern.P}")
-    phis = music_spatial(snapshots.Q, K)
-    A = build_A(phis, config.geom.M)
-    Z = ls_solve(A, snapshots.Q)
-    B = build_B(pattern)
-    omega = ctf_support(snapshots.Y1, B, K)
-    X_omega = ls_solve(B[:, list(omega)], snapshots.Y1)
-    support = pair_supports(Z, X_omega, omega, pattern.L)
     rows = selected_channel_columns(config.geom.M, pattern.P)
-    return _finish(snapshots.W, phis, support.bands, config, "JDFPI", rows)
+    Q, Y1 = W[rows % pattern.P == 0], W[rows < pattern.P]
+    phis = music_spatial(Q, K)
+    A = build_A(phis, config.geom.M)
+    Z = ls_solve(A, Q)
+    B = build_B(pattern)
+    omega = ctf_support(Y1, B, K)
+    X_omega = ls_solve(B[:, list(omega)], Y1)
+    support = pair_supports(Z, X_omega, omega)
+    return _finish(W, phis, support.bands, config, "JDFPI", rows)
 
 
 def _joint_search(X: np.ndarray, config, rows, algorithm: str,
@@ -438,10 +444,10 @@ def _joint_search(X: np.ndarray, config, rows, algorithm: str,
     return _finish(X, phis, bands, config, algorithm, rows)
 
 
-def jdfsdpj(snapshots, config) -> EstimationResult:
-    """Joint 2-D subspace search over (phi, band) on the simplified output."""
+def jdfsdpj(W: np.ndarray, config) -> EstimationResult:
+    """Joint 2-D subspace search over (phi, band) on the simplified output W."""
     rows = selected_channel_columns(config.geom.M, config.pattern.P)
-    return _joint_search(snapshots.W, config, rows, "JDFSDPJ", "jdfsdpj_search")
+    return _joint_search(W, config, rows, "JDFSDPJ", "jdfsdpj_search")
 
 
 def jdfsd_full(Y_full: np.ndarray, config) -> EstimationResult:

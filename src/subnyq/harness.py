@@ -4,7 +4,7 @@ import csv
 import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache
 
 import numpy as np
 
@@ -14,7 +14,6 @@ from .estimators import EstimationResult, jdfpi, jdfsd_full, jdfsdpj
 from .model import ArrayGeometry, MultiCosetPattern, selected_channel_columns
 from .siggen import (
     ScenarioConfig,
-    SnapshotSet,
     SourceTruth,
     assemble_full_snapshots,
     assemble_snapshots,
@@ -23,7 +22,6 @@ from .siggen import (
 __all__ = [
     "ALGORITHM_NAMES",
     "SweepConfig",
-    "TrialData",
     "TrialRecord",
     "ResultRow",
     "ResultTable",
@@ -57,49 +55,35 @@ def check_algorithms(names) -> None:
         raise ConfigError(f"algorithm listed more than once: {tuple(names)}")
 
 
-class TrialData:
-    """The receiver output of one seeded trial, assembled on first use.
+def _trial_output(scenario: ScenarioConfig, algorithms) -> tuple:
+    """Receiver output (W, full) of one seeded trial.
 
-    One instance is shared by every algorithm run on the trial, so they all
-    see the same snapshots (common random numbers) and the trial is
-    synthesized once.  When the full-structure output is among the
-    `algorithms`, it is assembled and the simplified rows are taken from it;
-    they agree bit-exactly with `assemble_snapshots` for the same seed.
-    The arrays are shared: consumers must not modify them.
+    `full` is the full-structure output when JDFSD-full is among the
+    `algorithms`, else None; W is then its selected rows, which agree
+    bit-exactly with `assemble_snapshots` for the same seed.  The algorithms
+    of a trial share these arrays: consumers must not modify them.
     """
-
-    def __init__(self, scenario: ScenarioConfig, algorithms=()):
-        self.scenario = scenario
-        self._from_full = "JDFSD-full" in algorithms
-
-    @cached_property
-    def full(self) -> np.ndarray:
-        return assemble_full_snapshots(self.scenario)
-
-    @cached_property
-    def snapshots(self) -> SnapshotSet:
-        if not self._from_full:
-            return assemble_snapshots(self.scenario)
-        M, P = self.scenario.geom.M, self.scenario.pattern.P
-        return SnapshotSet(W=self.full[selected_channel_columns(M, P)],
-                           f_s=self.scenario.pattern.f_s, M=M, P=P)
+    if "JDFSD-full" not in algorithms:
+        return assemble_snapshots(scenario), None
+    full = assemble_full_snapshots(scenario)
+    M, P = scenario.geom.M, scenario.pattern.P
+    return full[selected_channel_columns(M, P)], full
 
 
 def run_algorithm(name: str, scenario: ScenarioConfig,
-                  data: TrialData | None = None) -> EstimationResult:
-    """Run pipeline `name` on `scenario`'s snapshots.
+                  output=None) -> EstimationResult:
+    """Run pipeline `name` on `scenario`'s receiver output.
 
-    `data` must hold the realization of `scenario` (same seed); without it
-    the snapshots are assembled here.
+    `output` is a zero-argument callable returning the `_trial_output` pair
+    of `scenario` (same seed); without it the output is assembled here.
     """
     check_algorithms((name,))
-    if data is None:
-        data = TrialData(scenario)
+    W, full = output() if output else _trial_output(scenario, (name,))
     if name == "JDFPI":
-        return jdfpi(data.snapshots, scenario)
+        return jdfpi(W, scenario)
     if name == "JDFSDPJ":
-        return jdfsdpj(data.snapshots, scenario)
-    return jdfsd_full(data.full, scenario)
+        return jdfsdpj(W, scenario)
+    return jdfsd_full(full, scenario)
 
 
 def default_scenario(K: int = 3, snr_db: float | None = 10.0,
@@ -156,10 +140,15 @@ class SweepConfig:
         if not self.algorithms:
             raise ConfigError("sweep needs at least one algorithm")
         for value in self.sweep_values:
-            scenario_for_value(self.base, self.sweep_variable, value)  # validates
+            _scenario_for_value(self.base, self.sweep_variable, value)  # validates
+        # a repeated point would be run twice and counted twice in its rows
+        convert = float if self.sweep_variable == "snr_db" else int
+        if len({convert(v) for v in self.sweep_values}) < len(self.sweep_values):
+            raise ConfigError(
+                f"sweep value listed more than once: {self.sweep_values}")
 
 
-def scenario_for_value(base: ScenarioConfig, variable: str, value) -> ScenarioConfig:
+def _scenario_for_value(base: ScenarioConfig, variable: str, value) -> ScenarioConfig:
     if variable == "snr_db":
         return replace(base, snr_db=float(value))
     k = int(value)
@@ -213,7 +202,7 @@ class ResultTable:
     records: tuple[TrialRecord, ...] = field(repr=False, default=())
 
 
-def wrap_phase(phi):
+def _wrap_phase(phi):
     """Wrap to (-pi, pi]."""
     out = np.mod(np.asarray(phi, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
     return np.where(out == -np.pi, np.pi, out)
@@ -234,10 +223,10 @@ def match_estimates(scenario: ScenarioConfig, result: EstimationResult):
         )
     true_phi = scenario.phases()
     true_f = np.array([s.f_c for s in scenario.sources])
-    dphi = wrap_phase(result.phi[None, :] - true_phi[:, None]) / np.pi
+    dphi = _wrap_phase(result.phi[None, :] - true_phi[:, None]) / np.pi
     df = (result.f[None, :] - true_f[:, None]) / scenario.pattern.f_s
     perm = _min_cost_assignment(dphi**2 + df**2)
-    phase_err = wrap_phase(result.phi[perm] - true_phi)
+    phase_err = _wrap_phase(result.phi[perm] - true_phi)
     freq_err = result.f[perm] - true_f
     return phase_err, freq_err
 
@@ -299,18 +288,18 @@ def derive_trial_seed(master_seed: int, sweep_index: int, trial_index: int) -> i
 
 def run_trial(scenario: ScenarioConfig, algorithm: str, seed: int,
               sweep_value=None, trial_index: int = 0,
-              data: TrialData | None = None) -> TrialRecord:
+              output=None) -> TrialRecord:
     """One seeded trial; estimation failures are recorded, not raised.
 
-    `data` shares the snapshots of `scenario.with_seed(seed)` with the
-    other algorithms run on the same trial; without it they are assembled
-    for this call alone.
+    `output` (see `run_algorithm`) shares the receiver output of
+    `scenario.with_seed(seed)` with the other algorithms run on the same
+    trial; without it the output is assembled for this call alone.
     """
     scen = scenario.with_seed(seed)
     if sweep_value is None:
         sweep_value = scen.snr_db
     try:
-        result = run_algorithm(algorithm, scen, data)
+        result = run_algorithm(algorithm, scen, output)
     except EstimationError as exc:
         return TrialRecord(
             sweep_value=sweep_value, algorithm=algorithm, trial_index=trial_index,
@@ -324,11 +313,12 @@ def run_trial(scenario: ScenarioConfig, algorithm: str, seed: int,
 
 
 def _run_task(task) -> list[TrialRecord]:
-    """Every algorithm of one (sweep point, trial), on one shared data set."""
+    """Every algorithm of one (sweep point, trial), on one shared receiver
+    output, assembled inside the first `run_trial` call."""
     scenario, algorithms, seed, value, trial_index = task
-    data = TrialData(scenario.with_seed(seed), algorithms)
+    output = cache(lambda: _trial_output(scenario.with_seed(seed), algorithms))
     return [run_trial(scenario, algorithm, seed, sweep_value=value,
-                      trial_index=trial_index, data=data)
+                      trial_index=trial_index, output=output)
             for algorithm in algorithms]
 
 
@@ -364,7 +354,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> ResultTable:
     """
     tasks, bounds = [], []
     for s_idx, value in enumerate(config.sweep_values):
-        scenario = scenario_for_value(config.base, config.sweep_variable, value)
+        scenario = _scenario_for_value(config.base, config.sweep_variable, value)
         bounds.append(_point_bounds(scenario, config.algorithms))
         for trial in range(config.n_trials):
             seed = derive_trial_seed(config.master_seed, s_idx, trial)
@@ -430,7 +420,7 @@ def format_csv(table: ResultTable) -> str:
     writer.writerow(CSV_HEADER)
     for r in rows:
         writer.writerow([
-            r.sweep_variable, format_value(r.sweep_value), r.algorithm,
+            r.sweep_variable, _format_value(r.sweep_value), r.algorithm,
             r.metric, f"{r.rmse:.17e}", f"{r.crb:.17e}",
             r.n_success, r.n_trials,
         ])
@@ -446,7 +436,7 @@ def emit_csv(table: ResultTable, path) -> None:
         raise OSError(f"cannot write result table to {path}: {exc}") from exc
 
 
-def format_value(value) -> str:
+def _format_value(value) -> str:
     return repr(int(value)) if float(value).is_integer() else repr(float(value))
 
 

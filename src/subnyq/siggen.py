@@ -17,7 +17,7 @@ against Nyquist-rate streams decimated slot by slot.
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .model import (
 __all__ = [
     "SourceTruth",
     "ScenarioConfig",
-    "SnapshotSet",
     "assemble_snapshots",
     "assemble_full_snapshots",
     "dump_snapshots",
@@ -104,6 +103,14 @@ class ScenarioConfig:
                 f"need n_snapshots >= {2 * (M + P - 1)} for covariance "
                 f"estimation, got {self.n_snapshots}"
             )
+        # the largest arrays are the full output (M*P x N) and the fine
+        # Nyquist grid (N*L); numpy cannot hold more than 2**63 - 1 bytes
+        elements = self.n_snapshots * max(M * P, L)
+        if elements * np.dtype(complex).itemsize > np.iinfo(np.int64).max:
+            raise ConfigError(
+                f"N={self.n_snapshots} snapshots with M*P={M * P} channels and "
+                f"L={L} bands need arrays beyond numpy's size limit"
+            )
         # coset columns l and l + d are parallel exactly when L divides
         # d * gcd(c_i - c_0), so g > 1 makes bands l and l + L/g identical
         offs = self.pattern.offsets
@@ -153,30 +160,6 @@ class ScenarioConfig:
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
         return replace(self, rng_seed=int(seed))
-
-
-@dataclass(frozen=True)
-class SnapshotSet:
-    """Simplified-receiver output W plus its two standard views."""
-
-    W: np.ndarray = field(repr=False)
-    f_s: float
-    M: int
-    P: int
-
-    @property
-    def n_snapshots(self) -> int:
-        return self.W.shape[1]
-
-    @property
-    def Q(self) -> np.ndarray:
-        """Branch 1 of all sensors (M x N), sensor 1 first."""
-        return np.vstack([self.W[:1], self.W[self.P:]])
-
-    @property
-    def Y1(self) -> np.ndarray:
-        """All branches of sensor 1 (P x N)."""
-        return self.W[: self.P]
 
 
 def _draw_envelopes(config: ScenarioConfig, rng: np.random.Generator):
@@ -263,11 +246,14 @@ def _channel_rows(config: ScenarioConfig, channels) -> np.ndarray:
     return rows
 
 
-def assemble_snapshots(config: ScenarioConfig) -> SnapshotSet:
-    """Simplified receiver output W ((M+P-1) x N), deterministic in rng_seed."""
+def assemble_snapshots(config: ScenarioConfig) -> np.ndarray:
+    """Simplified receiver output W ((M+P-1) x N), deterministic in rng_seed.
+
+    Its rows are the channels `selected_channel_columns(M, P)` (flat indices
+    m*P + p), in that order.
+    """
     M, P = config.geom.M, config.pattern.P
-    W = _channel_rows(config, selected_channel_columns(M, P))
-    return SnapshotSet(W=W, f_s=config.pattern.f_s, M=M, P=P)
+    return _channel_rows(config, selected_channel_columns(M, P))
 
 
 def assemble_full_snapshots(config: ScenarioConfig) -> np.ndarray:
@@ -275,7 +261,7 @@ def assemble_full_snapshots(config: ScenarioConfig) -> np.ndarray:
 
     Noise is drawn for the J-selected channels first and for the others
     after them, so the rows selected by the J matrix agree bit-exactly with
-    `assemble_snapshots(config).W` for the same seed.
+    `assemble_snapshots(config)` for the same seed.
     """
     M, P = config.geom.M, config.pattern.P
     selected = selected_channel_columns(M, P)

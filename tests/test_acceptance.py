@@ -13,7 +13,7 @@ from subnyq.crb import crb_input_from_scenario, crb_phase
 from subnyq.estimators import jdfpi, jdfsdpj
 from subnyq.harness import SweepConfig, default_scenario, emit_csv, match_estimates, run_sweep
 from subnyq.model import build_B, build_G_selected, selected_channel_columns
-from subnyq.crb import projector_complement
+from subnyq.crb import _projector_complement
 from subnyq.siggen import ScenarioConfig, assemble_snapshots
 
 
@@ -86,7 +86,7 @@ def test_criterion_01_structural_identities(report):
                             np.max(np.abs(H[:, k * pattern.L + l] - col)))
 
         H_sel = build_G_selected(phis, bands, geom, pattern, rows)
-        P_c = projector_complement(H_sel)
+        P_c = _projector_complement(H_sel)
         worst = max(worst, np.max(np.abs(P_c - P_c.conj().T)))
         worst = max(worst, np.max(np.abs(P_c @ P_c - P_c)))
         worst = max(worst, np.max(np.abs(P_c @ H_sel)))
@@ -104,7 +104,7 @@ def test_criterion_02_noise_whiteness(report):
     )
     sigma2 = config.sigma2
     start = time.perf_counter()
-    W = assemble_snapshots(config).W
+    W = assemble_snapshots(config)
     R = W @ W.conj().T / n_snapshots
     dev = float(np.max(np.abs(R - sigma2 * np.eye(R.shape[0]))))
     elapsed = time.perf_counter() - start
@@ -124,9 +124,9 @@ def test_criterion_03_noiseless_exact_recovery(report):
         if config.n_sources > config.pattern.P - 1:
             continue
         count += 1
-        snap = assemble_snapshots(config)
+        W = assemble_snapshots(config)
         for pipeline in (jdfpi, jdfsdpj):
-            result = pipeline(snap, config)
+            result = pipeline(W, config)
             phase_err, freq_err = match_estimates(config, result)
             worst_phi = max(worst_phi, float(np.max(np.abs(phase_err))))
             worst_f = max(worst_f,

@@ -122,6 +122,29 @@ def test_repeated_algorithm_is_config_error(tmp_path, capsys, command):
     assert "more than once" in captured.err and captured.out == ""
 
 
+def test_repeated_sweep_value_is_config_error(tmp_path, capsys):
+    scenario_json(tmp_path)
+    config = sweep_json(tmp_path, values=(20, 20.0))
+    assert main(["sweep-snr", "--config", config]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "more than once" in captured.err and captured.out == ""
+
+
+# each fails the size check before any array is allocated
+@pytest.mark.parametrize("command", ["single", "crb"])
+@pytest.mark.parametrize("overrides", [
+    {"n_snapshots": 1e300},
+    {"n_snapshots": 2**62},
+    {"pattern": {"L": 1e300, "offsets": [0, 1, 4, 6], "f_N": 1.0}},
+], ids=["n_snapshots_1e300", "n_snapshots_2_62", "L_1e300"])
+def test_sizes_beyond_numpy_limit_are_config_errors(tmp_path, capsys, command,
+                                                    overrides):
+    config = scenario_json(tmp_path, **overrides)
+    assert main([command, "--config", config]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "size limit" in captured.err and captured.out == ""
+
+
 # JSON's 1e400 parses to float("inf"), which json.dumps writes as Infinity
 INF, NAN = float("inf"), float("nan")
 

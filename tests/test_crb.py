@@ -16,11 +16,11 @@ from helpers import (
 )
 from subnyq.crb import (
     CrbInput,
+    _projector_complement,
     _steering,
     crb_input_from_scenario,
     crb_phase,
     freq_crb_numerical,
-    projector_complement,
 )
 from subnyq.errors import ConfigError, RankDeficiencyError
 from subnyq.harness import default_scenario
@@ -45,12 +45,12 @@ def make_input(phis=(0.4, -1.1), bands=(2, 7), sigma2=0.01, T_obs=512 * 11.0,
 def test_projector_complement_properties():
     rng = np.random.default_rng(0)
     H = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
-    P = projector_complement(H)
+    P = _projector_complement(H)
     np.testing.assert_allclose(P, P.conj().T, atol=1e-12)
     np.testing.assert_allclose(P @ P, P, atol=1e-12)
     np.testing.assert_allclose(P @ H, 0, atol=1e-12)
     with pytest.raises(RankDeficiencyError):
-        projector_complement(np.ones((5, 2)))
+        _projector_complement(np.ones((5, 2)))
 
 
 @pytest.mark.parametrize("full", [
@@ -117,7 +117,7 @@ def test_per_branch_bookkeeping_is_equivalent():
     R_branch = inp.pattern.L * inp.R_S
     for full in (False, True):
         H, E = _steering(inp, full)
-        P = projector_complement(H)
+        P = _projector_complement(H)
         fim = (2.0 * N / inp.sigma2) * np.real((E.conj().T @ P @ E) * R_branch.T)
         a = crb_phase(inp, full_structure=full).crb_matrix
         np.testing.assert_allclose(a, np.linalg.inv(fim), rtol=1e-12)

@@ -39,6 +39,7 @@ from subnyq.estimators import (
 )
 from subnyq.harness import default_scenario, match_estimates
 from subnyq.model import (
+    ArrayGeometry,
     MultiCosetPattern,
     build_A,
     build_B,
@@ -156,10 +157,10 @@ def test_ctf_support_matches_brute_force():
         K = config.n_sources
         if K > config.pattern.P - 1:
             continue
-        snap = assemble_snapshots(config)
+        Y1 = assemble_snapshots(config)[:config.pattern.P]
         B = build_B(config.pattern)
-        est = ctf_support(snap.Y1, B, K)
-        oracle = brute_force_support(snap.Y1, B, K)
+        est = ctf_support(Y1, B, K)
+        oracle = brute_force_support(Y1, B, K)
         truth = tuple(sorted(config.band_of(k) for k in range(K)))
         assert est == tuple(sorted(oracle)) == truth
         hits += 1
@@ -186,7 +187,7 @@ def test_batched_swaps_match_sequential_oracle(duplicates):
                                       rng_seed=int(rng.integers(2**31)))
             B = build_B(config.pattern)
             B = np.column_stack([B] + [B[:, c] for c in duplicates])
-            V = covariance_factor(assemble_snapshots(config).Y1)
+            V = covariance_factor(assemble_snapshots(config)[:config.pattern.P])
             start = [int(c) for c in rng.choice(B.shape[1], 3, replace=False)]
             batched = _improve_support(B, V, start.copy())
             assert batched == sequential_swap_oracle(B, V, start.copy())
@@ -202,6 +203,36 @@ def test_ctf_support_validates_and_rejects_empty():
         ctf_support(np.zeros((PATTERN.P, 8), dtype=complex), B, 2)
 
 
+@pytest.mark.parametrize("M, pattern", [
+    (6, PATTERN),
+    (8, MultiCosetPattern(L=13, offsets=(0, 1, 4, 7, 9), f_N=1.0)),
+    (3, MultiCosetPattern(L=7, offsets=(0, 2, 3), f_N=1.0)),
+], ids=["M6_P4", "M8_P5", "M3_P3"])
+def test_jdfpi_views_are_channel_rows(monkeypatch, M, pattern):
+    # the sensor view is branch 0 of every sensor, sensor 0 first; the branch
+    # view is every branch of sensor 0
+    seen = {}
+
+    def spy(name):
+        original = getattr(estimators, name)
+
+        def record(X, *args):
+            seen[name] = X
+            return original(X, *args)
+        return record
+
+    for name in ("music_spatial", "ctf_support"):
+        monkeypatch.setattr(estimators, name, spy(name))
+    geom = ArrayGeometry(M=M, d=0.5, c_prop=1.0)
+    config = random_scenario(np.random.default_rng(M), K=1, snr_db=20.0,
+                             geom=geom, pattern=pattern)
+    W = assemble_snapshots(config)
+    jdfpi(W, config)
+    P = pattern.P
+    np.testing.assert_array_equal(seen["music_spatial"], W[[0, *range(P, M + P - 1)]])
+    np.testing.assert_array_equal(seen["ctf_support"], W[:P])
+
+
 def test_pair_supports_recovers_assignment():
     rng = np.random.default_rng(5)
     N = 1000
@@ -212,7 +243,7 @@ def test_pair_supports_recovers_assignment():
     Z = S[order] + 0.05 * (rng.standard_normal((3, N))
                            + 1j * rng.standard_normal((3, N)))
     omega = (1, 5, 9)
-    support = pair_supports(Z, S, omega, L=11)
+    support = pair_supports(Z, S, omega)
     assert support.bands == tuple(omega[i] for i in order)
     assert not support.ambiguous
 
@@ -224,7 +255,7 @@ def test_pair_supports_flags_ambiguity():
     Z = np.vstack([s, s])  # both rows correlate equally with both bands
     X = np.vstack([s, s])
     with pytest.warns(UserWarning):
-        support = pair_supports(Z, X, (0, 3), L=11)
+        support = pair_supports(Z, X, (0, 3))
     assert support.ambiguous
 
 
@@ -299,13 +330,14 @@ def test_root_search_matches_grid_oracle():
         K, M, pattern = config.n_sources, config.geom.M, config.pattern
         B = build_B(pattern)
         rows = selected_channel_columns(M, pattern.P)
-        snap = assemble_snapshots(config)
+        W = assemble_snapshots(config)
+        Q = W[np.r_[0, pattern.P:M + pattern.P - 1]]
         full = assemble_full_snapshots(config)
         searches = (
-            (snap.Q, lambda ph, l: build_A(ph, M), 1,
-             lambda: (music_spatial(snap.Q, K), np.zeros(K, dtype=int))),
-            (snap.W, lambda ph, l: np.kron(build_A(ph, M), B[:, [l]])[rows], pattern.L,
-             lambda: phase_band(jdfsdpj(snap, config))),
+            (Q, lambda ph, l: build_A(ph, M), 1,
+             lambda: (music_spatial(Q, K), np.zeros(K, dtype=int))),
+            (W, lambda ph, l: np.kron(build_A(ph, M), B[:, [l]])[rows], pattern.L,
+             lambda: phase_band(jdfsdpj(W, config))),
             (full, lambda ph, l: np.kron(build_A(ph, M), B[:, [l]]), pattern.L,
              lambda: phase_band(jdfsd_full(full, config))),
         )
@@ -335,8 +367,8 @@ def test_decompose_flags_weak_separation():
 def test_noise_subspace_orthogonal_to_truth_noiseless():
     rng = np.random.default_rng(11)
     config = random_scenario(rng, K=2, snr_db=None, n_snapshots=128)
-    snap = assemble_snapshots(config)
-    dec = decompose(sample_covariance(snap.W), 2)
+    W = assemble_snapshots(config)
+    dec = decompose(sample_covariance(W), 2)
     for k in range(2):
         a = steering_column(config.phases()[k], config.band_of(k),
                             config.geom, config.pattern)
@@ -350,7 +382,7 @@ def test_pair_supports_shared_band():
     rng = np.random.default_rng(12)
     s = rng.standard_normal(200) + 1j * rng.standard_normal(200)
     Z = np.vstack([s, 2 * s])
-    support = pair_supports(Z, s[None, :], (4,), L=11)
+    support = pair_supports(Z, s[None, :], (4,))
     assert support.bands == (4, 4)
 
 
@@ -386,13 +418,12 @@ def test_joint_search_separates_same_phase_different_bands():
 def test_reconstruction_reproduces_noiseless_snapshots():
     rng = np.random.default_rng(13)
     config = random_scenario(rng, K=2, snr_db=None, n_snapshots=128)
-    snap = assemble_snapshots(config)
+    W = assemble_snapshots(config)
     bands = [config.band_of(k) for k in range(2)]
     rows = selected_channel_columns(config.geom.M, config.pattern.P)
     H = build_G_selected(config.phases(), bands, config.geom, config.pattern, rows)
-    S = ls_solve(H, snap.W)
-    assert (np.linalg.norm(snap.W - H @ S)
-            < 1e-10 * np.linalg.norm(snap.W))
+    S = ls_solve(H, W)
+    assert np.linalg.norm(W - H @ S) < 1e-10 * np.linalg.norm(W)
 
 
 def test_result_frequency_unfolding_invariant():
@@ -407,11 +438,9 @@ def test_result_frequency_unfolding_invariant():
 def test_joint_spectrum_invariant_to_global_phase():
     rng = np.random.default_rng(15)
     config = random_scenario(rng, snr_db=15.0, n_snapshots=256)
-    snap = assemble_snapshots(config)
-    rotated = type(snap)(W=np.exp(1j * 0.7) * snap.W, f_s=snap.f_s,
-                         M=snap.M, P=snap.P)
-    a = jdfsdpj(snap, config)
-    b = jdfsdpj(rotated, config)
+    W = assemble_snapshots(config)
+    a = jdfsdpj(W, config)
+    b = jdfsdpj(np.exp(1j * 0.7) * W, config)
     np.testing.assert_allclose(np.sort(a.phi), np.sort(b.phi), atol=1e-9)
     assert sorted(a.band) == sorted(b.band)
 
@@ -446,9 +475,8 @@ def test_jdfpi_rejects_too_many_sources_for_branches():
     config = ScenarioConfig(geom=ArrayGeometry(M=6, d=0.5, c_prop=1.0),
                             pattern=pattern, sources=sources,
                             snr_db=None, n_snapshots=64)
-    snap = assemble_snapshots(config)
     with pytest.raises(ConfigError):
-        jdfpi(snap, config)
+        jdfpi(assemble_snapshots(config), config)
 
 
 @pytest.fixture
@@ -483,7 +511,7 @@ def test_pruned_search_equals_all_band_search(rooted_rows):
                                  n_snapshots=256)
         M, P = config.geom.M, config.pattern.P
         B = build_B(config.pattern)
-        for X, maps in ((assemble_snapshots(config).W,
+        for X, maps in ((assemble_snapshots(config),
                          channel_maps(M, B, selected_channel_columns(M, P))),
                         (assemble_full_snapshots(config),
                          channel_maps(M, B, np.arange(M * P)))):

@@ -13,20 +13,20 @@ from subnyq.errors import ConfigError, RankDeficiencyError
 from subnyq.estimators import EstimationResult
 from subnyq.harness import (
     SweepConfig,
+    _format_value,
     _min_cost_assignment,
+    _scenario_for_value,
+    _wrap_phase,
     default_scenario,
     default_sweep,
     derive_trial_seed,
     emit_csv,
-    format_value,
     match_estimates,
     read_csv,
     run_sweep,
     run_trial,
     scenario_from_dict,
-    scenario_for_value,
     sweep_from_dict,
-    wrap_phase,
 )
 
 
@@ -38,10 +38,10 @@ def small_sweep(n_trials=3, values=(10.0, 20.0), algorithms=("JDFPI", "JDFSDPJ")
 
 
 def test_wrap_phase():
-    np.testing.assert_allclose(wrap_phase(0.3), 0.3)
-    np.testing.assert_allclose(wrap_phase(np.pi + 0.1), -np.pi + 0.1)
-    np.testing.assert_allclose(wrap_phase(-np.pi), np.pi)
-    np.testing.assert_allclose(wrap_phase([2 * np.pi, -2 * np.pi]), [0.0, 0.0])
+    np.testing.assert_allclose(_wrap_phase(0.3), 0.3)
+    np.testing.assert_allclose(_wrap_phase(np.pi + 0.1), -np.pi + 0.1)
+    np.testing.assert_allclose(_wrap_phase(-np.pi), np.pi)
+    np.testing.assert_allclose(_wrap_phase([2 * np.pi, -2 * np.pi]), [0.0, 0.0])
 
 
 def result_from_truth(scenario, perm, phi_jitter=0.0):
@@ -82,7 +82,7 @@ def test_match_estimates_near_swap_agrees_with_brute_force():
     phase_err, freq_err = match_estimates(scenario, nudged)
     f_norm = scenario.pattern.f_s
     best = min(
-        float(np.sum((wrap_phase(phi[list(p)] - true_phi) / np.pi) ** 2
+        float(np.sum((_wrap_phase(phi[list(p)] - true_phi) / np.pi) ** 2
                      + ((nudged.f[list(p)]
                          - np.array([s.f_c for s in scenario.sources]))
                         / f_norm) ** 2))
@@ -184,6 +184,50 @@ def test_sweep_synthesizes_each_trial_once(monkeypatch):
     run_sweep(small_sweep(n_trials=2, values=(20.0,),
                           algorithms=("JDFPI", "JDFSDPJ", "JDFSD-full")))
     assert calls == ["assemble_full_snapshots"] * 2
+
+
+@pytest.mark.parametrize("algorithms", [("JDFSDPJ", "JDFPI"),
+                                        ("JDFSD-full", "JDFPI", "JDFSDPJ")],
+                         ids=["simplified", "full"])
+def test_sweep_synthesizes_inside_first_run_trial(monkeypatch, algorithms):
+    # each (point, trial) is assembled once, while the run_trial of its first
+    # algorithm is active: a trace of run_trial spans then holds synthesis
+    import subnyq.harness as harness
+
+    active, assembled = [], []
+    original_trial = harness.run_trial
+
+    def tracked_trial(scenario, algorithm, seed, sweep_value=None,
+                      trial_index=0, **kwargs):
+        active.append((sweep_value, trial_index, algorithm))
+        try:
+            return original_trial(scenario, algorithm, seed, sweep_value,
+                                  trial_index, **kwargs)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr(harness, "run_trial", tracked_trial)
+    for name in ("assemble_snapshots", "assemble_full_snapshots"):
+        original = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda config, _f=original:
+                            assembled.append(tuple(active)) or _f(config))
+    config = small_sweep(n_trials=2, values=(10.0, 20.0), algorithms=algorithms)
+    run_sweep(config)
+    assert assembled == [((value, trial, algorithms[0]),)
+                         for value in config.sweep_values
+                         for trial in range(config.n_trials)]
+
+
+def test_repeated_sweep_value_is_config_error():
+    # 20 and 20.0 are one point: run twice, every row would count it twice
+    base = default_scenario()
+    for variable, values in (("snr_db", (20, 20.0)), ("snr_db", (10.0, 20.0, 10.0)),
+                             ("n_sources", (2, 1, 2.0))):
+        with pytest.raises(ConfigError, match="more than once"):
+            SweepConfig(base=base, sweep_variable=variable, sweep_values=values)
+    with pytest.raises(ConfigError, match="more than once"):
+        sweep_from_dict({"base": scenario_dict(), "sweep_variable": "snr_db",
+                         "sweep_values": [20, 20.0]})
 
 
 def test_sweep_computes_each_bound_once_per_structure(monkeypatch):
@@ -290,10 +334,10 @@ def test_match_estimates_equals_exhaustive_search():
                                   f_residual=np.zeros(K), f=f,
                                   theta=np.zeros(K))
         best = min(itertools.permutations(range(K)), key=lambda p: float(np.sum(
-            (wrap_phase(phi[list(p)] - true_phi) / np.pi) ** 2
+            (_wrap_phase(phi[list(p)] - true_phi) / np.pi) ** 2
             + ((f[list(p)] - true_f) / f_norm) ** 2)))
         phase_err, freq_err = match_estimates(scenario, result)
-        np.testing.assert_array_equal(phase_err, wrap_phase(phi[list(best)] - true_phi))
+        np.testing.assert_array_equal(phase_err, _wrap_phase(phi[list(best)] - true_phi))
         np.testing.assert_array_equal(freq_err, f[list(best)] - true_f)
 
 
@@ -375,9 +419,9 @@ def test_run_sweep_parallel_matches_sequential():
 
 def test_source_count_sweep_truncates_sources():
     base = default_scenario(K=3, snr_db=20.0)
-    assert scenario_for_value(base, "n_sources", 2).n_sources == 2
+    assert _scenario_for_value(base, "n_sources", 2).n_sources == 2
     with pytest.raises(ConfigError):
-        scenario_for_value(base, "n_sources", 9)
+        _scenario_for_value(base, "n_sources", 9)
 
 
 def test_sweep_validation():
@@ -442,9 +486,9 @@ def test_read_csv_rejects_foreign_header(tmp_path):
 
 
 def test_format_value():
-    assert format_value(10.0) == "10"
-    assert format_value(2) == "2"
-    assert format_value(12.5) == "12.5"
+    assert _format_value(10.0) == "10"
+    assert _format_value(2) == "2"
+    assert _format_value(12.5) == "12.5"
 
 
 def scenario_dict():

@@ -34,8 +34,8 @@ def test_noiseless_exact_recovery_for_every_pipeline(seed):
     config = random_scenario(np.random.default_rng(seed), snr_db=None,
                              n_snapshots=128)
     bands = sorted(config.band_of(k) for k in range(config.n_sources))
-    snap = assemble_snapshots(config)
-    for result in (jdfpi(snap, config), jdfsdpj(snap, config),
+    W = assemble_snapshots(config)
+    for result in (jdfpi(W, config), jdfsdpj(W, config),
                    jdfsd_full(assemble_full_snapshots(config), config)):
         phase_err, freq_err = match_estimates(config, result)
         assert np.max(np.abs(phase_err)) < 1e-6, result.algorithm

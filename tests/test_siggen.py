@@ -102,37 +102,37 @@ def test_minimal_selection_row_count():
     src = SourceTruth(theta=0.3, f_c=0.5 * pattern.f_s)
     config = ScenarioConfig(geom=geom, pattern=pattern, sources=(src,),
                             snr_db=None, n_snapshots=16)
-    assert assemble_snapshots(config).W.shape == (3, 16)
+    assert assemble_snapshots(config).shape == (3, 16)
 
 
 def test_tone_aliases_to_expected_band_and_residual():
     config = tone_scenario(snr_db=None, K=1, n_snapshots=512)
-    snap = assemble_snapshots(config)
+    W = assemble_snapshots(config)
     f_res = config.residual_of(0)
     pad = 1 << 14
-    spec = np.abs(np.fft.fft(snap.Y1[0], pad))
-    peak = np.argmax(spec) / pad * snap.f_s
-    assert abs(peak - f_res) <= snap.f_s / 512  # within one FFT bin
+    spec = np.abs(np.fft.fft(W[0], pad))
+    peak = np.argmax(spec) / pad * PATTERN.f_s
+    assert abs(peak - f_res) <= PATTERN.f_s / 512  # within one FFT bin
 
 
 def test_noiseless_snapshots_lie_in_steering_span():
     rng = np.random.default_rng(3)
     for _ in range(10):
         config = random_scenario(rng, snr_db=None, n_snapshots=64)
-        snap = assemble_snapshots(config)
+        W = assemble_snapshots(config)
         bands = [config.band_of(k) for k in range(config.n_sources)]
         rows = selected_channel_columns(config.geom.M, config.pattern.P)
         H = build_G_selected(config.phases(), bands, config.geom, config.pattern,
                              rows)
         # residual after projecting onto the steering columns
-        coef, *_ = np.linalg.lstsq(H, snap.W, rcond=None)
-        resid = np.linalg.norm(snap.W - H @ coef)
-        assert resid < 1e-10 * np.linalg.norm(snap.W)
+        coef, *_ = np.linalg.lstsq(H, W, rcond=None)
+        resid = np.linalg.norm(W - H @ coef)
+        assert resid < 1e-10 * np.linalg.norm(W)
 
 
 def test_noiseless_snapshot_rank_equals_source_count():
     config = tone_scenario(snr_db=None, K=2)
-    W = assemble_snapshots(config).W
+    W = assemble_snapshots(config)
     s = np.linalg.svd(W, compute_uv=False)
     assert s[2] < 1e-10 * s[0]
     assert s[1] > 1e-3 * s[0]
@@ -142,20 +142,20 @@ def test_aligned_branch_matches_scalar_corrected_decimation():
     # For a single tone the receiver's per-branch alignment is the scalar
     # phase exp(-2j*pi*f_res*c_p*T_N) applied to the raw decimated stream.
     config = tone_scenario(snr_db=None, K=1, n_snapshots=64)
-    snap = assemble_snapshots(config)
+    W = assemble_snapshots(config)
     streams = synthesize_streams(config, np.random.default_rng(0))
     f_res = config.residual_of(0)
     raw = multicoset_sample(streams[0], config.pattern, config.n_snapshots)
     correction = np.exp(
         -2j * np.pi * f_res * np.asarray(config.pattern.offsets) * config.pattern.T_N
     )
-    np.testing.assert_allclose(raw * correction[:, None], snap.Y1, atol=1e-10)
+    np.testing.assert_allclose(raw * correction[:, None], W[:PATTERN.P], atol=1e-10)
 
 
 def test_noiseless_tone_channel_power():
     # each selected channel of a unit-amplitude tone carries unit mean power
     config = tone_scenario(snr_db=None, K=1)
-    W = assemble_snapshots(config).W
+    W = assemble_snapshots(config)
     power = np.mean(np.abs(W) ** 2, axis=1)
     np.testing.assert_allclose(power, 1.0, atol=1e-10)
 
@@ -164,7 +164,7 @@ def test_noise_only_covariance_is_white():
     config = ScenarioConfig(geom=GEOM, pattern=PATTERN, sources=(),
                             snr_db=0.0, n_snapshots=20000, rng_seed=7)
     assert config.sigma2 == 1.0
-    W = assemble_snapshots(config).W
+    W = assemble_snapshots(config)
     R = W @ W.conj().T / W.shape[1]
     dev = np.max(np.abs(R - np.eye(R.shape[0])))
     assert dev < 5.0 / np.sqrt(W.shape[1])
@@ -211,29 +211,19 @@ def test_snr_sets_noise_power():
 
 
 def test_same_seed_reproduces_different_seed_differs():
-    a = assemble_snapshots(tone_scenario(snr_db=5.0, seed=11)).W
-    b = assemble_snapshots(tone_scenario(snr_db=5.0, seed=11)).W
-    c = assemble_snapshots(tone_scenario(snr_db=5.0, seed=12)).W
+    a = assemble_snapshots(tone_scenario(snr_db=5.0, seed=11))
+    b = assemble_snapshots(tone_scenario(snr_db=5.0, seed=11))
+    c = assemble_snapshots(tone_scenario(snr_db=5.0, seed=12))
     np.testing.assert_array_equal(a, b)
     assert np.any(a != c)
 
 
 def test_full_snapshots_agree_with_selected_rows():
     config = tone_scenario(snr_db=5.0, seed=3)
-    W = assemble_snapshots(config).W
+    W = assemble_snapshots(config)
     Y_full = assemble_full_snapshots(config)
     rows = selected_channel_columns(GEOM.M, PATTERN.P)
     np.testing.assert_array_equal(Y_full[rows], W)
-
-
-def test_snapshot_views():
-    config = tone_scenario(snr_db=5.0)
-    snap = assemble_snapshots(config)
-    P = PATTERN.P
-    np.testing.assert_array_equal(snap.Y1, snap.W[:P])
-    np.testing.assert_array_equal(snap.Q[0], snap.W[0])
-    np.testing.assert_array_equal(snap.Q[1:], snap.W[P:])
-    assert snap.n_snapshots == config.n_snapshots
 
 
 def test_bandlimited_envelope_occupies_configured_band():
@@ -262,15 +252,15 @@ def test_envelope_consistent_between_grids():
                       bandwidth=0.3 * f_s)
     config = ScenarioConfig(geom=GEOM, pattern=PATTERN, sources=(src,),
                             snr_db=None, n_snapshots=128, rng_seed=9)
-    snap = assemble_snapshots(config)
+    W = assemble_snapshots(config)
     streams = synthesize_streams(config, np.random.default_rng(9))
     raw = multicoset_sample(streams[0], config.pattern, config.n_snapshots)
-    np.testing.assert_allclose(raw[0], snap.Y1[0], atol=1e-10)
+    np.testing.assert_allclose(raw[0], W[0], atol=1e-10)
 
 
 def test_dump_load_round_trip(tmp_path):
     config = tone_scenario(snr_db=5.0, seed=21)
-    W = assemble_snapshots(config).W
+    W = assemble_snapshots(config)
     path = tmp_path / "snap.snyq"
     dump_snapshots(W, 21, path)
     loaded, seed = load_snapshots(path)
@@ -297,7 +287,7 @@ def test_load_rejects_short_header(tmp_path, size):
 
 def test_load_rejects_truncated_payload(tmp_path):
     config = tone_scenario(snr_db=5.0)
-    W = assemble_snapshots(config).W
+    W = assemble_snapshots(config)
     path = tmp_path / "trunc.snyq"
     dump_snapshots(W, 0, path)
     path.write_bytes(path.read_bytes()[:-8])
