@@ -185,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, help="trials per sweep point")
         p.add_argument("--algorithms", help="comma list of algorithms")
         p.add_argument("--workers", type=int, default=1,
-                       help="parallel worker processes")
+                       help="parallel worker processes (at least 1; "
+                            "capped at the CPU count)")
         p.set_defaults(func=func)
 
     p = sub.add_parser("crb", help="print the CRB table for a scenario")

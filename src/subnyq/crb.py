@@ -1,15 +1,14 @@
 """Cramer-Rao bounds: analytic for the spatial phases, numerical for frequency.
 
-The analytic phase bound follows the conditional (deterministic-signal) form
+Both bounds describe K uncorrelated sources of per-Nyquist-sample powers
+p_k, observed for N snapshots of L Nyquist slots each.  The analytic phase
+bound follows the conditional (deterministic-signal) form
 
-    CRB = sigma^2 / (2 * T_obs * f_N) * Re((E^H P E) o R_S^T)^{-1}
+    CRB = sigma^2 / (2 * N * L) * Re((E^H P E) o diag(p))^{-1}
 
 with E the per-source steering derivatives, P the projector onto the
-orthogonal complement of the selected steering columns, o the element-wise
-product, and R_S the source-power covariance at Nyquist-sample scale.
-T_obs * f_N is the number of Nyquist slots spanned by the observation, which
-reconciles the two common bookkeepings of the time/bandwidth prefactor
-(per-branch snapshots carry L-times the per-slot signal power).
+orthogonal complement of the selected steering columns and o the
+element-wise product.
 
 The frequency bound has no analytic form here; `freq_crb_numerical`
 computes the deterministic tone-model bound (Stoica & Nehorai, IEEE TASSP
@@ -51,48 +50,43 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CrbInput:
-    """Scenario description for the bounds.
-
-    `T_obs` is the total observation time N * L * T_N.  `f_residuals` (in-band
-    frequencies) are only needed by the numerical frequency bound.
-    """
+    """Scenario description for the bounds: per source its spatial phase,
+    band, power per Nyquist sample and in-band frequency, then the noise
+    power per Nyquist sample and the snapshot count N."""
 
     phis: tuple[float, ...]
     bands: tuple[int, ...]
-    R_S: np.ndarray
+    powers: tuple[float, ...]
+    f_residuals: tuple[float, ...]
     sigma2: float
-    T_obs: float
+    n_snapshots: int
     geom: ArrayGeometry
     pattern: MultiCosetPattern
-    f_residuals: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "phis", tuple(float(p) for p in self.phis))
-        object.__setattr__(self, "bands", tuple(int(b) for b in self.bands))
-        R = np.atleast_2d(np.asarray(self.R_S, dtype=complex))
-        object.__setattr__(self, "R_S", R)
+        for name, kind in (("phis", float), ("bands", int), ("powers", float),
+                           ("f_residuals", float)):
+            object.__setattr__(self, name, tuple(kind(v) for v in getattr(self, name)))
         K = len(self.phis)
         if K == 0:
             raise ConfigError("bounds need at least one source")
-        if len(self.bands) != K or R.shape != (K, K):
+        if {len(self.bands), len(self.powers), len(self.f_residuals)} != {K}:
             raise ConfigError(
                 f"inconsistent sizes: {K} phases, {len(self.bands)} bands, "
-                f"R_S {R.shape}"
+                f"{len(self.powers)} powers, {len(self.f_residuals)} residuals"
             )
-        if np.max(np.abs(R - R.conj().T)) > 1e-10 * max(np.max(np.abs(R)), 1e-300):
-            raise ConfigError("R_S must be Hermitian")
-        if self.sigma2 <= 0:
+        if not all(0 < p < np.inf for p in self.powers):
+            raise ConfigError(
+                f"source powers must be positive and finite, got {self.powers}")
+        if not self.sigma2 > 0:
             raise ConfigError(f"noise power must be positive, got {self.sigma2}")
-        if self.T_obs <= 0:
-            raise ConfigError(f"observation time must be positive, got {self.T_obs}")
+        if not isinstance(self.n_snapshots, (int, np.integer)) or self.n_snapshots < 1:
+            raise ConfigError(
+                f"need an integer n_snapshots >= 1, got {self.n_snapshots!r}")
 
     @property
     def n_sources(self) -> int:
         return len(self.phis)
-
-    @property
-    def n_snapshots(self) -> int:
-        return int(round(self.T_obs * self.pattern.f_s))
 
 
 @dataclass(frozen=True)
@@ -126,8 +120,8 @@ def crb_phase(inp: CrbInput, full_structure: bool = False) -> CrbResult:
     """Analytic spatial-phase bound for the selected receiver structure."""
     H, E = _steering(inp, full_structure)
     P = _projector_complement(H)
-    quad = np.real((E.conj().T @ P @ E) * inp.R_S.T)
-    fim = (2.0 * inp.T_obs * inp.pattern.f_N / inp.sigma2) * quad
+    quad = np.real((E.conj().T @ P @ E) * np.diag(inp.powers))
+    fim = (2.0 * inp.n_snapshots * inp.pattern.L / inp.sigma2) * quad
     cond = np.linalg.cond(fim)
     if not np.isfinite(cond) or cond > 1e12:
         raise RankDeficiencyError(
@@ -154,15 +148,13 @@ def freq_crb_numerical(inp: CrbInput, full_structure: bool = False) -> np.ndarra
     F = (2 / sigma^2) Re((G^H G) o (T^H T)) with G rows x 4K and T N x 4K.
     Purely numerical; no analytic frequency formula is claimed.
     """
-    if inp.f_residuals is None:
-        raise ConfigError("frequency bound needs the in-band residuals")
     K = inp.n_sources
     pattern = inp.pattern
     N = inp.n_snapshots
     T_s = 1.0 / pattern.f_s
     n = np.arange(N)
 
-    rho = np.sqrt(pattern.L * np.diag(inp.R_S).real)
+    rho = np.sqrt(pattern.L * np.array(inp.powers))
     tones = np.array(
         [r * np.exp(2j * np.pi * f * n * T_s)
          for r, f in zip(rho, inp.f_residuals)]
@@ -190,18 +182,17 @@ def freq_crb_numerical(inp: CrbInput, full_structure: bool = False) -> np.ndarra
 
 
 def crb_input_from_scenario(config) -> CrbInput:
-    """Provision bound inputs from a scenario: tone powers on the diagonal."""
+    """Bound inputs of a scenario's sources, noise and snapshot count."""
     if config.sigma2 <= 0:
         raise ConfigError("bounds are undefined for a noiseless scenario")
     K = config.n_sources
-    powers = np.array([s.power for s in config.sources])
     return CrbInput(
-        phis=tuple(config.phases()),
-        bands=tuple(config.band_of(k) for k in range(K)),
-        R_S=np.diag(powers),
+        phis=config.phases(),
+        bands=[config.band_of(k) for k in range(K)],
+        powers=[s.power for s in config.sources],
+        f_residuals=[config.residual_of(k) for k in range(K)],
         sigma2=config.sigma2,
-        T_obs=config.n_snapshots * config.pattern.L * config.pattern.T_N,
+        n_snapshots=config.n_snapshots,
         geom=config.geom,
         pattern=config.pattern,
-        f_residuals=tuple(config.residual_of(k) for k in range(K)),
     )

@@ -126,10 +126,10 @@ def _phase_minima(C: np.ndarray):
     cost_s is the trigonometric polynomial sum_{|d| < M} r_d exp(j d phi),
     r_d the sum of C_s's d-th subdiagonal, so its stationary points are roots
     on the unit circle of a degree-2(M-1) polynomial in w = exp(j phi)
-    (root-MUSIC; Barabell, ICASSP 1983).  Every row is rooted at once as the
-    eigenvalues of its companion matrix; the root angles are polished by
-    Newton steps on the real polynomial, and each converged point of positive
-    curvature is kept once.  No grid is involved.
+    (root-MUSIC; Barabell, ICASSP 1983).  The rows are rooted as the
+    eigenvalues of their companion matrices, batched by degree; the root
+    angles are polished by Newton steps on the real polynomial, and each
+    converged point of positive curvature is kept once.  No grid is involved.
 
     Returns flat arrays (row, phi, cost) over the minima of all rows, phi in
     (-pi, pi].
@@ -145,20 +145,20 @@ def _phase_minima(C: np.ndarray):
 
     # degree of each row: a vanishing corner entry C_s[M-1, 0] lowers it.
     # Dropping terms below 1e-12 only moves the starting points: Newton
-    # below runs on the full polynomial.
+    # below runs on the full polynomial.  A row of degree D > 0 is rooted
+    # from its 2D+1 middle coefficients.
     big = np.abs(r) > 1e-12 * np.abs(r).max(axis=1, keepdims=True)
     big[:, 0] = True
     D = M - 1 - np.argmax(big[:, ::-1], axis=1)
     n = 2 * (M - 1)
     roots = np.full((S, n), np.nan, dtype=complex)
-    top = np.flatnonzero(D == M - 1)
-    if top.size:
-        comp = np.zeros((top.size, n, n), dtype=complex)
-        comp[:, 0, :] = -coef[top, 1:] / coef[top, :1]
-        comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-        roots[top] = np.linalg.eigvals(comp)
-    for s in np.flatnonzero((D > 0) & (D < M - 1)):
-        roots[s, :2 * D[s]] = np.roots(coef[s, M - 1 - D[s]:M + D[s]])
+    for deg in set(D.tolist()) - {0}:
+        sel, k = np.flatnonzero(D == deg), 2 * deg
+        part = coef[sel, M - 1 - deg:M + deg]
+        comp = np.zeros((sel.size, k, k), dtype=complex)
+        comp[:, 0, :] = -part[:, 1:] / part[:, :1]
+        comp[:, np.arange(1, k), np.arange(k - 1)] = 1.0
+        roots[sel, :k] = np.linalg.eigvals(comp)
 
     rd = r[:, None, 1:]
 

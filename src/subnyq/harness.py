@@ -2,6 +2,7 @@
 
 import csv
 import io
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cache
@@ -86,11 +87,10 @@ def run_algorithm(name: str, scenario: ScenarioConfig,
     return jdfsd_full(full, scenario)
 
 
-def default_scenario(K: int = 3, snr_db: float | None = 10.0,
-                     n_snapshots: int = 4096, rng_seed: int = 0) -> ScenarioConfig:
+def default_scenario(K: int = 3, snr_db: float | None = 10.0) -> ScenarioConfig:
     """Reference scenario in normalized units (f_N = 1): M=8 sensors at
     half-Nyquist-wavelength spacing, L=13 bands, P=5 branches, K tone sources
-    in well-separated bands."""
+    in well-separated bands, N=4096 snapshots, seed 0."""
     geom = ArrayGeometry(M=8, d=0.5, c_prop=1.0)
     # Offsets chosen to minimize the max column coherence of the coset
     # matrix (0.456 for 5 of 13); high-coherence patterns break the greedy
@@ -106,7 +106,7 @@ def default_scenario(K: int = 3, snr_db: float | None = 10.0,
         raise ConfigError(f"default scenario supports 1..{len(all_sources)} sources")
     return ScenarioConfig(
         geom=geom, pattern=pattern, sources=all_sources[:K],
-        snr_db=snr_db, n_snapshots=n_snapshots, rng_seed=rng_seed,
+        snr_db=snr_db, n_snapshots=4096, rng_seed=0,
     )
 
 
@@ -159,16 +159,12 @@ def _scenario_for_value(base: ScenarioConfig, variable: str, value) -> ScenarioC
     return replace(base, sources=base.sources[:k])
 
 
-def default_sweep(variable: str = "snr_db", values=None, n_trials: int = 500,
-                  algorithms=("JDFPI", "JDFSDPJ"), master_seed: int = 0,
-                  snr_db: float = 20.0) -> SweepConfig:
-    if values is None:
-        values = tuple(range(-10, 31, 5)) if variable == "snr_db" else (1, 2, 3)
-    base = default_scenario(K=3, snr_db=snr_db)
-    return SweepConfig(
-        base=base, sweep_variable=variable, sweep_values=tuple(values),
-        n_trials=n_trials, algorithms=tuple(algorithms), master_seed=master_seed,
-    )
+def default_sweep(variable: str = "snr_db") -> SweepConfig:
+    """The default scenario at 20 dB swept over SNR (-10..30 dB in 5 dB
+    steps) or source count (1..3), 500 trials, JDFPI and JDFSDPJ."""
+    values = tuple(range(-10, 31, 5)) if variable == "snr_db" else (1, 2, 3)
+    return SweepConfig(base=default_scenario(K=3, snr_db=20.0),
+                       sweep_variable=variable, sweep_values=values)
 
 
 @dataclass(frozen=True)
@@ -342,23 +338,30 @@ def _point_bounds(scenario: ScenarioConfig, algorithms) -> dict:
 def run_sweep(config: SweepConfig, workers: int = 1) -> ResultTable:
     """Run every (sweep value, trial, algorithm) and aggregate RMSE per point.
 
-    Each point's bounds are computed first, so a point whose bound is
+    Every point's bounds are computed first, so a point whose bound is
     undefined raises before any trial runs.  Each (sweep value, trial) is
     synthesized once and every algorithm runs on the same snapshots; records
     come in (sweep value, trial, algorithm) order.  Deterministic in
     `config` (including `master_seed`); any worker count produces the
-    identical table because per-trial seeds are pre-derived and records are
-    aggregated in task order.  On KeyboardInterrupt the completed records
-    are aggregated into a partial table that is returned via the
-    exception's `partial` attribute.
+    identical table because each trial's seed depends only on its indices
+    and records are aggregated in task order.
+
+    `workers` must be at least 1; the process pool is capped at the CPU
+    count, and one worker runs in this process.  The serial path derives
+    each task when it runs it; the pool takes them all at once.  On
+    KeyboardInterrupt the completed records are aggregated into a partial
+    table that is returned via the exception's `partial` attribute.
     """
-    tasks, bounds = [], []
-    for s_idx, value in enumerate(config.sweep_values):
-        scenario = _scenario_for_value(config.base, config.sweep_variable, value)
-        bounds.append(_point_bounds(scenario, config.algorithms))
-        for trial in range(config.n_trials):
-            seed = derive_trial_seed(config.master_seed, s_idx, trial)
-            tasks.append((scenario, config.algorithms, seed, value, trial))
+    if workers < 1:
+        raise ConfigError(f"need workers >= 1, got {workers}")
+    workers = min(workers, os.cpu_count() or 1)
+    points = [(_scenario_for_value(config.base, config.sweep_variable, value), value)
+              for value in config.sweep_values]
+    bounds = [_point_bounds(scenario, config.algorithms) for scenario, _ in points]
+    tasks = ((scenario, config.algorithms,
+              derive_trial_seed(config.master_seed, s_idx, trial), value, trial)
+             for s_idx, (scenario, value) in enumerate(points)
+             for trial in range(config.n_trials))
 
     records: list[TrialRecord] = []
     try:

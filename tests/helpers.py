@@ -240,15 +240,9 @@ def all_band_search(X: np.ndarray, K: int, G: np.ndarray):
     return phi[pick], band[pick]
 
 
-def _psd_sqrt(R: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(R)
-    vals = np.clip(vals, 0.0, None)
-    return vecs @ np.diag(np.sqrt(vals)) @ vecs.conj().T
-
-
 def fim_numerical(inp: CrbInput, full_structure: bool = False,
                   n_fim: int = 8, fd_step: float = 1e-5) -> np.ndarray:
-    """Phase Fisher information by brute force, scaled to `inp.T_obs`.
+    """Phase Fisher information by brute force, scaled to `inp.n_snapshots`.
 
     Builds a small deterministic snapshot set whose empirical covariance
     equals the per-snapshot signal covariance exactly, differentiates the
@@ -261,9 +255,9 @@ def fim_numerical(inp: CrbInput, full_structure: bool = False,
     rows = structure_rows(inp.geom, inp.pattern, full_structure)
     L = inp.pattern.L
 
-    # snapshots with exact covariance L * R_S (per-branch-sample scale)
+    # snapshots with exact covariance L * diag(powers) (per-branch-sample scale)
     C = np.exp(2j * np.pi * np.outer(np.arange(K), np.arange(n_fim)) / n_fim)
-    s = _psd_sqrt(L * inp.R_S) @ C
+    s = np.sqrt(L * np.array(inp.powers))[:, None] * C
 
     phis = np.array(inp.phis)
 
@@ -305,8 +299,6 @@ def tone_crb_dense_oracle(inp: CrbInput, full_structure: bool = False) -> np.nda
     of a steering column depends on phi only through exp(-j m phi), so its
     phase derivative is -j m times the row.
     """
-    if inp.f_residuals is None:
-        raise ConfigError("frequency bound needs the in-band residuals")
     K = inp.n_sources
     rows = structure_rows(inp.geom, inp.pattern, full_structure)
     pattern = inp.pattern
@@ -314,7 +306,7 @@ def tone_crb_dense_oracle(inp: CrbInput, full_structure: bool = False) -> np.nda
     T_s = 1.0 / pattern.f_s
     n = np.arange(N)
 
-    rho = np.sqrt(pattern.L * np.diag(inp.R_S).real)
+    rho = np.sqrt(pattern.L * np.array(inp.powers))
     tones = np.array(
         [r * np.exp(2j * np.pi * f * n * T_s)
          for r, f in zip(rho, inp.f_residuals)]

@@ -101,6 +101,28 @@ def test_coincident_sources_bound_is_config_error(tmp_path, capsys, command, swe
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+def test_zero_amplitude_source_bound_is_config_error(tmp_path, capsys):
+    # a silent source in a noisy scenario has no bound
+    config = scenario_json(tmp_path, sources=[
+        {"theta": 0.5, "f_c": 0.31},
+        {"theta": -0.7, "f_c": 0.79, "amplitude": 0.0},
+    ])
+    assert main(["crb", "--config", config]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_nonpositive_workers_is_config_error(tmp_path, capsys, workers):
+    scenario_json(tmp_path)
+    config = sweep_json(tmp_path)
+    assert main(["sweep-snr", "--config", config,
+                 "--workers", workers]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "workers" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["single", "crb", "sweep-snr"])
 def test_no_sources_is_config_error(tmp_path, capsys, command):
     config = scenario_json(tmp_path, sources=[])

@@ -30,16 +30,16 @@ GEOM = ArrayGeometry(M=6, d=0.5, c_prop=1.0)
 PATTERN = MultiCosetPattern(L=11, offsets=(0, 1, 4, 6), f_N=1.0)
 
 
-def make_input(phis=(0.4, -1.1), bands=(2, 7), sigma2=0.01, T_obs=512 * 11.0,
+def make_input(phis=(0.4, -1.1), bands=(2, 7), sigma2=0.01, n_snapshots=512,
                powers=None, f_residuals=None, geom=GEOM, pattern=PATTERN):
     K = len(phis)
     if powers is None:
         powers = np.ones(K)
     if f_residuals is None:
         f_residuals = tuple(0.3 * pattern.f_s for _ in range(K))
-    return CrbInput(phis=phis, bands=bands, R_S=np.diag(powers), sigma2=sigma2,
-                    T_obs=T_obs, geom=geom, pattern=pattern,
-                    f_residuals=f_residuals)
+    return CrbInput(phis=phis, bands=bands, powers=powers, f_residuals=f_residuals,
+                    sigma2=sigma2, n_snapshots=n_snapshots, geom=geom,
+                    pattern=pattern)
 
 
 def test_projector_complement_properties():
@@ -90,7 +90,7 @@ def test_analytic_bound_matches_numerical_fisher():
 def test_bound_scales_with_noise_and_time():
     base = crb_phase(make_input()).crb_matrix
     double_noise = crb_phase(make_input(sigma2=0.02)).crb_matrix
-    double_time = crb_phase(make_input(T_obs=2 * 512 * 11.0)).crb_matrix
+    double_time = crb_phase(make_input(n_snapshots=2 * 512)).crb_matrix
     np.testing.assert_allclose(double_noise, 2 * base, rtol=1e-12)
     np.testing.assert_allclose(double_time, base / 2, rtol=1e-12)
     quad_power = crb_phase(make_input(powers=[4.0, 4.0])).crb_matrix
@@ -109,12 +109,12 @@ def test_selected_structure_bound_dominates_full():
 
 
 def test_per_branch_bookkeeping_is_equivalent():
-    # per-branch bookkeeping: prefactor 2 N / sigma^2 with N = T_obs * f_s
-    # snapshots and the branch-scale source covariance L * R_S; N * L equals
-    # T_obs * f_N, so it must give crb_phase's Fisher information
-    inp = make_input()
-    N = inp.T_obs * inp.pattern.f_s
-    R_branch = inp.pattern.L * inp.R_S
+    # per-branch bookkeeping: prefactor 2 N / sigma^2 with N snapshots and
+    # the branch-scale source powers L * p; it must give crb_phase's Fisher
+    # information, whose prefactor counts the N * L Nyquist slots
+    inp = make_input(powers=[1.0, 2.5])
+    N = inp.n_snapshots
+    R_branch = inp.pattern.L * np.diag(inp.powers)
     for full in (False, True):
         H, E = _steering(inp, full)
         P = _projector_complement(H)
@@ -142,7 +142,7 @@ def test_frequency_bound_positive_and_time_scaling():
     d1 = np.diag(f1).real
     assert np.all(d1 > 0)
     # a tone's frequency bound tightens much faster than 1/T
-    f2 = freq_crb_numerical(make_input(T_obs=2 * 512 * 11.0))
+    f2 = freq_crb_numerical(make_input(n_snapshots=2 * 512))
     d2 = np.diag(f2).real
     assert np.all(d2 < d1 / 4)
 
@@ -214,27 +214,25 @@ def test_freq_bound_memory_does_not_scale_with_channels():
     assert peak < 16 * 2**20
 
 
-def test_frequency_bound_requires_residuals():
-    inp = CrbInput(phis=(0.4,), bands=(3,), R_S=np.eye(1), sigma2=0.01,
-                   T_obs=512 * 11.0, geom=GEOM, pattern=PATTERN)
-    with pytest.raises(ConfigError):
-        freq_crb_numerical(inp)
-
-
 def test_input_validation():
     with pytest.raises(ConfigError):
         make_input(sigma2=0.0)
     with pytest.raises(ConfigError):
-        make_input(T_obs=-1.0)
+        make_input(sigma2=np.nan)
+    for n_snapshots in (0, 512.5):
+        with pytest.raises(ConfigError, match="n_snapshots"):
+            make_input(n_snapshots=n_snapshots)
+    for power in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="powers"):
+            make_input(powers=[1.0, power])
     with pytest.raises(ConfigError):
-        CrbInput(phis=(0.1, 0.2), bands=(1,), R_S=np.eye(2), sigma2=0.01,
-                 T_obs=10.0, geom=GEOM, pattern=PATTERN)
+        make_input(bands=(1,))
     with pytest.raises(ConfigError):
-        CrbInput(phis=(0.1,), bands=(1,), R_S=np.array([[1j]]), sigma2=0.01,
-                 T_obs=10.0, geom=GEOM, pattern=PATTERN)
+        make_input(powers=[1.0])
+    with pytest.raises(ConfigError):
+        make_input(f_residuals=(0.1, 0.2, 0.3))
     with pytest.raises(ConfigError, match="at least one source"):
-        CrbInput(phis=(), bands=(), R_S=np.zeros((0, 0)), sigma2=0.01,
-                 T_obs=10.0, geom=GEOM, pattern=PATTERN)
+        make_input(phis=(), bands=(), powers=[], f_residuals=())
 
 
 def test_input_from_scenario_bookkeeping():
@@ -243,6 +241,7 @@ def test_input_from_scenario_bookkeeping():
     inp = crb_input_from_scenario(config)
     assert inp.n_sources == 2
     assert inp.n_snapshots == config.n_snapshots
+    assert inp.powers == tuple(s.power for s in config.sources)
     np.testing.assert_allclose(inp.phis, config.phases())
     assert inp.bands == tuple(config.band_of(k) for k in range(2))
     assert inp.sigma2 == pytest.approx(config.sigma2)

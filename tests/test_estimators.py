@@ -1,6 +1,7 @@
 """Estimation primitives against independent oracles, plus noiseless pipelines."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -86,18 +87,23 @@ def cosine_cost(M, A, B, k, phi0):
 
 def test_phase_minima_closed_form():
     M = 5
+    # rows of one polynomial degree share one batch of companion matrices:
+    # rows 0 and 5 have the full degree, rows 1 and 6 drop to degree 2 (zero
+    # corner entries), row 4 to degree 1
     C = np.stack([
-        cosine_cost(M, 3.0, 1.0, 4, 0.4),   # full degree: batched companion
-        cosine_cost(M, 2.0, 1.5, 2, -2.9),  # zero corner entry: degree drop
+        cosine_cost(M, 3.0, 1.0, 4, 0.4),
+        cosine_cost(M, 2.0, 1.5, 2, -2.9),
         2.0 * np.eye(M),                    # constant cost: no minima
         np.zeros((M, M)),
         cosine_cost(M, 1.0, 0.5, 1, np.pi),  # minimum at phi = pi, as +pi
         cosine_cost(M, 3.0, 2.0, 4, 0.0),   # minima at 0, +-pi/2 and pi
+        cosine_cost(M, 1.0, 0.25, 2, 1.0),
     ])
     rows, phis, costs = _phase_minima(C)
-    assert set(rows) <= {0, 1, 4, 5}
+    assert set(rows) <= {0, 1, 4, 5, 6}
     for row, k, phi0, floor in ((0, 4, 0.4, 2.0), (1, 2, -2.9, 0.5),
-                                (4, 1, np.pi, 0.5), (5, 4, 0.0, 1.0)):
+                                (4, 1, np.pi, 0.5), (5, 4, 0.0, 1.0),
+                                (6, 2, 1.0, 0.75)):
         got = np.sort(phis[rows == row])
         want = np.sort(np.angle(np.exp(1j * (phi0 + 2 * np.pi * np.arange(k) / k))))
         np.testing.assert_allclose(got, want, atol=1e-12)
@@ -183,8 +189,8 @@ def test_batched_swaps_match_sequential_oracle(duplicates):
     changed = 0
     for snr_db in (0.0, 10.0, 20.0):
         for _ in range(20):
-            config = default_scenario(K=3, snr_db=snr_db, n_snapshots=256,
-                                      rng_seed=int(rng.integers(2**31)))
+            config = replace(default_scenario(K=3, snr_db=snr_db), n_snapshots=256,
+                             rng_seed=int(rng.integers(2**31)))
             B = build_B(config.pattern)
             B = np.column_stack([B] + [B[:, c] for c in duplicates])
             V = covariance_factor(assemble_snapshots(config)[:config.pattern.P])
@@ -448,7 +454,7 @@ def test_joint_spectrum_invariant_to_global_phase():
 def test_full_structure_tracks_or_beats_simplified_in_noise():
     from subnyq.harness import default_scenario, run_trial
 
-    scenario = default_scenario(K=3, snr_db=10.0, n_snapshots=1024)
+    scenario = replace(default_scenario(K=3, snr_db=10.0), n_snapshots=1024)
     errs = {"JDFSDPJ": [], "JDFSD-full": []}
     for seed in range(150):
         for alg in errs:

@@ -27,7 +27,7 @@ def golden_sweeps():
     """The default SNR sweep at 10/20/30 dB (N=4096, JDFPI and JDFSDPJ) and
     the source-count sweep at N=256 with all three algorithms; master seed 0,
     3 trials per point."""
-    snr = default_sweep(values=(10, 20, 30), n_trials=3)
+    snr = replace(default_sweep("snr_db"), sweep_values=(10, 20, 30), n_trials=3)
     base = replace(default_scenario(K=3, snr_db=20.0), n_snapshots=256)
     count = SweepConfig(base=base, sweep_variable="n_sources",
                         sweep_values=(1, 2, 3), n_trials=3,

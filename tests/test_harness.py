@@ -21,6 +21,7 @@ from subnyq.harness import (
     default_sweep,
     derive_trial_seed,
     emit_csv,
+    format_csv,
     match_estimates,
     read_csv,
     run_sweep,
@@ -133,7 +134,7 @@ def test_import_loads_no_scipy():
 
 
 def test_run_trial_records_failure_without_raising():
-    base = default_scenario(K=1, snr_db=None, n_snapshots=256)
+    base = replace(default_scenario(K=1, snr_db=None), n_snapshots=256)
     silent = replace(base, sources=(replace(base.sources[0], amplitude=0.0),))
     # all-zero snapshots: each pipeline fails in its first search
     for algorithm, step in (("JDFPI", "music_spatial"),
@@ -145,7 +146,7 @@ def test_run_trial_records_failure_without_raising():
 
 
 def test_failed_trials_excluded_from_rmse():
-    base = default_scenario(K=1, snr_db=None, n_snapshots=256)
+    base = replace(default_scenario(K=1, snr_db=None), n_snapshots=256)
     silent = replace(base, sources=(replace(base.sources[0], amplitude=0.0),),
                      snr_db=0.0)
     config = SweepConfig(base=silent, sweep_variable="snr_db",
@@ -158,7 +159,7 @@ def test_failed_trials_excluded_from_rmse():
 
 
 def test_table_invariant_to_source_order():
-    base = default_scenario(K=3, snr_db=20.0, n_snapshots=256)
+    base = replace(default_scenario(K=3, snr_db=20.0), n_snapshots=256)
     swapped = replace(base, sources=base.sources[::-1])
     mk = lambda b: SweepConfig(base=b, sweep_variable="snr_db",
                                sweep_values=(20.0,), n_trials=1,
@@ -261,7 +262,7 @@ def test_undefined_bound_raises_before_any_trial(monkeypatch):
         original = getattr(harness, name)
         monkeypatch.setattr(harness, name, lambda config, _f=original, _n=name:
                             calls.append(_n) or _f(config))
-    base = default_scenario(K=2, snr_db=20.0, n_snapshots=256)
+    base = replace(default_scenario(K=2, snr_db=20.0), n_snapshots=256)
     same = replace(base, sources=(base.sources[0],) * 2)
     config = SweepConfig(base=same, sweep_variable="snr_db",
                          sweep_values=(10.0, 20.0), n_trials=2,
@@ -389,7 +390,7 @@ def test_sweep_algorithms_share_each_trial():
 
 
 def test_run_trial_deterministic():
-    scenario = default_scenario(K=2, snr_db=15.0, n_snapshots=256)
+    scenario = replace(default_scenario(K=2, snr_db=15.0), n_snapshots=256)
     a = run_trial(scenario, "JDFSDPJ", seed=123)
     b = run_trial(scenario, "JDFSDPJ", seed=123)
     assert not a.failed
@@ -408,6 +409,69 @@ def test_run_sweep_aggregates_counts_and_metrics():
             assert np.isfinite(row.rmse) and row.rmse > 0
         assert np.isfinite(row.crb) and row.crb > 0
     assert len(table.records) == 2 * 2 * 3
+
+
+def test_serial_sweep_derives_each_task_when_it_runs(monkeypatch):
+    # a huge serial sweep starts its first trial at once, so a Ctrl-C soon
+    # after returns a partial table
+    import subnyq.harness as harness
+
+    original, derived, at_first_task = harness.derive_trial_seed, [], []
+
+    def counting(*args):
+        derived.append(args)
+        return original(*args)
+
+    def interrupting(task):
+        at_first_task.append(len(derived))
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "derive_trial_seed", counting)
+    monkeypatch.setattr(harness, "_run_task", interrupting)
+    with pytest.raises(KeyboardInterrupt) as info:
+        run_sweep(small_sweep(n_trials=1000, values=(10.0, 20.0)))
+    assert at_first_task == [1]
+    assert info.value.partial.records == ()
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_nonpositive_workers_is_config_error(workers):
+    with pytest.raises(ConfigError, match="workers"):
+        run_sweep(small_sweep(n_trials=1, values=(20.0,)), workers=workers)
+
+
+def test_pool_is_capped_at_cpu_count(monkeypatch):
+    # a stand-in pool records its size and maps in this process, so no
+    # worker process is started whatever the requested count
+    import os
+
+    import subnyq.harness as harness
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    config = small_sweep(n_trials=2, values=(20.0,))
+    serial = format_csv(run_sweep(config))
+    assert format_csv(run_sweep(config, workers=100_000)) == serial
+    assert format_csv(run_sweep(config, workers=2)) == serial
+    assert sizes == [3, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one CPU
+    assert format_csv(run_sweep(config, workers=4)) == serial
+    assert sizes == [3, 2]
 
 
 def test_run_sweep_parallel_matches_sequential():
