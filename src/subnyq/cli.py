@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 configuration error, 3 estimation failure in
-`single` mode, 4 I/O error.
+Exit codes: 0 success, 2 configuration error (sizes that do not fit in
+memory included), 3 estimation failure in `single` mode, 4 I/O error.
 """
 
 import argparse
@@ -213,6 +213,10 @@ def main(argv=None) -> int:
         # failures, sweeps record them per trial); they are undefined for
         # sources the receiver cannot tell apart
         print(f"configuration error: bound undefined: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"configuration error: sizes do not fit in memory: {exc}",
+              file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

@@ -174,7 +174,8 @@ def freq_crb_numerical(inp: CrbInput, full_structure: bool = False) -> np.ndarra
     TT = (scale.conj()[:, None] * scale
           * moments[power[:, None] + power, source[:, None], source])
     F = (2.0 / inp.sigma2) * np.real((G.conj().T @ G) * TT)
-    cond = np.linalg.cond(F)
+    # F mixes radians, Hz and amplitude: judge it scaled to a unit diagonal
+    cond = np.linalg.cond(F / np.sqrt(np.outer(np.diag(F), np.diag(F))))
     if not np.isfinite(cond) or cond > 1e14:
         raise RankDeficiencyError("tone-model Fisher information is singular")
     crb = np.linalg.inv(F)

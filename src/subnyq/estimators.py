@@ -2,8 +2,8 @@
 
 Two pipelines operate on the simplified receiver output W:
 
-* `jdfpi`: individual estimates (spatial MUSIC on the sensor view Q, coset
-  support recovery on the branch view Y1) matched by cross-correlation
+* `jdfpi`: individual estimates (spatial MUSIC, coset support recovery) on
+  blocks of one sample covariance of W, matched by cross-correlation
   pairing, then least-squares signal reconstruction and per-source residual
   frequency estimation.
 * `jdfsdpj`: a joint 2-D subspace search over (spatial phase, band) with the
@@ -69,7 +69,6 @@ class SubspaceDecomposition:
     """Eigendecomposition of a sample covariance split at model order K."""
 
     eigvals: np.ndarray
-    U_S: np.ndarray = field(repr=False)
     U_N: np.ndarray = field(repr=False)
     weak_separation: bool = False
 
@@ -115,8 +114,7 @@ def decompose(R: np.ndarray, K: int) -> SubspaceDecomposition:
     vecs = vecs[:, ::-1]
     weak = bool(eigvals[K] > 0 and eigvals[K - 1] < 2.0 * eigvals[K])
     return SubspaceDecomposition(
-        eigvals=eigvals, U_S=vecs[:, :K], U_N=vecs[:, K:], weak_separation=weak,
-    )
+        eigvals=eigvals, U_N=vecs[:, K:], weak_separation=weak)
 
 
 def _phase_minima(C: np.ndarray):
@@ -188,10 +186,10 @@ def _phase_minima(C: np.ndarray):
     return row, phi[row, col], cost[row, col]
 
 
-def _search(X: np.ndarray, K: int, G: np.ndarray, step: str):
+def _search(R: np.ndarray, K: int, G: np.ndarray, step: str):
     """The K lowest minima over (phi, l) of ||U_N^H G_l v(phi)||^2.
 
-    U_N is the noise subspace of X's sample covariance at model order K, and
+    U_N is the noise subspace of the covariance R at model order K, and
     the stack G maps v(phi) to the steering vector of each band l.  Minima
     are ranked by (cost, band, phi).  Returns (phis, bands).
 
@@ -203,7 +201,7 @@ def _search(X: np.ndarray, K: int, G: np.ndarray, step: str):
     out has only minima that cost more than the K-th pick, and rows are
     rooted independently, so the picks are those of rooting every band.
     """
-    U_N = decompose(sample_covariance(X), K).U_N
+    U_N = decompose(R, K).U_N
     T = U_N.conj().T @ G
     C = T.conj().transpose(0, 2, 1) @ T
     M = C.shape[-1]
@@ -229,13 +227,10 @@ def _search(X: np.ndarray, K: int, G: np.ndarray, step: str):
     return phi[pick], band[pick]
 
 
-def music_spatial(Q: np.ndarray, K: int) -> np.ndarray:
-    """Spatial-phase MUSIC on the sensor view Q; returns the K phases that
-    minimize the noise-subspace cost, sorted."""
-    M = Q.shape[0]
-    if K >= M:
-        raise ConfigError(f"spatial MUSIC needs K < M, got K={K}, M={M}")
-    phis, _ = _search(Q, K, np.eye(M)[None], "music_spatial")
+def music_spatial(R: np.ndarray, K: int) -> np.ndarray:
+    """Spatial-phase MUSIC on the M x M sensor covariance R; returns the K
+    phases that minimize the noise-subspace cost, sorted."""
+    phis, _ = _search(R, K, np.eye(R.shape[0])[None], "music_spatial")
     return np.sort(phis)
 
 
@@ -254,17 +249,16 @@ def ls_solve(mat: np.ndarray, obs: np.ndarray) -> np.ndarray:
     return vh.conj().T @ ((u.conj().T @ obs) / s[:, None])
 
 
-def ctf_support(Y1: np.ndarray, B: np.ndarray, K: int) -> tuple[int, ...]:
-    """Band support of the branch view via the covariance CTF reduction.
+def ctf_support(R: np.ndarray, B: np.ndarray, K: int) -> tuple[int, ...]:
+    """Band support from the P x P branch covariance R via the CTF reduction.
 
-    The sample covariance is factored as V V^H through its eigendecomposition
+    R is factored as V V^H through its eigendecomposition
     (numerically positive eigenvalues only) and the resulting multiple
     measurement vector system B U = V is solved for a row-sparse U by
     simultaneous orthogonal matching pursuit over the columns of B.
     """
     if K > B.shape[0] - 1:
         raise ConfigError(f"CTF needs K <= P-1, got K={K}, P={B.shape[0]}")
-    R = sample_covariance(Y1)
     eigvals, vecs = np.linalg.eigh(R)
     keep = eigvals > max(eigvals[-1], 0.0) * 1e-12
     if not np.any(keep):
@@ -328,11 +322,11 @@ def _improve_support(B: np.ndarray, V: np.ndarray, selected: list[int]) -> list[
     return selected
 
 
-def pair_supports(Z: np.ndarray, X_omega: np.ndarray, omega) -> JointSupport:
-    """Assign each source row of Z a band from omega by cross-correlation."""
+def pair_supports(C: np.ndarray, omega) -> JointSupport:
+    """Assign each source a band from omega by cross-correlation: C is the
+    K x |omega| correlation of the source signals with the band signals."""
     omega = tuple(omega)
-    N = Z.shape[1]
-    R = np.abs(Z @ X_omega.conj().T) / N
+    R = np.abs(C)
     ambiguous = False
     bands = []
     for i in range(R.shape[0]):
@@ -412,23 +406,25 @@ def jdfpi(W: np.ndarray, config) -> EstimationResult:
     """Individual-estimates pipeline: spatial MUSIC + CTF support + pairing.
 
     W is the simplified receiver output, whose rows are the channels
-    `selected_channel_columns(M, P)` (flat indices m*P + p).  The sensor view
-    Q (branch 0 of every sensor) is its rows with p = 0; the branch view Y1
-    (every branch of sensor 0) is its rows with m = 0.
+    `selected_channel_columns(M, P)` (flat indices m*P + p).  The steps read
+    blocks of its sample covariance R over the sensor rows q (p = 0) and the
+    branch rows y (m = 0); pairing correlates Z = A^+ W[q] with the band
+    signals X = B_omega^+ W[y] as Z X^H / N = A^+ R[q, y] (B_omega^+)^H.
     """
     K = config.n_sources
     pattern = config.pattern
     if K > pattern.P - 1:
         raise ConfigError(f"JDFPI needs K <= P-1, got K={K}, P={pattern.P}")
     rows = selected_channel_columns(config.geom.M, pattern.P)
-    Q, Y1 = W[rows % pattern.P == 0], W[rows < pattern.P]
-    phis = music_spatial(Q, K)
-    A = build_A(phis, config.geom.M)
-    Z = ls_solve(A, Q)
+    q, y = np.flatnonzero(rows % pattern.P == 0), np.flatnonzero(rows < pattern.P)
+    R = sample_covariance(W)
+    phis = music_spatial(R[q][:, q], K)
+    # A^+ R[q, y]; an ill-conditioned A fails before the support search runs
+    AR = ls_solve(build_A(phis, config.geom.M), R[q][:, y])
     B = build_B(pattern)
-    omega = ctf_support(Y1, B, K)
-    X_omega = ls_solve(B[:, list(omega)], Y1)
-    support = pair_supports(Z, X_omega, omega)
+    omega = ctf_support(R[y][:, y], B, K)
+    C = ls_solve(B[:, list(omega)], AR.conj().T).conj().T
+    support = pair_supports(C, omega)
     return _finish(W, phis, support.bands, config, "JDFPI", rows)
 
 
@@ -440,7 +436,7 @@ def _joint_search(X: np.ndarray, config, rows, algorithm: str,
     row m*P + p of the map is B[p, l] times the m-th unit row."""
     M, P = config.geom.M, config.pattern.P
     G = np.eye(M)[rows // P] * build_B(config.pattern)[rows % P].T[:, :, None]
-    phis, bands = _search(X, config.n_sources, G, step)
+    phis, bands = _search(sample_covariance(X), config.n_sources, G, step)
     return _finish(X, phis, bands, config, algorithm, rows)
 
 

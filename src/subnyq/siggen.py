@@ -96,8 +96,6 @@ class ScenarioConfig:
             raise ConfigError(f"RNG seed must be non-negative, got {self.rng_seed}")
         if K >= M:
             raise ConfigError(f"need K < M, got K={K}, M={M}")
-        if K > M + P - 2:
-            raise ConfigError(f"need K <= M+P-2, got K={K}, M+P-2={M + P - 2}")
         if self.n_snapshots < 2 * (M + P - 1):
             raise ConfigError(
                 f"need n_snapshots >= {2 * (M + P - 1)} for covariance "

@@ -18,7 +18,7 @@ from scipy.optimize import minimize_scalar
 
 from subnyq.crb import CrbInput
 from subnyq.errors import ConfigError, PeakCountError, RankDeficiencyError
-from subnyq.estimators import _phase_minima, decompose, sample_covariance
+from subnyq.estimators import _phase_minima, decompose
 from subnyq.model import (
     ArrayGeometry,
     MultiCosetPattern,
@@ -224,11 +224,11 @@ def grid_search_oracle(U_N: np.ndarray, steering, n_bands: int, K: int):
     return (np.array([p for p, _ in kept]), np.array([b for _, b in kept], dtype=int))
 
 
-def all_band_search(X: np.ndarray, K: int, G: np.ndarray):
-    """The joint subspace search rooting every band's cost, with no bound
-    pruning; the reference for `estimators._search`.  Returns (phis, bands)
-    of the K lowest minima ranked by (cost, band, phi)."""
-    U_N = decompose(sample_covariance(X), K).U_N
+def all_band_search(R: np.ndarray, K: int, G: np.ndarray):
+    """The joint subspace search on the covariance R rooting every band's
+    cost, with no bound pruning; the reference for `estimators._search`.
+    Returns (phis, bands) of the K lowest minima ranked by (cost, band, phi)."""
+    U_N = decompose(R, K).U_N
     T = U_N.conj().T @ G
     band, phi, cost = _phase_minima(T.conj().transpose(0, 2, 1) @ T)
     if phi.size < K:

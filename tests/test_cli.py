@@ -167,6 +167,31 @@ def test_sizes_beyond_numpy_limit_are_config_errors(tmp_path, capsys, command,
     assert "size limit" in captured.err and captured.out == ""
 
 
+# sizes below numpy's limit can still exceed memory; a stand-in builder
+# raises as such an allocation would, so nothing large is allocated
+@pytest.mark.parametrize("command,builder", [
+    ("single", "subnyq.estimators.build_B"),
+    ("sweep-snr", "subnyq.estimators.build_B"),
+    ("crb", "subnyq.crb.build_G_selected"),
+    ("dump-snapshots", "subnyq.cli.assemble_snapshots"),
+])
+def test_memory_error_is_config_error(tmp_path, capsys, monkeypatch, command,
+                                      builder):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 TiB")
+
+    monkeypatch.setattr(builder, out_of_memory)
+    config = scenario_json(tmp_path)
+    if command == "sweep-snr":
+        config = sweep_json(tmp_path, algorithms=["JDFPI"])
+    args = [command, "--config", config]
+    if command == "dump-snapshots":
+        args += ["--out", str(tmp_path / "w.snyq")]
+    assert main(args) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "do not fit in memory" in captured.err and captured.out == ""
+
+
 # JSON's 1e400 parses to float("inf"), which json.dumps writes as Infinity
 INF, NAN = float("inf"), float("nan")
 

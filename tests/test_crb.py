@@ -201,6 +201,24 @@ def test_tone_model_phase_bound_equals_crb_phase_for_one_source(full):
             rtol=1e-12, atol=0)
 
 
+def test_freq_bound_is_unit_free():
+    # f_N, c_prop and the carriers scaled together describe the same
+    # scenario in another unit of frequency: the bound scales with f_N^2,
+    # and no unit makes the Fisher information look singular
+    base = replace(default_scenario(K=3, snr_db=20.0), n_snapshots=256)
+    for full in (False, True):
+        want = freq_crb_numerical(crb_input_from_scenario(base), full_structure=full)
+        for scale in (1e-6, 1e-3, 1.0, 1e3, 3.7e9):
+            config = replace(
+                base, geom=replace(base.geom, c_prop=scale * base.geom.c_prop),
+                pattern=replace(base.pattern, f_N=scale * base.pattern.f_N),
+                sources=tuple(replace(s, f_c=scale * s.f_c) for s in base.sources))
+            got = freq_crb_numerical(crb_input_from_scenario(config),
+                                     full_structure=full)
+            np.testing.assert_allclose(got / scale**2, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+
+
 def test_freq_bound_memory_does_not_scale_with_channels():
     # the dense derivative matrix of this call is 655,360 x 12 (120 MiB)
     config = replace(default_scenario(K=3), n_snapshots=16384)

@@ -68,7 +68,7 @@ def test_decompose_orders_and_splits():
                         + 1j * rng.standard_normal((5, 400)))
     dec = decompose(sample_covariance(X), 2)
     assert np.all(np.diff(dec.eigvals) <= 1e-12)
-    assert dec.U_S.shape == (5, 2) and dec.U_N.shape == (5, 3)
+    assert dec.U_N.shape == (5, 3)
     # noise subspace nearly orthogonal to the true steering columns
     assert np.linalg.norm(dec.U_N.conj().T @ A) < 0.05
     with pytest.raises(ConfigError):
@@ -118,13 +118,13 @@ def test_music_spatial_recovers_phases():
     S = rng.standard_normal((3, 2000)) + 1j * rng.standard_normal((3, 2000))
     X = A @ S + 1e-6 * (rng.standard_normal((8, 2000))
                         + 1j * rng.standard_normal((8, 2000)))
-    est = music_spatial(X, 3)
+    est = music_spatial(sample_covariance(X), 3)
     np.testing.assert_allclose(est, np.sort(true), atol=1e-6)
 
 
 def test_music_spatial_validates_order():
     with pytest.raises(ConfigError):
-        music_spatial(np.zeros((3, 10), dtype=complex), 3)
+        music_spatial(sample_covariance(np.zeros((3, 10), dtype=complex)), 3)
 
 
 def test_ls_solve_matches_lstsq():
@@ -165,7 +165,7 @@ def test_ctf_support_matches_brute_force():
             continue
         Y1 = assemble_snapshots(config)[:config.pattern.P]
         B = build_B(config.pattern)
-        est = ctf_support(Y1, B, K)
+        est = ctf_support(sample_covariance(Y1), B, K)
         oracle = brute_force_support(Y1, B, K)
         truth = tuple(sorted(config.band_of(k) for k in range(K)))
         assert est == tuple(sorted(oracle)) == truth
@@ -203,10 +203,30 @@ def test_batched_swaps_match_sequential_oracle(duplicates):
 
 def test_ctf_support_validates_and_rejects_empty():
     B = build_B(PATTERN)
+    R = sample_covariance(np.zeros((PATTERN.P, 8), dtype=complex))
     with pytest.raises(ConfigError):
-        ctf_support(np.zeros((PATTERN.P, 8), dtype=complex), B, PATTERN.P)
+        ctf_support(R, B, PATTERN.P)
     with pytest.raises(EmptySupportError):
-        ctf_support(np.zeros((PATTERN.P, 8), dtype=complex), B, 2)
+        ctf_support(R, B, 2)
+
+
+def spy_calls(monkeypatch, *names):
+    """Record, per estimators function name, the arguments and result of
+    its latest call (args..., result)."""
+    seen = {}
+
+    def spy(name):
+        original = getattr(estimators, name)
+
+        def record(*args):
+            result = original(*args)
+            seen[name] = (*args, result)
+            return result
+        return record
+
+    for name in names:
+        monkeypatch.setattr(estimators, name, spy(name))
+    return seen
 
 
 @pytest.mark.parametrize("M, pattern", [
@@ -215,28 +235,58 @@ def test_ctf_support_validates_and_rejects_empty():
     (3, MultiCosetPattern(L=7, offsets=(0, 2, 3), f_N=1.0)),
 ], ids=["M6_P4", "M8_P5", "M3_P3"])
 def test_jdfpi_views_are_channel_rows(monkeypatch, M, pattern):
-    # the sensor view is branch 0 of every sensor, sensor 0 first; the branch
-    # view is every branch of sensor 0
-    seen = {}
-
-    def spy(name):
-        original = getattr(estimators, name)
-
-        def record(X, *args):
-            seen[name] = X
-            return original(X, *args)
-        return record
-
-    for name in ("music_spatial", "ctf_support"):
-        monkeypatch.setattr(estimators, name, spy(name))
+    # the sensor block is branch 0 of every sensor, sensor 0 first; the
+    # branch block is every branch of sensor 0; both are cut from one
+    # sample covariance of W
+    seen = spy_calls(monkeypatch, "music_spatial", "ctf_support")
     geom = ArrayGeometry(M=M, d=0.5, c_prop=1.0)
     config = random_scenario(np.random.default_rng(M), K=1, snr_db=20.0,
                              geom=geom, pattern=pattern)
     W = assemble_snapshots(config)
     jdfpi(W, config)
-    P = pattern.P
-    np.testing.assert_array_equal(seen["music_spatial"], W[[0, *range(P, M + P - 1)]])
-    np.testing.assert_array_equal(seen["ctf_support"], W[:P])
+    R, P = sample_covariance(W), pattern.P
+    q = [0, *range(P, M + P - 1)]
+    np.testing.assert_array_equal(seen["music_spatial"][0], R[q][:, q])
+    np.testing.assert_array_equal(seen["ctf_support"][0], R[:P][:, :P])
+
+
+@pytest.mark.parametrize("pipeline,full", [(jdfpi, False), (jdfsdpj, False),
+                                           (jdfsd_full, True)])
+def test_one_sample_covariance_per_pipeline(monkeypatch, pipeline, full):
+    seen = []
+    monkeypatch.setattr(estimators, "sample_covariance",
+                        lambda X: seen.append(X.shape) or sample_covariance(X))
+    config = random_scenario(np.random.default_rng(19), K=2, snr_db=20.0)
+    data = assemble_full_snapshots(config) if full else assemble_snapshots(config)
+    pipeline(data, config)
+    assert seen == [data.shape]
+
+
+# low-SNR draws may pair ambiguously; the matrix is checked, not the choice
+@pytest.mark.filterwarnings("ignore:pairing confidence low")
+def test_jdfpi_pairs_from_the_cross_block(monkeypatch):
+    # the pairing matrix read from the covariance's cross block is the
+    # correlation Z X_omega^H / N of the N-length source and band signals
+    rng = np.random.default_rng(18)
+    seen = spy_calls(monkeypatch, "music_spatial", "pair_supports")
+    checked = 0
+    for i in range(25):
+        config = random_scenario(rng, snr_db=(-10.0, 0.0, 10.0, 20.0, 30.0)[i % 5],
+                                 n_snapshots=256)
+        M, P = config.geom.M, config.pattern.P
+        W = assemble_snapshots(config)
+        try:
+            jdfpi(W, config)
+        except EstimationError:
+            continue
+        Q, Y1 = W[[0, *range(P, M + P - 1)]], W[:P]
+        C, omega, _ = seen["pair_supports"]
+        Z = np.linalg.pinv(build_A(seen["music_spatial"][-1], M)) @ Q
+        X_omega = np.linalg.pinv(build_B(config.pattern)[:, list(omega)]) @ Y1
+        want = Z @ X_omega.conj().T / W.shape[1]
+        assert np.linalg.norm(C - want) < 1e-12 * np.linalg.norm(want)
+        checked += 1
+    assert checked >= 20
 
 
 def test_pair_supports_recovers_assignment():
@@ -249,7 +299,7 @@ def test_pair_supports_recovers_assignment():
     Z = S[order] + 0.05 * (rng.standard_normal((3, N))
                            + 1j * rng.standard_normal((3, N)))
     omega = (1, 5, 9)
-    support = pair_supports(Z, S, omega)
+    support = pair_supports(Z @ S.conj().T / N, omega)
     assert support.bands == tuple(omega[i] for i in order)
     assert not support.ambiguous
 
@@ -261,7 +311,7 @@ def test_pair_supports_flags_ambiguity():
     Z = np.vstack([s, s])  # both rows correlate equally with both bands
     X = np.vstack([s, s])
     with pytest.warns(UserWarning):
-        support = pair_supports(Z, X, (0, 3))
+        support = pair_supports(Z @ X.conj().T / N, (0, 3))
     assert support.ambiguous
 
 
@@ -341,7 +391,8 @@ def test_root_search_matches_grid_oracle():
         full = assemble_full_snapshots(config)
         searches = (
             (Q, lambda ph, l: build_A(ph, M), 1,
-             lambda: (music_spatial(Q, K), np.zeros(K, dtype=int))),
+             lambda: (music_spatial(sample_covariance(Q), K),
+                      np.zeros(K, dtype=int))),
             (W, lambda ph, l: np.kron(build_A(ph, M), B[:, [l]])[rows], pattern.L,
              lambda: phase_band(jdfsdpj(W, config))),
             (full, lambda ph, l: np.kron(build_A(ph, M), B[:, [l]]), pattern.L,
@@ -388,7 +439,7 @@ def test_pair_supports_shared_band():
     rng = np.random.default_rng(12)
     s = rng.standard_normal(200) + 1j * rng.standard_normal(200)
     Z = np.vstack([s, 2 * s])
-    support = pair_supports(Z, s[None, :], (4,))
+    support = pair_supports(Z @ s.conj()[:, None] / s.size, (4,))
     assert support.bands == (4, 4)
 
 
@@ -523,9 +574,10 @@ def test_pruned_search_equals_all_band_search(rooted_rows):
                          channel_maps(M, B, np.arange(M * P)))):
             for K in range(1, 5):
                 rooted_rows.clear()
-                got = search_outcome(_search, X, K, maps, "test_step")
+                R = sample_covariance(X)
+                got = search_outcome(_search, R, K, maps, "test_step")
                 second_stages += len(rooted_rows) > 1
-                want = search_outcome(all_band_search, X, K, maps)
+                want = search_outcome(all_band_search, R, K, maps)
                 if isinstance(want, int):
                     assert got == want
                     continue
@@ -535,15 +587,16 @@ def test_pruned_search_equals_all_band_search(rooted_rows):
 
 
 def noise_subspace_maps(n_signal, costs):
-    """(X, G) whose search over K = n_signal sources has band l's cost matrix
-    costs[l]: X's n_signal strong rows leave the noise subspace spanned by
-    the remaining unit vectors, on which G_l is a square root of costs[l]."""
+    """(R, G) whose search over K = n_signal sources has band l's cost matrix
+    costs[l]: R is the sample covariance of a diagonal X whose n_signal
+    strong rows leave the noise subspace spanned by the remaining unit
+    vectors, on which G_l is a square root of costs[l]."""
     M = costs[0].shape[0]
     X = np.diag([3.0 + k for k in range(n_signal)][::-1] + [1.0] * M)
     G = np.zeros((len(costs), n_signal + M, M), dtype=complex)
     for l, C in enumerate(costs):
         G[l, n_signal:] = np.linalg.cholesky(C).conj().T
-    return X.astype(complex), G
+    return sample_covariance(X.astype(complex)), G
 
 
 def test_pruned_search_roots_bands_the_bound_cannot_exclude(rooted_rows):
@@ -554,12 +607,12 @@ def test_pruned_search_roots_bands_the_bound_cannot_exclude(rooted_rows):
     costs = [np.diag([0.05, 1.0, 1.0]) + cosine_cost(M, 0.0, 0.2, 1, 0.3),
              0.5 * np.eye(M) + cosine_cost(M, 0.0, 0.2, 1, -1.1),
              np.eye(M) + cosine_cost(M, 0.0, 0.2, 1, 2.0)]
-    X, G = noise_subspace_maps(1, costs)
-    phis, bands = _search(X, 1, G, "test_step")
+    R, G = noise_subspace_maps(1, costs)
+    phis, bands = _search(R, 1, G, "test_step")
     assert rooted_rows == [1, 1]
     assert list(bands) == [1]
     np.testing.assert_allclose(phis, [-1.1], atol=1e-12)
-    want_phis, want_bands = all_band_search(X, 1, G)
+    want_phis, want_bands = all_band_search(R, 1, G)
     np.testing.assert_array_equal(phis, want_phis)
     np.testing.assert_array_equal(bands, want_bands)
 
@@ -571,24 +624,24 @@ def test_pruned_search_roots_every_band_when_first_stage_falls_short(rooted_rows
     M = 3
     costs = [0.1 * np.eye(M), 0.2 * np.eye(M),
              np.eye(M) + cosine_cost(M, 0.0, 0.2, 1, 0.5)]
-    X, G = noise_subspace_maps(2, costs)
+    R, G = noise_subspace_maps(2, costs)
     with pytest.raises(PeakCountError) as info:
-        _search(X, 2, G, "test_step")
+        _search(R, 2, G, "test_step")
     assert rooted_rows == [2, 1]
     assert info.value.found == 1 and info.value.wanted == 2
-    assert search_outcome(all_band_search, X, 2, G) == 1
+    assert search_outcome(all_band_search, R, 2, G) == 1
 
 
 def test_peak_count_error_reports_counts():
     # strong rows 1-2 leave the noise subspace span(e_3, e_4), where the
     # channel map makes the search cost 2 - cos(phi): one minimum, at 0
-    X = np.diag([3.0, 2.0, 1.0, 1.0]).astype(complex)
+    R = sample_covariance(np.diag([3.0, 2.0, 1.0, 1.0]).astype(complex))
     G = np.zeros((1, 4, 2), dtype=complex)
     G[0, 2:] = np.linalg.cholesky(np.array([[1.0, -0.5], [-0.5, 1.0]])).T
-    phis, bands = _search(X, 1, G, "test_step")
+    phis, bands = _search(R, 1, G, "test_step")
     np.testing.assert_allclose(phis, [0.0], atol=1e-12)
     assert list(bands) == [0]
     with pytest.raises(PeakCountError) as info:
-        _search(X, 2, G, "test_step")
+        _search(R, 2, G, "test_step")
     assert info.value.found == 1 and info.value.wanted == 2
     assert info.value.step == "test_step"
