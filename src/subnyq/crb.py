@@ -28,6 +28,7 @@ the simplified receiver and 0.4-1% lower on the full one.  A sweep reports
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -87,6 +88,24 @@ class CrbInput:
     @property
     def n_sources(self) -> int:
         return len(self.phis)
+
+    @cached_property
+    def tone_moments(self) -> np.ndarray:
+        """sum_n n^p conj(t_a[n]) t_b[n] for p = 0, 1, 2 over n < N, shape
+        (3, K, K), with t_k[n] = rho_k exp(j 2 pi f_k n T_s) the tone of
+        source k and rho_k = sqrt(L p_k).  Both structures' frequency bounds
+        read it; it is computed once per input and is read-only."""
+        n = np.arange(self.n_snapshots)
+        T_s = 1.0 / self.pattern.f_s
+        rho = np.sqrt(self.pattern.L * np.array(self.powers))
+        tones = np.array(
+            [r * np.exp(2j * np.pi * f * n * T_s)
+             for r, f in zip(rho, self.f_residuals)]
+        )
+        weighted = tones.conj() * n ** np.arange(3.0)[:, None, None]
+        moments = weighted @ tones.T
+        moments.setflags(write=False)
+        return moments
 
 
 @dataclass(frozen=True)
@@ -149,37 +168,27 @@ def freq_crb_numerical(inp: CrbInput, full_structure: bool = False) -> np.ndarra
     Purely numerical; no analytic frequency formula is claimed.
     """
     K = inp.n_sources
-    pattern = inp.pattern
-    N = inp.n_snapshots
-    T_s = 1.0 / pattern.f_s
-    n = np.arange(N)
-
-    rho = np.sqrt(pattern.L * np.array(inp.powers))
-    tones = np.array(
-        [r * np.exp(2j * np.pi * f * n * T_s)
-         for r, f in zip(rho, inp.f_residuals)]
-    )
+    T_s = 1.0 / inp.pattern.f_s
+    rho = np.sqrt(inp.pattern.L * np.array(inp.powers))
     H, dH = _steering(inp, full_structure)
     # column c of the derivative matrix is kron(G[:, c], T[:, c]) with
     # parameters ordered (phi, f, rho, alpha), K of each; T[:, c] is
-    # scale[c] * n^power[c] * tones[source[c]], so T^H T needs only the
-    # moments sum_n n^p conj(tones[a]) tones[b], p = 0, 1, 2
+    # scale[c] * n^power[c] * t_source[c], so T^H T needs only the input's
+    # tone moments sum_n n^p conj(t_a) t_b, p = 0, 1, 2
     G = np.hstack([dH, H, H, H])
     power = np.repeat([0, 1, 0, 0], K)
     scale = np.concatenate([np.ones(K), np.full(K, 2j * np.pi * T_s), 1.0 / rho,
                             np.full(K, 1j)])
     source = np.tile(np.arange(K), 4)
-    weighted = tones.conj() * n ** np.arange(3.0)[:, None, None]
-    moments = weighted @ tones.T
     TT = (scale.conj()[:, None] * scale
-          * moments[power[:, None] + power, source[:, None], source])
+          * inp.tone_moments[power[:, None] + power, source[:, None], source])
     F = (2.0 / inp.sigma2) * np.real((G.conj().T @ G) * TT)
     # F mixes radians, Hz and amplitude: judge it scaled to a unit diagonal
     cond = np.linalg.cond(F / np.sqrt(np.outer(np.diag(F), np.diag(F))))
     if not np.isfinite(cond) or cond > 1e14:
         raise RankDeficiencyError("tone-model Fisher information is singular")
     crb = np.linalg.inv(F)
-    return crb[K:2 * K, K:2 * K]
+    return crb[K:2 * K, K:2 * K].copy()  # a view would pin the 4K x 4K inverse
 
 
 def crb_input_from_scenario(config) -> CrbInput:

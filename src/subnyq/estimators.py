@@ -10,7 +10,9 @@ Two pipelines operate on the simplified receiver output W:
   simplified steering vectors, which needs no pairing step.
 
 `jdfsd_full` is the full-structure (all M*P channels) baseline of the same
-subspace search, used for comparison only.
+subspace search, used for comparison only.  Every pipeline takes its
+receiver output together with that output's `sample_covariance`, so the
+pipelines run on one output share one covariance.
 
 Every phase search (spatial MUSIC and both joint searches) minimizes a
 noise-subspace cost that is, per band, a trigonometric polynomial in the
@@ -204,20 +206,23 @@ def _search(R: np.ndarray, K: int, G: np.ndarray, step: str):
     U_N = decompose(R, K).U_N
     T = U_N.conj().T @ G
     C = T.conj().transpose(0, 2, 1) @ T
-    M = C.shape[-1]
-    bound = M * np.linalg.eigvalsh(C)[:, 0]
-    order = np.argsort(bound, kind="stable")
-    first, rest = order[:K], order[K:]
-    row, phi, cost = _phase_minima(C[first])
-    band = first[row]
-    tau = np.partition(cost, K - 1)[K - 1] if cost.size >= K else np.inf
-    slack = 1e-9 * M * np.trace(C[rest], axis1=1, axis2=2).real
-    rest = rest[bound[rest] <= tau + slack]
-    if rest.size:
-        row, phi2, cost2 = _phase_minima(C[rest])
-        band = np.concatenate([band, rest[row]])
-        phi = np.concatenate([phi, phi2])
-        cost = np.concatenate([cost, cost2])
+    if len(C) <= K:  # every band is rooted first: nothing to prune
+        band, phi, cost = _phase_minima(C)
+    else:
+        M = C.shape[-1]
+        bound = M * np.linalg.eigvalsh(C)[:, 0]
+        order = np.argsort(bound, kind="stable")
+        first, rest = order[:K], order[K:]
+        row, phi, cost = _phase_minima(C[first])
+        band = first[row]
+        tau = np.partition(cost, K - 1)[K - 1] if cost.size >= K else np.inf
+        slack = 1e-9 * M * np.trace(C[rest], axis1=1, axis2=2).real
+        rest = rest[bound[rest] <= tau + slack]
+        if rest.size:
+            row, phi2, cost2 = _phase_minima(C[rest])
+            band = np.concatenate([band, rest[row]])
+            phi = np.concatenate([phi, phi2])
+            cost = np.concatenate([cost, cost2])
     if phi.size < K:
         raise PeakCountError(
             f"found {phi.size} noise-subspace cost minima, need {K}",
@@ -343,30 +348,31 @@ def pair_supports(C: np.ndarray, omega) -> JointSupport:
     return JointSupport(bands=tuple(bands), ambiguous=ambiguous)
 
 
-def residual_frequency(x: np.ndarray, f_s: float) -> float:
-    """In-band frequency of a (near) single tone, in [0, f_s).
+def residual_frequency(x: np.ndarray, f_s: float):
+    """In-band frequency of a (near) single tone, in [0, f_s): a float for
+    one sequence, or one per row of a 2-D array of sequences.
 
     Coarse estimate from the phase of the lag-1 autocorrelation (exact for a
     clean tone, wrap-free over [0, f_s)), then a derotated refinement using
     parabolically weighted phase increments, which is efficient in noise.
     """
     x = np.asarray(x)
-    if x.size < 2:
+    if x.ndim == 0 or x.shape[-1] < 2:
         raise ConfigError("need at least 2 samples for a frequency estimate")
-    if not np.any(x):
+    if not np.all(np.any(x, axis=-1)):
         raise EstimationError("zero sequence has no frequency",
                               step="residual_frequency")
-    prods = x[1:] * np.conj(x[:-1])
-    z = np.sum(prods)
+    prods = x[..., 1:] * np.conj(x[..., :-1])
+    z = np.sum(prods, axis=-1)
     coarse = np.angle(z) / (2.0 * np.pi)  # cycles per snapshot, in (-0.5, 0.5]
     # derotate so the remaining increments sit near zero phase
-    n = x.size
-    incr = np.angle(prods * np.exp(-2j * np.pi * coarse))
+    n = x.shape[-1]
+    incr = np.angle(prods * np.exp(-2j * np.pi * coarse)[..., None])
     t = np.arange(n - 1)
     w = 1.0 - ((t - (n / 2.0 - 1.0)) / (n / 2.0)) ** 2
     w /= np.sum(w)
-    fine = coarse + np.sum(w * incr) / (2.0 * np.pi)
-    return float((fine % 1.0) * f_s)
+    fine = coarse + np.sum(w * incr, axis=-1) / (2.0 * np.pi)
+    return (fine % 1.0) * f_s
 
 
 def unfold_frequency(band: int, f_res: float, pattern) -> float:
@@ -388,7 +394,7 @@ def _finish(W: np.ndarray, phis: np.ndarray, bands, config, algorithm: str,
     bands = np.asarray(bands, dtype=int)
     mat = build_G_selected(phis, bands, geom, pattern, rows)
     S = ls_solve(mat, W)
-    f_res = np.array([residual_frequency(row, pattern.f_s) for row in S])
+    f_res = residual_frequency(S, pattern.f_s)
     f = np.array([unfold_frequency(b, r, pattern) for b, r in zip(bands, f_res)])
     theta = np.empty_like(f)
     for k in range(f.size):
@@ -402,14 +408,15 @@ def _finish(W: np.ndarray, phis: np.ndarray, bands, config, algorithm: str,
     )
 
 
-def jdfpi(W: np.ndarray, config) -> EstimationResult:
+def jdfpi(W: np.ndarray, R: np.ndarray, config) -> EstimationResult:
     """Individual-estimates pipeline: spatial MUSIC + CTF support + pairing.
 
     W is the simplified receiver output, whose rows are the channels
-    `selected_channel_columns(M, P)` (flat indices m*P + p).  The steps read
-    blocks of its sample covariance R over the sensor rows q (p = 0) and the
-    branch rows y (m = 0); pairing correlates Z = A^+ W[q] with the band
-    signals X = B_omega^+ W[y] as Z X^H / N = A^+ R[q, y] (B_omega^+)^H.
+    `selected_channel_columns(M, P)` (flat indices m*P + p), and R is
+    `sample_covariance(W)`.  The steps read blocks of R over the sensor rows
+    q (p = 0) and the branch rows y (m = 0); pairing correlates Z = A^+ W[q]
+    with the band signals X = B_omega^+ W[y] as
+    Z X^H / N = A^+ R[q, y] (B_omega^+)^H.
     """
     K = config.n_sources
     pattern = config.pattern
@@ -417,7 +424,6 @@ def jdfpi(W: np.ndarray, config) -> EstimationResult:
         raise ConfigError(f"JDFPI needs K <= P-1, got K={K}, P={pattern.P}")
     rows = selected_channel_columns(config.geom.M, pattern.P)
     q, y = np.flatnonzero(rows % pattern.P == 0), np.flatnonzero(rows < pattern.P)
-    R = sample_covariance(W)
     phis = music_spatial(R[q][:, q], K)
     # A^+ R[q, y]; an ill-conditioned A fails before the support search runs
     AR = ls_solve(build_A(phis, config.geom.M), R[q][:, y])
@@ -428,25 +434,29 @@ def jdfpi(W: np.ndarray, config) -> EstimationResult:
     return _finish(W, phis, support.bands, config, "JDFPI", rows)
 
 
-def _joint_search(X: np.ndarray, config, rows, algorithm: str,
+def _joint_search(X: np.ndarray, R: np.ndarray, config, rows, algorithm: str,
                   step: str) -> EstimationResult:
     """Joint 2-D subspace search over (phi, band) on the receiver output X,
-    whose rows are the channels `rows` (flat indices m*P + p), then the
-    shared `_finish`.  Band l maps v(phi) to those rows of a(phi) kron B_l:
-    row m*P + p of the map is B[p, l] times the m-th unit row."""
+    whose rows are the channels `rows` (flat indices m*P + p), and its sample
+    covariance R, then the shared `_finish`.  Band l maps v(phi) to those
+    rows of a(phi) kron B_l: row m*P + p of the map is B[p, l] times the
+    m-th unit row."""
     M, P = config.geom.M, config.pattern.P
     G = np.eye(M)[rows // P] * build_B(config.pattern)[rows % P].T[:, :, None]
-    phis, bands = _search(sample_covariance(X), config.n_sources, G, step)
+    phis, bands = _search(R, config.n_sources, G, step)
     return _finish(X, phis, bands, config, algorithm, rows)
 
 
-def jdfsdpj(W: np.ndarray, config) -> EstimationResult:
-    """Joint 2-D subspace search over (phi, band) on the simplified output W."""
+def jdfsdpj(W: np.ndarray, R: np.ndarray, config) -> EstimationResult:
+    """Joint 2-D subspace search over (phi, band) on the simplified output W
+    and R = `sample_covariance(W)`."""
     rows = selected_channel_columns(config.geom.M, config.pattern.P)
-    return _joint_search(W, config, rows, "JDFSDPJ", "jdfsdpj_search")
+    return _joint_search(W, R, config, rows, "JDFSDPJ", "jdfsdpj_search")
 
 
-def jdfsd_full(Y_full: np.ndarray, config) -> EstimationResult:
-    """Full-structure baseline: the same joint search on all M*P channels."""
+def jdfsd_full(Y_full: np.ndarray, R_full: np.ndarray, config) -> EstimationResult:
+    """Full-structure baseline: the same joint search on all M*P channels,
+    with R_full = `sample_covariance(Y_full)`."""
     rows = np.arange(config.geom.M * config.pattern.P)
-    return _joint_search(Y_full, config, rows, "JDFSD-full", "jdfsd_full_search")
+    return _joint_search(Y_full, R_full, config, rows, "JDFSD-full",
+                         "jdfsd_full_search")

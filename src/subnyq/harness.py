@@ -11,7 +11,7 @@ import numpy as np
 
 from .crb import crb_input_from_scenario, crb_phase, freq_crb_numerical
 from .errors import ConfigError, EstimationError
-from .estimators import EstimationResult, jdfpi, jdfsd_full, jdfsdpj
+from .estimators import EstimationResult, jdfpi, jdfsd_full, jdfsdpj, sample_covariance
 from .model import ArrayGeometry, MultiCosetPattern, selected_channel_columns
 from .siggen import (
     ScenarioConfig,
@@ -56,35 +56,42 @@ def check_algorithms(names) -> None:
         raise ConfigError(f"algorithm listed more than once: {tuple(names)}")
 
 
-def _trial_output(scenario: ScenarioConfig, algorithms) -> tuple:
-    """Receiver output (W, full) of one seeded trial.
+def _trial_output(scenario: ScenarioConfig, algorithms) -> dict:
+    """Receiver output of one seeded trial and its sample covariance, as an
+    (output, covariance) pair per receiver structure the `algorithms` use,
+    keyed like `_point_bounds` (True for the full structure).
 
-    `full` is the full-structure output when JDFSD-full is among the
-    `algorithms`, else None; W is then its selected rows, which agree
-    bit-exactly with `assemble_snapshots` for the same seed.  The algorithms
-    of a trial share these arrays: consumers must not modify them.
+    When JDFSD-full runs, the simplified output W is the full output's
+    selected rows, which agree bit-exactly with `assemble_snapshots` for the
+    same seed, and its covariance is still taken of W itself.  The
+    algorithms of a trial share these arrays: consumers must not modify them.
     """
-    if "JDFSD-full" not in algorithms:
-        return assemble_snapshots(scenario), None
-    full = assemble_full_snapshots(scenario)
-    M, P = scenario.geom.M, scenario.pattern.P
-    return full[selected_channel_columns(M, P)], full
+    structures = {algorithm == "JDFSD-full" for algorithm in algorithms}
+    if True in structures:
+        full = assemble_full_snapshots(scenario)
+        M, P = scenario.geom.M, scenario.pattern.P
+        outputs = {True: full, False: full[selected_channel_columns(M, P)]}
+    else:
+        outputs = {False: assemble_snapshots(scenario)}
+    return {s: (outputs[s], sample_covariance(outputs[s])) for s in structures}
 
 
 def run_algorithm(name: str, scenario: ScenarioConfig,
                   output=None) -> EstimationResult:
     """Run pipeline `name` on `scenario`'s receiver output.
 
-    `output` is a zero-argument callable returning the `_trial_output` pair
-    of `scenario` (same seed); without it the output is assembled here.
+    `output` is a zero-argument callable returning the `_trial_output` of
+    `scenario` (same seed) for a list of algorithms that includes `name`;
+    without it the output is assembled here.
     """
     check_algorithms((name,))
-    W, full = output() if output else _trial_output(scenario, (name,))
+    outputs = output() if output else _trial_output(scenario, (name,))
+    X, R = outputs[name == "JDFSD-full"]
     if name == "JDFPI":
-        return jdfpi(W, scenario)
+        return jdfpi(X, R, scenario)
     if name == "JDFSDPJ":
-        return jdfsdpj(W, scenario)
-    return jdfsd_full(full, scenario)
+        return jdfsdpj(X, R, scenario)
+    return jdfsd_full(X, R, scenario)
 
 
 def default_scenario(K: int = 3, snr_db: float | None = 10.0) -> ScenarioConfig:
@@ -289,7 +296,8 @@ def run_trial(scenario: ScenarioConfig, algorithm: str, seed: int,
 
     `output` (see `run_algorithm`) shares the receiver output of
     `scenario.with_seed(seed)` with the other algorithms run on the same
-    trial; without it the output is assembled for this call alone.
+    trial; without it the output is assembled for this call alone.  A
+    scenario that already carries `seed` is used as it is.
     """
     scen = scenario.with_seed(seed)
     if sweep_value is None:
@@ -310,9 +318,10 @@ def run_trial(scenario: ScenarioConfig, algorithm: str, seed: int,
 
 def _run_task(task) -> list[TrialRecord]:
     """Every algorithm of one (sweep point, trial), on one shared receiver
-    output, assembled inside the first `run_trial` call."""
+    output and covariance, computed inside the first `run_trial` call."""
     scenario, algorithms, seed, value, trial_index = task
-    output = cache(lambda: _trial_output(scenario.with_seed(seed), algorithms))
+    scenario = scenario.with_seed(seed)
+    output = cache(lambda: _trial_output(scenario, algorithms))
     return [run_trial(scenario, algorithm, seed, sweep_value=value,
                       trial_index=trial_index, output=output)
             for algorithm in algorithms]

@@ -10,7 +10,7 @@ import pytest
 
 from helpers import combined_matrix, fim_numerical, random_scenario, selection_matrix
 from subnyq.crb import crb_input_from_scenario, crb_phase
-from subnyq.estimators import jdfpi, jdfsdpj
+from subnyq.estimators import jdfpi, jdfsdpj, sample_covariance
 from subnyq.harness import SweepConfig, default_scenario, emit_csv, match_estimates, run_sweep
 from subnyq.model import build_B, build_G_selected, selected_channel_columns
 from subnyq.crb import _projector_complement
@@ -125,8 +125,9 @@ def test_criterion_03_noiseless_exact_recovery(report):
             continue
         count += 1
         W = assemble_snapshots(config)
+        R = sample_covariance(W)
         for pipeline in (jdfpi, jdfsdpj):
-            result = pipeline(W, config)
+            result = pipeline(W, R, config)
             phase_err, freq_err = match_estimates(config, result)
             worst_phi = max(worst_phi, float(np.max(np.abs(phase_err))))
             worst_f = max(worst_f,

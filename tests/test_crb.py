@@ -2,6 +2,7 @@
 
 import tracemalloc
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -217,6 +218,48 @@ def test_freq_bound_is_unit_free():
                                      full_structure=full)
             np.testing.assert_allclose(got / scale**2, want, rtol=1e-12,
                                        atol=1e-12 * np.abs(want).max())
+
+
+def test_freq_bound_owns_its_block():
+    # a view of the K x K block would keep the whole 4K x 4K inverse alive
+    # for as long as a caller holds the bound
+    bound = freq_crb_numerical(make_input())
+    assert bound.shape == (2, 2) and bound.flags.owndata
+
+
+@pytest.fixture
+def moment_builds(monkeypatch):
+    """Inputs whose tone moments are computed, one entry per computation."""
+    built = []
+    compute = CrbInput.tone_moments.func
+    counted = cached_property(lambda inp: built.append(inp) or compute(inp))
+    counted.__set_name__(CrbInput, "tone_moments")
+    monkeypatch.setattr(CrbInput, "tone_moments", counted)
+    return built
+
+
+def test_tone_moments_are_computed_once_per_input(moment_builds):
+    # both structures' frequency bounds of one input share its moments, and
+    # sharing leaves the bound bytes as a fresh input gives them; nothing
+    # outlives the input, so each table of each pass computes them anew
+    inp = make_input()
+    full = freq_crb_numerical(inp, full_structure=True)
+    sim = freq_crb_numerical(inp)
+    assert moment_builds == [inp]
+    assert not inp.tone_moments.flags.writeable
+    np.testing.assert_array_equal(sim, freq_crb_numerical(make_input()))
+    np.testing.assert_array_equal(full, freq_crb_numerical(make_input(),
+                                                           full_structure=True))
+    moment_builds.clear()
+    curve = [replace(default_scenario(K=K, snr_db=20.0), n_snapshots=N)
+             for K in (1, 2, 3) for N in (1024, 4096, 16384)]
+    for _ in range(2):
+        for config in curve:
+            inp = crb_input_from_scenario(config)
+            for full in (False, True):
+                crb_phase(inp, full_structure=full)
+                freq_crb_numerical(inp, full_structure=full)
+    assert len(moment_builds) == 18
 
 
 def test_freq_bound_memory_does_not_scale_with_channels():

@@ -243,23 +243,47 @@ def test_jdfpi_views_are_channel_rows(monkeypatch, M, pattern):
     config = random_scenario(np.random.default_rng(M), K=1, snr_db=20.0,
                              geom=geom, pattern=pattern)
     W = assemble_snapshots(config)
-    jdfpi(W, config)
     R, P = sample_covariance(W), pattern.P
+    jdfpi(W, R, config)
     q = [0, *range(P, M + P - 1)]
     np.testing.assert_array_equal(seen["music_spatial"][0], R[q][:, q])
     np.testing.assert_array_equal(seen["ctf_support"][0], R[:P][:, :P])
 
 
-@pytest.mark.parametrize("pipeline,full", [(jdfpi, False), (jdfsdpj, False),
-                                           (jdfsd_full, True)])
-def test_one_sample_covariance_per_pipeline(monkeypatch, pipeline, full):
-    seen = []
-    monkeypatch.setattr(estimators, "sample_covariance",
-                        lambda X: seen.append(X.shape) or sample_covariance(X))
-    config = random_scenario(np.random.default_rng(19), K=2, snr_db=20.0)
-    data = assemble_full_snapshots(config) if full else assemble_snapshots(config)
-    pipeline(data, config)
-    assert seen == [data.shape]
+@pytest.mark.parametrize("algorithms", [
+    ("JDFPI",), ("JDFSDPJ",), ("JDFSD-full",), ("JDFPI", "JDFSDPJ"),
+    ("JDFSD-full", "JDFPI", "JDFSDPJ"),
+], ids=["jdfpi-False", "jdfsdpj-False", "jdfsd_full-True", "jdfpi+jdfsdpj",
+        "all"])
+def test_one_sample_covariance_per_pipeline(monkeypatch, algorithms):
+    # a trial computes one covariance per receiver structure, of that
+    # structure's output itself (W is not cut from the full covariance), and
+    # the pipelines compute none
+    from subnyq import harness
+
+    covariances, handed = [], []
+
+    def covariance(X):
+        covariances.append(X.shape)
+        return sample_covariance(X)
+
+    for module in (estimators, harness):
+        monkeypatch.setattr(module, "sample_covariance", covariance)
+    for name in ("jdfpi", "jdfsdpj", "jdfsd_full"):
+        monkeypatch.setattr(harness, name, lambda X, R, config, _f=getattr(harness, name):
+                            handed.append((X, R)) or _f(X, R, config))
+    base = random_scenario(np.random.default_rng(19), K=2, snr_db=20.0)
+    table = harness.run_sweep(harness.SweepConfig(
+        base=base, sweep_variable="snr_db", sweep_values=(20.0,), n_trials=1,
+        algorithms=algorithms))
+    assert not any(r.failed for r in table.records)
+    M, P, N = base.geom.M, base.pattern.P, base.n_snapshots
+    shapes = {False: (M + P - 1, N), True: (M * P, N)}
+    assert sorted(covariances) == sorted(
+        shapes[full] for full in {name == "JDFSD-full" for name in algorithms})
+    assert len(handed) == len(algorithms)
+    for X, R in handed:
+        np.testing.assert_array_equal(R, sample_covariance(X))
 
 
 # low-SNR draws may pair ambiguously; the matrix is checked, not the choice
@@ -276,7 +300,7 @@ def test_jdfpi_pairs_from_the_cross_block(monkeypatch):
         M, P = config.geom.M, config.pattern.P
         W = assemble_snapshots(config)
         try:
-            jdfpi(W, config)
+            jdfpi(W, sample_covariance(W), config)
         except EstimationError:
             continue
         Q, Y1 = W[[0, *range(P, M + P - 1)]], W[:P]
@@ -345,6 +369,27 @@ def test_residual_frequency_rejects_degenerate_input():
         residual_frequency(np.zeros(16), 1.0)
 
 
+def test_residual_frequency_of_rows_equals_each_row():
+    # a (K, N) array gives each row's estimate bit for bit, as `_finish`
+    # needs for the LS-reconstructed source signals; one zero row raises
+    rng = np.random.default_rng(21)
+    n = np.arange(1000)
+    for K in (1, 3):
+        X = (np.exp(2j * np.pi * rng.uniform(0.0, 1.0, (K, 1)) * n)
+             + 0.3 * (rng.standard_normal((K, n.size))
+                      + 1j * rng.standard_normal((K, n.size))))
+        got = residual_frequency(X, 2.5)
+        want = np.array([residual_frequency(x, 2.5) for x in X])
+        assert got.shape == (K,)
+        np.testing.assert_array_equal(got, want)
+        X[-1] = 0.0
+        with pytest.raises(EstimationError) as info:
+            residual_frequency(X, 2.5)
+        assert info.value.step == "residual_frequency"
+    with pytest.raises(ConfigError):
+        residual_frequency(np.ones((3, 1)), 1.0)
+
+
 def test_unfold_frequency():
     assert unfold_frequency(3, 0.04, PATTERN) == pytest.approx(3 / 11 + 0.04)
     with pytest.raises(ConfigError):
@@ -363,7 +408,7 @@ def test_noiseless_pipeline_exact_recovery(pipeline, full):
             continue
         data = (assemble_full_snapshots(config) if full
                 else assemble_snapshots(config))
-        result = pipeline(data, config)
+        result = pipeline(data, sample_covariance(data), config)
         phase_err, freq_err = match_estimates(config, result)
         assert np.max(np.abs(phase_err)) < 1e-6
         assert np.max(np.abs(freq_err)) < 1e-8 * config.pattern.f_N
@@ -394,9 +439,10 @@ def test_root_search_matches_grid_oracle():
              lambda: (music_spatial(sample_covariance(Q), K),
                       np.zeros(K, dtype=int))),
             (W, lambda ph, l: np.kron(build_A(ph, M), B[:, [l]])[rows], pattern.L,
-             lambda: phase_band(jdfsdpj(W, config))),
+             lambda: phase_band(jdfsdpj(W, sample_covariance(W), config))),
             (full, lambda ph, l: np.kron(build_A(ph, M), B[:, [l]]), pattern.L,
-             lambda: phase_band(jdfsd_full(full, config))),
+             lambda: phase_band(jdfsd_full(full, sample_covariance(full),
+                                           config))),
         )
         for X, steering, n_bands, search in searches:
             U_N = decompose(sample_covariance(X), K).U_N
@@ -465,7 +511,8 @@ def test_joint_search_separates_same_phase_different_bands():
                             sources=tuple(sources), snr_db=None,
                             n_snapshots=128)
     np.testing.assert_allclose(config.phases(), phi, atol=1e-12)
-    result = jdfsdpj(assemble_snapshots(config), config)
+    W = assemble_snapshots(config)
+    result = jdfsdpj(W, sample_covariance(W), config)
     phase_err, freq_err = match_estimates(config, result)
     assert np.max(np.abs(phase_err)) < 1e-6
     assert np.max(np.abs(freq_err)) < 1e-8
@@ -486,7 +533,8 @@ def test_reconstruction_reproduces_noiseless_snapshots():
 def test_result_frequency_unfolding_invariant():
     rng = np.random.default_rng(14)
     config = random_scenario(rng, snr_db=15.0, n_snapshots=256)
-    result = jdfsdpj(assemble_snapshots(config), config)
+    W = assemble_snapshots(config)
+    result = jdfsdpj(W, sample_covariance(W), config)
     f_slice = config.pattern.f_N / config.pattern.L
     np.testing.assert_allclose(result.f, result.band * f_slice
                                + result.f_residual, atol=1e-15)
@@ -496,8 +544,9 @@ def test_joint_spectrum_invariant_to_global_phase():
     rng = np.random.default_rng(15)
     config = random_scenario(rng, snr_db=15.0, n_snapshots=256)
     W = assemble_snapshots(config)
-    a = jdfsdpj(W, config)
-    b = jdfsdpj(np.exp(1j * 0.7) * W, config)
+    rotated = np.exp(1j * 0.7) * W
+    a = jdfsdpj(W, sample_covariance(W), config)
+    b = jdfsdpj(rotated, sample_covariance(rotated), config)
     np.testing.assert_allclose(np.sort(a.phi), np.sort(b.phi), atol=1e-9)
     assert sorted(a.band) == sorted(b.band)
 
@@ -532,8 +581,9 @@ def test_jdfpi_rejects_too_many_sources_for_branches():
     config = ScenarioConfig(geom=ArrayGeometry(M=6, d=0.5, c_prop=1.0),
                             pattern=pattern, sources=sources,
                             snr_db=None, n_snapshots=64)
+    W = assemble_snapshots(config)
     with pytest.raises(ConfigError):
-        jdfpi(assemble_snapshots(config), config)
+        jdfpi(W, sample_covariance(W), config)
 
 
 @pytest.fixture
@@ -630,6 +680,37 @@ def test_pruned_search_roots_every_band_when_first_stage_falls_short(rooted_rows
     assert rooted_rows == [2, 1]
     assert info.value.found == 1 and info.value.wanted == 2
     assert search_outcome(all_band_search, R, 2, G) == 1
+
+
+def test_search_with_at_most_k_bands_computes_no_bound(monkeypatch, rooted_rows):
+    # with no more bands than picks every band is rooted at once, so no
+    # Rayleigh bound is computed; the picks equal rooting every band
+    bounds = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a, *args: bounds.append(a.shape) or eigvalsh(a, *args))
+    rng = np.random.default_rng(22)
+    for i in range(10):
+        config = random_scenario(rng, snr_db=(None, 0.0, 10.0, 20.0, 30.0)[i % 5],
+                                 n_snapshots=256)
+        M, P = config.geom.M, config.pattern.P
+        W = assemble_snapshots(config)
+        R = sample_covariance(W)
+        maps = channel_maps(M, build_B(config.pattern), selected_channel_columns(M, P))
+        for K in range(1, 4):
+            for G in (maps[:1], maps[:K]):
+                rooted_rows.clear()
+                got = search_outcome(_search, R, K, G, "test_step")
+                assert rooted_rows == [len(G)]
+                want = search_outcome(all_band_search, R, K, G)
+                if isinstance(want, int):
+                    assert got == want
+                    continue
+                np.testing.assert_array_equal(got[1], want[1])
+                np.testing.assert_array_equal(got[0], want[0])
+        q = [0, *range(P, M + P - 1)]
+        music_spatial(R[q][:, q], 1)
+    assert bounds == []
 
 
 def test_peak_count_error_reports_counts():

@@ -219,6 +219,36 @@ def test_sweep_synthesizes_inside_first_run_trial(monkeypatch, algorithms):
                          for trial in range(config.n_trials)]
 
 
+def test_sweep_builds_the_tone_signal_once(monkeypatch):
+    # the all-tone signal depends on neither seed nor SNR: one build serves
+    # every trial of every point of an SNR sweep in this process
+    from subnyq import siggen
+
+    built = []
+    original = siggen._aligned_signal
+    monkeypatch.setattr(siggen, "_aligned_signal",
+                        lambda *a: built.append(a[2]) or original(*a))
+    siggen._tone_signal.cache_clear()
+    table = run_sweep(small_sweep(n_trials=5, values=(10.0, 20.0, 30.0)))
+    assert len(table.records) == 30
+    assert len(built) == 1
+
+
+def test_sweep_validates_each_trial_scenario_once(monkeypatch):
+    # one seeded scenario per (point, trial), shared by its algorithms
+    from subnyq import siggen
+
+    built = []
+    post_init = siggen.ScenarioConfig.__post_init__
+    monkeypatch.setattr(siggen.ScenarioConfig, "__post_init__",
+                        lambda self: built.append(self.rng_seed) or post_init(self))
+    config = small_sweep(n_trials=2, values=(20.0,),
+                         algorithms=("JDFPI", "JDFSDPJ", "JDFSD-full"))
+    seeds = [derive_trial_seed(config.master_seed, 0, t) for t in range(2)]
+    run_sweep(config)
+    assert sorted(s for s in built if s in seeds) == sorted(seeds)
+
+
 def test_repeated_sweep_value_is_config_error():
     # 20 and 20.0 are one point: run twice, every row would count it twice
     base = default_scenario()

@@ -18,7 +18,12 @@ from subnyq.cli import (  # noqa: E402
     EXIT_OK,
     main,
 )
-from subnyq.estimators import jdfpi, jdfsd_full, jdfsdpj  # noqa: E402
+from subnyq.estimators import (  # noqa: E402
+    jdfpi,
+    jdfsd_full,
+    jdfsdpj,
+    sample_covariance,
+)
 from subnyq.harness import (  # noqa: E402
     SweepConfig,
     format_csv,
@@ -34,9 +39,10 @@ def test_noiseless_exact_recovery_for_every_pipeline(seed):
     config = random_scenario(np.random.default_rng(seed), snr_db=None,
                              n_snapshots=128)
     bands = sorted(config.band_of(k) for k in range(config.n_sources))
-    W = assemble_snapshots(config)
-    for result in (jdfpi(W, config), jdfsdpj(W, config),
-                   jdfsd_full(assemble_full_snapshots(config), config)):
+    W, full = assemble_snapshots(config), assemble_full_snapshots(config)
+    R = sample_covariance(W)
+    for result in (jdfpi(W, R, config), jdfsdpj(W, R, config),
+                   jdfsd_full(full, sample_covariance(full), config)):
         phase_err, freq_err = match_estimates(config, result)
         assert np.max(np.abs(phase_err)) < 1e-6, result.algorithm
         assert np.max(np.abs(freq_err)) < 1e-8 * config.pattern.f_N, result.algorithm

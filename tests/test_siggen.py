@@ -1,6 +1,7 @@
 """Signal synthesis: decimation, model consistency, noise statistics, file I/O."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,9 +19,12 @@ from subnyq.model import (
     build_G_selected,
     selected_channel_columns,
 )
+from subnyq import siggen
 from subnyq.siggen import (
     ScenarioConfig,
     SourceTruth,
+    _aligned_signal,
+    _white_noise,
     assemble_full_snapshots,
     assemble_snapshots,
     dump_snapshots,
@@ -224,6 +228,42 @@ def test_full_snapshots_agree_with_selected_rows():
     Y_full = assemble_full_snapshots(config)
     rows = selected_channel_columns(GEOM.M, PATTERN.P)
     np.testing.assert_array_equal(Y_full[rows], W)
+
+
+def per_trial_rows(config, channels):
+    """Receiver output drawn the per-trial way: envelopes, then the signal,
+    then the noise added to it, all from one generator."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.rng_seed)))
+    rows = _aligned_signal(config, rng, channels)
+    rows += _white_noise(rng, len(channels), config.n_snapshots, config.sigma2)
+    return rows
+
+
+def test_cached_tone_signal_is_read_only_and_output_is_unchanged():
+    # the cached all-tone signal is added into fresh noise: the output is
+    # the per-trial draw bit for bit, writable, and writing to it leaves the
+    # cache intact; sources with noise envelopes draw per trial as before
+    f_s = PATTERN.f_s
+    noisy = SourceTruth(theta=0.3, f_c=(4 + 0.2) * f_s, envelope="noise",
+                        bandwidth=0.4 * f_s)
+    rows = selected_channel_columns(GEOM.M, PATTERN.P)
+    order = np.concatenate([rows, np.setdiff1d(np.arange(GEOM.M * PATTERN.P), rows)])
+    for config in (tone_scenario(snr_db=5.0, seed=4), tone_scenario(snr_db=None),
+                   replace(tone_scenario(snr_db=5.0, seed=4), sources=(noisy,)),
+                   replace(tone_scenario(snr_db=5.0, seed=4),
+                           sources=(tone_scenario().sources[0], noisy))):
+        W = assemble_snapshots(config)
+        np.testing.assert_array_equal(W, per_trial_rows(config, rows))
+        full = assemble_full_snapshots(config)
+        np.testing.assert_array_equal(full[order], per_trial_rows(config, order))
+        W[:] = 0.0
+        np.testing.assert_array_equal(assemble_snapshots(config),
+                                      per_trial_rows(config, rows))
+    cached = siggen._tone_signal(replace(tone_scenario(), rng_seed=0, snr_db=None),
+                                 tuple(int(c) for c in rows))
+    assert not cached.flags.writeable
+    with pytest.raises(ValueError):
+        cached[0, 0] = 1.0
 
 
 def test_bandlimited_envelope_occupies_configured_band():
