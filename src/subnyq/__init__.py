@@ -9,7 +9,6 @@ from .errors import (
     EstimationError,
     PeakCountError,
     RankDeficiencyError,
-    SpatialAliasingError,
     SubnyqError,
 )
 from .estimators import (

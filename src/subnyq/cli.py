@@ -24,6 +24,7 @@ from .harness import (
     run_sweep,
     scenario_from_dict,
     sweep_from_dict,
+    trial_output,
 )
 from .siggen import assemble_snapshots, dump_snapshots
 
@@ -77,9 +78,10 @@ def cmd_single(args):
     if args.seed is not None:
         scenario = scenario.with_seed(args.seed)
     algorithms = _algorithms_from_args(args, ("JDFPI", "JDFSDPJ"))
+    output = trial_output(scenario, algorithms)  # shared by every algorithm
     for name in algorithms:
         try:
-            result = run_algorithm(name, scenario)
+            result = run_algorithm(name, scenario, lambda: output)
         except EstimationError as exc:
             print(f"algorithm {name} failed at step {exc.step}: {exc}",
                   file=sys.stderr)

@@ -32,7 +32,3 @@ class RankDeficiencyError(EstimationError):
 
 class EmptySupportError(EstimationError):
     """Support recovery found no atom above the noise floor."""
-
-
-class SpatialAliasingError(EstimationError):
-    """Phase-to-DOA inversion left the arcsine domain."""

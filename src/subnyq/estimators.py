@@ -33,7 +33,6 @@ from .errors import (
     EstimationError,
     PeakCountError,
     RankDeficiencyError,
-    SpatialAliasingError,
 )
 from .model import (
     build_A,
@@ -45,7 +44,6 @@ from .model import (
 
 __all__ = [
     "SubspaceDecomposition",
-    "JointSupport",
     "EstimationResult",
     "sample_covariance",
     "decompose",
@@ -54,7 +52,6 @@ __all__ = [
     "ctf_support",
     "pair_supports",
     "residual_frequency",
-    "unfold_frequency",
     "jdfpi",
     "jdfsdpj",
     "jdfsd_full",
@@ -73,14 +70,6 @@ class SubspaceDecomposition:
     eigvals: np.ndarray
     U_N: np.ndarray = field(repr=False)
     weak_separation: bool = False
-
-
-@dataclass(frozen=True)
-class JointSupport:
-    """Per-source band assignment from `pair_supports`."""
-
-    bands: tuple[int, ...]
-    ambiguous: bool = False
 
 
 @dataclass(frozen=True)
@@ -327,8 +316,8 @@ def _improve_support(B: np.ndarray, V: np.ndarray, selected: list[int]) -> list[
     return selected
 
 
-def pair_supports(C: np.ndarray, omega) -> JointSupport:
-    """Assign each source a band from omega by cross-correlation: C is the
+def pair_supports(C: np.ndarray, omega) -> tuple[int, ...]:
+    """Band of each source, chosen from omega by cross-correlation: C is the
     K x |omega| correlation of the source signals with the band signals."""
     omega = tuple(omega)
     R = np.abs(C)
@@ -345,7 +334,7 @@ def pair_supports(C: np.ndarray, omega) -> JointSupport:
             f"{PAIRING_AMBIGUITY_RATIO}x of the runner-up",
             stacklevel=2,
         )
-    return JointSupport(bands=tuple(bands), ambiguous=ambiguous)
+    return tuple(bands)
 
 
 def residual_frequency(x: np.ndarray, f_s: float):
@@ -372,39 +361,25 @@ def residual_frequency(x: np.ndarray, f_s: float):
     w = 1.0 - ((t - (n / 2.0 - 1.0)) / (n / 2.0)) ** 2
     w /= np.sum(w)
     fine = coarse + np.sum(w * incr, axis=-1) / (2.0 * np.pi)
-    return (fine % 1.0) * f_s
-
-
-def unfold_frequency(band: int, f_res: float, pattern) -> float:
-    """Map a band index and in-band residual back to the carrier frequency."""
-    f_slice = pattern.f_N / pattern.L
-    if not 0 <= band < pattern.L:
-        raise ConfigError(f"band index {band} out of [0, {pattern.L - 1}]")
-    if not 0.0 <= f_res < f_slice:
-        raise ConfigError(f"residual {f_res} outside [0, {f_slice})")
-    return band * f_slice + f_res
+    frac = fine % 1.0  # 1.0 for a tiny negative fine: that is 0 cycles
+    return np.where(frac < 1.0, frac, 0.0) * f_s
 
 
 def _finish(W: np.ndarray, phis: np.ndarray, bands, config, algorithm: str,
             rows) -> EstimationResult:
     """Steps shared by every pipeline on the receiver output W, whose rows are
     the channels `rows` (flat indices m*P + p): LS reconstruction, residual
-    frequency, unfolding, and the phase-to-DOA conversion."""
+    frequency, unfolding, and the phase-to-DOA conversion (NaN where the
+    DOA is undefined)."""
     geom, pattern = config.geom, config.pattern
     bands = np.asarray(bands, dtype=int)
     mat = build_G_selected(phis, bands, geom, pattern, rows)
     S = ls_solve(mat, W)
     f_res = residual_frequency(S, pattern.f_s)
-    f = np.array([unfold_frequency(b, r, pattern) for b, r in zip(bands, f_res)])
-    theta = np.empty_like(f)
-    for k in range(f.size):
-        try:
-            theta[k] = doa_from_phase(phis[k], f[k], geom)
-        except SpatialAliasingError:
-            theta[k] = np.nan  # phase/frequency stay valid; DOA undefined here
+    f = bands * pattern.f_s + f_res
     return EstimationResult(
         algorithm=algorithm, phi=np.asarray(phis, dtype=float), band=bands,
-        f_residual=f_res, f=f, theta=theta,
+        f_residual=f_res, f=f, theta=doa_from_phase(phis, f, geom),
     )
 
 
@@ -430,8 +405,7 @@ def jdfpi(W: np.ndarray, R: np.ndarray, config) -> EstimationResult:
     B = build_B(pattern)
     omega = ctf_support(R[y][:, y], B, K)
     C = ls_solve(B[:, list(omega)], AR.conj().T).conj().T
-    support = pair_supports(C, omega)
-    return _finish(W, phis, support.bands, config, "JDFPI", rows)
+    return _finish(W, phis, pair_supports(C, omega), config, "JDFPI", rows)
 
 
 def _joint_search(X: np.ndarray, R: np.ndarray, config, rows, algorithm: str,

@@ -31,6 +31,7 @@ __all__ = [
     "default_sweep",
     "match_estimates",
     "derive_trial_seed",
+    "trial_output",
     "run_algorithm",
     "run_trial",
     "run_sweep",
@@ -56,7 +57,7 @@ def check_algorithms(names) -> None:
         raise ConfigError(f"algorithm listed more than once: {tuple(names)}")
 
 
-def _trial_output(scenario: ScenarioConfig, algorithms) -> dict:
+def trial_output(scenario: ScenarioConfig, algorithms) -> dict:
     """Receiver output of one seeded trial and its sample covariance, as an
     (output, covariance) pair per receiver structure the `algorithms` use,
     keyed like `_point_bounds` (True for the full structure).
@@ -80,12 +81,12 @@ def run_algorithm(name: str, scenario: ScenarioConfig,
                   output=None) -> EstimationResult:
     """Run pipeline `name` on `scenario`'s receiver output.
 
-    `output` is a zero-argument callable returning the `_trial_output` of
+    `output` is a zero-argument callable returning the `trial_output` of
     `scenario` (same seed) for a list of algorithms that includes `name`;
     without it the output is assembled here.
     """
     check_algorithms((name,))
-    outputs = output() if output else _trial_output(scenario, (name,))
+    outputs = output() if output else trial_output(scenario, (name,))
     X, R = outputs[name == "JDFSD-full"]
     if name == "JDFPI":
         return jdfpi(X, R, scenario)
@@ -321,7 +322,7 @@ def _run_task(task) -> list[TrialRecord]:
     output and covariance, computed inside the first `run_trial` call."""
     scenario, algorithms, seed, value, trial_index = task
     scenario = scenario.with_seed(seed)
-    output = cache(lambda: _trial_output(scenario, algorithms))
+    output = cache(lambda: trial_output(scenario, algorithms))
     return [run_trial(scenario, algorithm, seed, sweep_value=value,
                       trial_index=trial_index, output=output)
             for algorithm in algorithms]
@@ -477,6 +478,13 @@ def _complex_from_json(value) -> complex:
     raise ConfigError(f"amplitude must be a number or [re, im], got {value!r}")
 
 
+def _present(data: dict, **convert) -> dict:
+    """The optional keys of `data` that are present, each converted (None:
+    taken as given); the dataclass supplies the default of every other."""
+    return {key: fn(data[key]) if fn else data[key]
+            for key, fn in convert.items() if key in data}
+
+
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Build a scenario from the documented JSON layout."""
     try:
@@ -486,29 +494,20 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"scenario config missing section: {exc}") from exc
     try:
-        geom = ArrayGeometry(
-            M=int(geom_d["M"]), d=float(geom_d["d"]),
-            c_prop=float(geom_d.get("c_prop", 3e8)),
-        )
-        pattern = MultiCosetPattern(
-            L=int(pat_d["L"]), offsets=tuple(pat_d["offsets"]),
-            f_N=float(pat_d.get("f_N", 1.0)),
-        )
+        geom = ArrayGeometry(M=int(geom_d["M"]), d=float(geom_d["d"]),
+                             **_present(geom_d, c_prop=float))
+        pattern = MultiCosetPattern(L=int(pat_d["L"]), offsets=tuple(pat_d["offsets"]),
+                                    **_present(pat_d, f_N=float))
         sources = tuple(
-            SourceTruth(
-                theta=float(s["theta"]), f_c=float(s["f_c"]),
-                amplitude=_complex_from_json(s.get("amplitude", 1.0)),
-                envelope=s.get("envelope", "tone"),
-                bandwidth=float(s.get("bandwidth", 0.0)),
-            )
+            SourceTruth(theta=float(s["theta"]), f_c=float(s["f_c"]),
+                        **_present(s, amplitude=_complex_from_json, envelope=None,
+                                   bandwidth=float))
             for s in src_l
         )
-        snr = data.get("snr_db", 10.0)
         return ScenarioConfig(
             geom=geom, pattern=pattern, sources=sources,
-            snr_db=None if snr is None else float(snr),
-            n_snapshots=int(data.get("n_snapshots", 4096)),
-            rng_seed=int(data.get("rng_seed", 0)),
+            **_present(data, snr_db=lambda v: None if v is None else float(v),
+                       n_snapshots=int, rng_seed=int),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid scenario config: {exc}") from exc
@@ -518,12 +517,9 @@ def sweep_from_dict(data: dict) -> SweepConfig:
     try:
         base = scenario_from_dict(data["base"])
         return SweepConfig(
-            base=base,
-            sweep_variable=data["sweep_variable"],
+            base=base, sweep_variable=data["sweep_variable"],
             sweep_values=tuple(data["sweep_values"]),
-            n_trials=int(data.get("n_trials", 500)),
-            algorithms=tuple(data.get("algorithms", ("JDFPI", "JDFSDPJ"))),
-            master_seed=int(data.get("master_seed", 0)),
+            **_present(data, n_trials=int, algorithms=tuple, master_seed=int),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid sweep config: {exc}") from exc

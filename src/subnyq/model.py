@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SpatialAliasingError
+from .errors import ConfigError
 
 __all__ = [
     "ArrayGeometry",
@@ -95,15 +95,15 @@ def phase_from_doa(theta: float, f: float, geom: ArrayGeometry) -> float:
     return 2.0 * np.pi * geom.d * np.sin(theta) * f / geom.c_prop
 
 
-def doa_from_phase(phi: float, f: float, geom: ArrayGeometry) -> float:
-    """Invert `phase_from_doa`; raises if the arcsine argument exceeds 1."""
-    arg = phi * geom.c_prop / (2.0 * np.pi * geom.d * f)
-    if abs(arg) > 1.0 + 1e-12:
-        raise SpatialAliasingError(
-            f"arcsine argument {arg:.6g} out of [-1, 1]: spatial aliasing at "
-            f"d={geom.d}, f={f}"
-        )
-    return float(np.arcsin(np.clip(arg, -1.0, 1.0)))
+def doa_from_phase(phi, f, geom: ArrayGeometry):
+    """Invert `phase_from_doa` element-wise: NaN where the arcsine argument
+    leaves [-1, 1] (spatial aliasing) or is undefined (f = 0).  A scalar
+    input gives a float."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        arg = phi * geom.c_prop / (2.0 * np.pi * geom.d * np.asarray(f, dtype=float))
+        theta = np.where(np.abs(arg) <= 1.0 + 1e-12,
+                         np.arcsin(np.clip(arg, -1.0, 1.0)), np.nan)
+    return theta if theta.ndim else float(theta)
 
 
 def build_A(phis, M: int) -> np.ndarray:

@@ -9,7 +9,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from subnyq import crb, errors, harness, siggen
+from subnyq import crb, errors, estimators, harness, siggen
+
+# the module attributes whose calls `bench/run.py` reads as spans
+TRACED = {
+    harness: ("run_trial", "assemble_snapshots", "assemble_full_snapshots",
+              "jdfpi", "jdfsdpj", "jdfsd_full", "sample_covariance",
+              "match_estimates", "crb_phase", "freq_crb_numerical"),
+    estimators: ("music_spatial", "decompose", "ctf_support", "ls_solve",
+                 "residual_frequency"),
+}
 
 
 def test_sweep_names(tmp_path):
@@ -43,3 +52,27 @@ def test_bound_names():
     # the benchmark counts a bound table that raises SubnyqError as failed
     with pytest.raises(errors.SubnyqError):
         crb.crb_input_from_scenario(replace(base, snr_db=None))
+
+
+def test_traced_call_paths(monkeypatch):
+    # the benchmark times each layer by wrapping these attributes; a call
+    # that stops going through one makes its metric read 0
+    fired = set()
+    for module, names in TRACED.items():
+        for name in names:
+            original = getattr(module, name)
+
+            def spy(*args, _f=original, _name=f"{module.__name__}.{name}", **kwargs):
+                fired.add(_name)
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+    base = replace(harness.default_scenario(K=2, snr_db=20.0), n_snapshots=256)
+    # the simplified output is assembled on its own only when JDFSD-full,
+    # whose full output holds it, is not run
+    for algorithms in (("JDFPI", "JDFSDPJ"), harness.ALGORITHM_NAMES):
+        table = harness.run_sweep(harness.SweepConfig(
+            base=base, sweep_variable="snr_db", sweep_values=(20.0,),
+            n_trials=1, algorithms=algorithms))
+        assert not any(r.failed for r in table.records)
+    assert fired == {f"{module.__name__}.{name}"
+                     for module, names in TRACED.items() for name in names}

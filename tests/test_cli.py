@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from subnyq import harness
 from subnyq.cli import EXIT_CONFIG, EXIT_ESTIMATION, EXIT_IO, EXIT_OK, main
 from subnyq.harness import read_csv
 from subnyq.siggen import load_snapshots
@@ -64,6 +65,28 @@ def test_single_seed_override_changes_nothing_but_noise(tmp_path, capsys):
     first = capsys.readouterr().out
     main(["single", "--config", config, "--seed", "3"])
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("algorithms,structures", [
+    ("JDFPI,JDFSDPJ", ["assemble_snapshots"]),
+    ("JDFSD-full,JDFPI", ["assemble_full_snapshots"]),
+])
+def test_single_synthesizes_once(capsys, monkeypatch, algorithms, structures):
+    # the listed algorithms share one receiver output and one covariance per
+    # structure, and print what each prints when it runs alone
+    alone = ""
+    for name in algorithms.split(","):
+        main(["single", "--seed", "3", "--algorithms", name])
+        alone += capsys.readouterr().out
+    calls = []
+    for name in ("assemble_snapshots", "assemble_full_snapshots",
+                 "sample_covariance"):
+        monkeypatch.setattr(harness, name, lambda *a, _f=getattr(harness, name),
+                            _name=name: calls.append(_name) or _f(*a))
+    assert main(["single", "--seed", "3", "--algorithms", algorithms]) == EXIT_OK
+    assert capsys.readouterr().out == alone
+    covariances = ["sample_covariance"] * (1 + ("JDFSD-full" in algorithms))
+    assert sorted(calls) == sorted(structures + covariances)
 
 
 def test_unknown_algorithm_is_config_error(tmp_path, capsys):

@@ -29,6 +29,8 @@ from subnyq.harness import (
     scenario_from_dict,
     sweep_from_dict,
 )
+from subnyq.model import ArrayGeometry, MultiCosetPattern
+from subnyq.siggen import ScenarioConfig, SourceTruth
 
 
 def small_sweep(n_trials=3, values=(10.0, 20.0), algorithms=("JDFPI", "JDFSDPJ"),
@@ -333,9 +335,6 @@ def test_interrupted_sweep_returns_partial_table(monkeypatch):
 def random_layout(rng, K, M=8):
     """K random tones on an M-sensor array with the default pattern; bands
     may repeat (matching does not need distinct bands)."""
-    from subnyq.model import ArrayGeometry
-    from subnyq.siggen import ScenarioConfig, SourceTruth
-
     pattern = default_scenario().pattern
     sources = tuple(SourceTruth(theta=float(rng.uniform(-1.4, 1.4)),
                                 f_c=float(rng.uniform(0.0, pattern.f_N)))
@@ -609,10 +608,23 @@ def test_scenario_from_dict():
     assert config.snr_db == 15.0
     noiseless = scenario_dict() | {"snr_db": None}
     assert scenario_from_dict(noiseless).sigma2 == 0.0
+    # every absent optional key takes the dataclass default
+    required = {
+        "geometry": {"M": 6, "d": 0.5},
+        "pattern": {"L": 11, "offsets": [0, 1, 4, 6]},
+        "sources": [{"theta": 0.4, "f_c": 0.31}],
+    }
+    assert scenario_from_dict(required) == ScenarioConfig(
+        geom=ArrayGeometry(M=6, d=0.5),
+        pattern=MultiCosetPattern(L=11, offsets=(0, 1, 4, 6)),
+        sources=(SourceTruth(theta=0.4, f_c=0.31),))
 
 
 @pytest.mark.parametrize("mutate", [
     lambda d: d.pop("geometry"),
+    lambda d: d["geometry"].pop("d"),
+    lambda d: d["pattern"].pop("offsets"),
+    lambda d: d["sources"][0].pop("theta"),
     lambda d: d["pattern"].update(offsets=[3, 1]),
     lambda d: d["sources"][0].update(amplitude="big"),
     lambda d: d["sources"][0].update(f_c=2.0),
@@ -639,6 +651,12 @@ def test_sweep_from_dict():
     assert sweep.master_seed == 99
     with pytest.raises(ConfigError):
         sweep_from_dict({"base": scenario_dict()})
+    # every absent optional key takes the dataclass default
+    required = {"base": scenario_dict(), "sweep_variable": "n_sources",
+                "sweep_values": [1, 2]}
+    assert sweep_from_dict(required) == SweepConfig(
+        base=scenario_from_dict(scenario_dict()), sweep_variable="n_sources",
+        sweep_values=(1, 2))
 
 
 def test_default_sweep_shapes():

@@ -1,5 +1,7 @@
 """Receiver-algebra identities, worked small examples, and validation errors."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from helpers import (
     selection_matrix,
     steering_column,
 )
-from subnyq.errors import ConfigError, SpatialAliasingError
+from subnyq.errors import ConfigError
 from subnyq.model import (
     ArrayGeometry,
     MultiCosetPattern,
@@ -139,17 +141,39 @@ def test_selected_builders_pick_columns():
 def test_phase_doa_round_trip():
     rng = np.random.default_rng(2)
     geom = ArrayGeometry(M=4, d=0.5, c_prop=1.0)
+    phis, fs, thetas = [], [], []
     for _ in range(50):
         theta = rng.uniform(-np.pi / 2 + 0.01, np.pi / 2 - 0.01)
         f = rng.uniform(0.05, 1.0)
         phi = phase_from_doa(theta, f, geom)
-        assert abs(doa_from_phase(phi, f, geom) - theta) < 1e-12
+        scalar = doa_from_phase(phi, f, geom)
+        assert isinstance(scalar, float)
+        assert abs(scalar - theta) < 1e-12
+        phis.append(phi)
+        fs.append(f)
+        thetas.append(scalar)
+    # one array call gives the scalar calls' values bit for bit
+    np.testing.assert_array_equal(
+        doa_from_phase(np.array(phis), np.array(fs), geom), thetas)
 
 
 def test_doa_from_phase_rejects_aliased_phase():
+    # an aliased phase leaves the arcsine domain: NaN, alone or in an array
     geom = ArrayGeometry(M=4, d=0.5, c_prop=1.0)
-    with pytest.raises(SpatialAliasingError):
-        doa_from_phase(3.0, 0.1, geom)
+    assert np.isnan(doa_from_phase(3.0, 0.1, geom))
+    np.testing.assert_array_equal(
+        doa_from_phase(np.array([3.0, 0.3]), np.array([0.1, 0.2]), geom),
+        [np.nan, doa_from_phase(0.3, 0.2, geom)])
+
+
+def test_doa_from_phase_at_zero_frequency_is_nan():
+    # f = 0 has no DOA: NaN with no exception and no warning, for Python and
+    # numpy scalars (a noiseless source at f_c = 0 gives the latter)
+    geom = ArrayGeometry(M=4, d=0.5, c_prop=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for phi, f in ((0.0, 0.0), (np.float64(0.0), np.float64(0.0)), (0.5, 0.0)):
+            assert np.isnan(doa_from_phase(phi, f, geom))
 
 
 def test_combined_matrix_is_selected_kron():
