@@ -53,7 +53,7 @@ def _scenario_from_args(args):
 
 
 def _algorithms_from_args(args, default):
-    if not args.algorithms:
+    if args.algorithms is None:
         return default
     names = tuple(a.strip() for a in args.algorithms.split(",") if a.strip())
     check_algorithms(names)
@@ -100,16 +100,12 @@ def _sweep_from_args(args, variable):
             )
     else:
         sweep = default_sweep(variable)
-    overrides = {}
+    overrides = {"algorithms": _algorithms_from_args(args, sweep.algorithms)}
     if args.trials is not None:
         overrides["n_trials"] = args.trials
     if args.seed is not None:
         overrides["master_seed"] = args.seed
-    if args.algorithms:
-        overrides["algorithms"] = _algorithms_from_args(args, sweep.algorithms)
-    if overrides:
-        sweep = replace(sweep, **overrides)
-    return sweep
+    return replace(sweep, **overrides)
 
 
 def _run_and_emit(sweep: SweepConfig, args):

@@ -2,13 +2,13 @@
 
 Both bounds describe K uncorrelated sources of per-Nyquist-sample powers
 p_k, observed for N snapshots of L Nyquist slots each.  The analytic phase
-bound follows the conditional (deterministic-signal) form
+bound is the conditional (deterministic-signal) one, diagonal for
+uncorrelated sources:
 
-    CRB = sigma^2 / (2 * N * L) * Re((E^H P E) o diag(p))^{-1}
+    CRB_kk = sigma^2 / (2 * N * L * p_k * Re(e_k^H P e_k))
 
-with E the per-source steering derivatives, P the projector onto the
-orthogonal complement of the selected steering columns and o the
-element-wise product.
+with e_k source k's steering derivative and P the projector onto the
+orthogonal complement of the selected steering columns.
 
 The frequency bound has no analytic form here; `freq_crb_numerical`
 computes the deterministic tone-model bound (Stoica & Nehorai, IEEE TASSP
@@ -27,7 +27,7 @@ the simplified receiver and 0.4-1% lower on the full one.  A sweep reports
 `crb_phase` as its phase bound.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -110,11 +110,10 @@ class CrbInput:
 
 @dataclass(frozen=True)
 class CrbResult:
-    """Phase bound matrix and its per-source standard deviations."""
+    """Diagonal phase bound matrix and its per-source standard deviations."""
 
     crb_matrix: np.ndarray
     per_source_std: np.ndarray
-    fim: np.ndarray = field(repr=False)
 
 
 def _projector_complement(mat: np.ndarray) -> np.ndarray:
@@ -136,23 +135,16 @@ def _steering(inp: CrbInput, full_structure: bool):
 
 
 def crb_phase(inp: CrbInput, full_structure: bool = False) -> CrbResult:
-    """Analytic spatial-phase bound for the selected receiver structure."""
+    """Analytic spatial-phase bound for the selected receiver structure.
+    Whether it is defined depends on the geometry, not on the powers."""
     H, E = _steering(inp, full_structure)
-    P = _projector_complement(H)
-    quad = np.real((E.conj().T @ P @ E) * np.diag(inp.powers))
-    fim = (2.0 * inp.n_snapshots * inp.pattern.L / inp.sigma2) * quad
-    cond = np.linalg.cond(fim)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise RankDeficiencyError(
-            "phase Fisher information is singular (steering derivatives lie "
-            "in the span of the steering columns?)"
-        )
-    crb = np.linalg.inv(fim)
-    return CrbResult(
-        crb_matrix=crb,
-        per_source_std=np.sqrt(np.diag(crb).real),
-        fim=fim,
-    )
+    quad = np.diag(E.conj().T @ _projector_complement(H) @ E)
+    if np.any(quad.real <= 1e-12 * np.sum(np.abs(E) ** 2, axis=0)):
+        raise RankDeficiencyError("phase Fisher information is singular: a "
+                                  "steering derivative lies in the steering span")
+    fim = (2.0 * inp.n_snapshots * inp.pattern.L / inp.sigma2) * np.real(
+        quad * np.array(inp.powers))
+    return CrbResult(crb_matrix=np.diag(1.0 / fim), per_source_std=np.sqrt(1.0 / fim))
 
 
 def freq_crb_numerical(inp: CrbInput, full_structure: bool = False) -> np.ndarray:

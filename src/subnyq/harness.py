@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -47,8 +48,10 @@ SWEEP_VARIABLES = ("snr_db", "n_sources")
 
 
 def check_algorithms(names) -> None:
-    """Raise ConfigError unless every name is one of ALGORITHM_NAMES and
-    none is repeated."""
+    """Raise ConfigError unless there is at least one name, every name is
+    one of ALGORITHM_NAMES and none is repeated."""
+    if not names:
+        raise ConfigError("need at least one algorithm")
     for name in names:
         if name not in ALGORITHM_NAMES:
             raise ConfigError(
@@ -145,13 +148,10 @@ class SweepConfig:
             raise ConfigError(
                 f"master seed must be non-negative, got {self.master_seed}")
         check_algorithms(self.algorithms)
-        if not self.algorithms:
-            raise ConfigError("sweep needs at least one algorithm")
-        for value in self.sweep_values:
-            _scenario_for_value(self.base, self.sweep_variable, value)  # validates
-        # a repeated point would be run twice and counted twice in its rows
-        convert = float if self.sweep_variable == "snr_db" else int
-        if len({convert(v) for v in self.sweep_values}) < len(self.sweep_values):
+        # validates each value; a repeated point would be run twice and
+        # counted twice in its rows
+        if len({_scenario_for_value(self.base, self.sweep_variable, value)
+                for value in self.sweep_values}) < len(self.sweep_values):
             raise ConfigError(
                 f"sweep value listed more than once: {self.sweep_values}")
 
@@ -159,7 +159,7 @@ class SweepConfig:
 def _scenario_for_value(base: ScenarioConfig, variable: str, value) -> ScenarioConfig:
     if variable == "snr_db":
         return replace(base, snr_db=float(value))
-    k = int(value)
+    k = _integer(value)
     if not 1 <= k <= len(base.sources):
         raise ConfigError(
             f"n_sources sweep value {k} outside 1..{len(base.sources)}"
@@ -357,8 +357,8 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> ResultTable:
     and records are aggregated in task order.
 
     `workers` must be at least 1; the process pool is capped at the CPU
-    count, and one worker runs in this process.  The serial path derives
-    each task when it runs it; the pool takes them all at once.  On
+    count, and one worker runs in this process.  Tasks are derived as they
+    run: one at a time serially, one window at a time on the pool.  On
     KeyboardInterrupt the completed records are aggregated into a partial
     table that is returned via the exception's `partial` attribute.
     """
@@ -376,9 +376,11 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> ResultTable:
     records: list[TrialRecord] = []
     try:
         if workers > 1:
+            # map submits all it is given: one window, 32 chunks per worker
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                for group in pool.map(_run_task, tasks, chunksize=4):
-                    records.extend(group)
+                while window := list(itertools.islice(tasks, 128 * workers)):
+                    for group in pool.map(_run_task, window, chunksize=4):
+                        records.extend(group)
         else:
             for task in tasks:
                 records.extend(_run_task(task))
@@ -470,6 +472,15 @@ def read_csv(path):
     return tuple(rows)
 
 
+def _integer(value) -> int:
+    """A number equal to an integer (8 or 8.0) as an int; ConfigError for
+    anything else, booleans included."""
+    if isinstance(value, float) and value.is_integer() or (
+            isinstance(value, (int, np.integer)) and not isinstance(value, bool)):
+        return int(value)
+    raise ConfigError(f"expected an integer, got {value!r}")
+
+
 def _complex_from_json(value) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
@@ -494,9 +505,10 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"scenario config missing section: {exc}") from exc
     try:
-        geom = ArrayGeometry(M=int(geom_d["M"]), d=float(geom_d["d"]),
+        geom = ArrayGeometry(M=_integer(geom_d["M"]), d=float(geom_d["d"]),
                              **_present(geom_d, c_prop=float))
-        pattern = MultiCosetPattern(L=int(pat_d["L"]), offsets=tuple(pat_d["offsets"]),
+        pattern = MultiCosetPattern(L=_integer(pat_d["L"]),
+                                    offsets=tuple(map(_integer, pat_d["offsets"])),
                                     **_present(pat_d, f_N=float))
         sources = tuple(
             SourceTruth(theta=float(s["theta"]), f_c=float(s["f_c"]),
@@ -507,7 +519,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         return ScenarioConfig(
             geom=geom, pattern=pattern, sources=sources,
             **_present(data, snr_db=lambda v: None if v is None else float(v),
-                       n_snapshots=int, rng_seed=int),
+                       n_snapshots=_integer, rng_seed=_integer),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid scenario config: {exc}") from exc
@@ -519,7 +531,8 @@ def sweep_from_dict(data: dict) -> SweepConfig:
         return SweepConfig(
             base=base, sweep_variable=data["sweep_variable"],
             sweep_values=tuple(data["sweep_values"]),
-            **_present(data, n_trials=int, algorithms=tuple, master_seed=int),
+            **_present(data, n_trials=_integer, algorithms=tuple,
+                       master_seed=_integer),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid sweep config: {exc}") from exc

@@ -295,17 +295,15 @@ _HEADER = struct.Struct("<4sIIIQ")  # magic, rows, cols, reserved, seed
 
 
 def dump_snapshots(W: np.ndarray, seed: int, path) -> None:
-    """Write snapshots as little-endian interleaved re/im float64, row-major,
-    after a 24-byte header (magic "SNYQ", u32 rows, u32 cols, u32 pad, u64 seed).
+    """Write snapshots as little-endian complex128 ("<c16": re then im
+    float64), row-major, after a 24-byte header (magic "SNYQ", u32 rows,
+    u32 cols, u32 pad, u64 seed).
     """
-    W = np.ascontiguousarray(W, dtype=complex)
+    W = np.asarray(W, "<c16")
     rows, cols = W.shape
-    inter = np.empty((rows, cols, 2))
-    inter[..., 0] = W.real
-    inter[..., 1] = W.imag
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, rows, cols, 0, seed & (2**64 - 1)))
-        fh.write(inter.astype("<f8").tobytes())
+        fh.write(W.tobytes())
 
 
 def load_snapshots(path) -> tuple[np.ndarray, int]:
@@ -319,8 +317,8 @@ def load_snapshots(path) -> tuple[np.ndarray, int]:
         magic, rows, cols, _, seed = _HEADER.unpack(header)
         if magic != _MAGIC:
             raise ConfigError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}")
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != rows * cols * 2:
-        raise ConfigError(f"{path}: truncated payload")
-    inter = data.reshape(rows, cols, 2)
-    return inter[..., 0] + 1j * inter[..., 1], seed
+        payload = fh.read()
+    if len(payload) != rows * cols * 16:
+        raise ConfigError(f"{path}: payload is {len(payload)} bytes, expected "
+                          f"{rows * cols * 16} for {rows}x{cols} complex128")
+    return np.frombuffer(payload, "<c16").astype(complex).reshape(rows, cols), seed

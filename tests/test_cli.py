@@ -136,6 +136,47 @@ def test_zero_amplitude_source_bound_is_config_error(tmp_path, capsys):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+def test_weak_source_bound_is_finite(tmp_path, capsys):
+    # a source 126 dB below the other still has a bound of its own: the
+    # phase bound is singular only through the geometry
+    config = scenario_json(tmp_path, sources=[
+        {"theta": 0.5, "f_c": 0.31},
+        {"theta": -0.7, "f_c": 0.79, "amplitude": 5e-7},
+    ])
+    assert main(["crb", "--config", config]) == EXIT_OK
+    captured = capsys.readouterr()
+    rows = [line.split()[1:] for line in captured.out.splitlines()[1:]]
+    assert len(rows) == 2 and np.all(np.isfinite(np.array(rows, dtype=float)))
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("command,scenario,sweep", [
+    ("single", {"geometry": {"M": 6.9, "d": 0.5, "c_prop": 1.0}}, None),
+    ("single", {"pattern": {"L": 11, "offsets": [0, 1.5, 4, 6]}}, None),
+    ("single", {"n_snapshots": 256.5}, None),
+    ("sweep-k", {}, {"variable": "n_sources", "values": (1, 2.7)}),
+    ("sweep-snr", {}, {"n_trials": 2.5}),
+], ids=["M", "offset", "n_snapshots", "n_sources_value", "n_trials"])
+def test_fractional_integer_is_config_error(tmp_path, capsys, command, scenario,
+                                            sweep):
+    config = scenario_json(tmp_path, **scenario)
+    if sweep is not None:
+        config = sweep_json(tmp_path, **sweep)
+    assert main([command, "--config", config]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "integer" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("names", [",", " ", ""], ids=["comma", "blank", "empty"])
+def test_empty_algorithm_list_is_config_error(tmp_path, capsys, names):
+    # a sweep rejected it already; `single` ran nothing and exited 0
+    config = scenario_json(tmp_path)
+    assert main(["single", "--config", config, "--algorithms", names]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "at least one algorithm" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_nonpositive_workers_is_config_error(tmp_path, capsys, workers):
     scenario_json(tmp_path)

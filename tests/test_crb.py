@@ -128,7 +128,51 @@ def test_bound_result_fields_consistent():
     res = crb_phase(make_input())
     np.testing.assert_allclose(res.per_source_std,
                                np.sqrt(np.diag(res.crb_matrix).real))
-    np.testing.assert_allclose(res.crb_matrix @ res.fim, np.eye(2), atol=1e-10)
+
+
+@pytest.mark.parametrize("powers", [(1.0, 2.5e-13), (1.0, 1e-13)],
+                         ids=["ratio_4e12", "ratio_1e13"])
+@pytest.mark.parametrize("full", [
+    pytest.param(False, id="simplified"),
+    pytest.param(True, id="full"),
+])
+def test_weak_source_has_its_own_scalar_bound(powers, full):
+    # uncorrelated sources decouple: each bound is sigma^2 / (2 N L p_k
+    # Re(e_k^H P e_k)) however far apart the powers are, and scaling every
+    # power scales every bound by the inverse factor
+    inp = make_input(powers=powers)
+    H, E = _steering(inp, full)
+    quad = np.real(np.diag(E.conj().T @ _projector_complement(H) @ E))
+    want = inp.sigma2 / (2 * inp.n_snapshots * inp.pattern.L
+                         * np.array(powers) * quad)
+    res = crb_phase(inp, full_structure=full)
+    assert np.all(np.isfinite(res.crb_matrix))
+    np.testing.assert_array_equal(res.crb_matrix, np.diag(np.diag(res.crb_matrix)))
+    np.testing.assert_allclose(np.diag(res.crb_matrix), want, rtol=1e-12)
+    np.testing.assert_allclose(res.per_source_std, np.sqrt(want), rtol=1e-12)
+    for scale in (1e-6, 1e6):
+        scaled = crb_phase(make_input(powers=[scale * p for p in powers]),
+                           full_structure=full)
+        np.testing.assert_allclose(scaled.crb_matrix, res.crb_matrix / scale,
+                                   rtol=1e-12)
+
+
+def test_derivative_in_steering_span_is_rank_deficient(monkeypatch):
+    # a derivative column inside span(H) carries no phase information,
+    # whether one source's column lies there or every source's
+    import subnyq.crb as crb
+
+    steering = crb._steering
+    for derivative in (lambda H, E: np.column_stack([E[:, 0], 2j * H[:, 1]]),
+                       lambda H, E: H @ np.array([[1.0, 2.0], [3.0, 4.0]])):
+        def in_span(inp, full, derivative=derivative):
+            H, E = steering(inp, full)
+            return H, derivative(H, E)
+
+        monkeypatch.setattr(crb, "_steering", in_span)
+        for full in (False, True):
+            with pytest.raises(RankDeficiencyError):
+                crb_phase(make_input(), full_structure=full)
 
 
 def test_singular_geometry_rejected():

@@ -17,6 +17,7 @@ from subnyq.harness import (
     _min_cost_assignment,
     _scenario_for_value,
     _wrap_phase,
+    check_algorithms,
     default_scenario,
     default_sweep,
     derive_trial_seed,
@@ -503,6 +504,59 @@ def test_pool_is_capped_at_cpu_count(monkeypatch):
     assert sizes == [3, 2]
 
 
+def test_pool_is_fed_one_window_at_a_time(monkeypatch):
+    # a stand-in pool draws its tasks one at a time and runs them in this
+    # process: a sweep of 10**12 trials hands each map call one bounded
+    # window, in task order, and a Ctrl-C in the third window returns the
+    # records of the first two; no task list is built, no process started
+    import os
+
+    import subnyq.harness as harness
+
+    cap, windows = 1000, []
+
+    class WindowPool:
+        interrupt_at = 2  # windows handed over before the Ctrl-C; None: never
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            if len(windows) == self.interrupt_at:
+                raise KeyboardInterrupt
+            drawn = []
+            for task in iterable:
+                drawn.append(task)
+                assert len(drawn) <= cap, "the pool was handed every task"
+            windows.append(drawn)
+            return map(fn, drawn)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", WindowPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    config = small_sweep(n_trials=10**12, values=(20.0,), algorithms=("JDFPI",),
+                         n_snapshots=64)
+    with pytest.raises(KeyboardInterrupt) as info:
+        run_sweep(config, workers=2)
+    size = len(windows[0])
+    assert len(windows) == 2 and len(windows[1]) == size
+    trials = [task[4] for window in windows for task in window]
+    assert trials == list(range(2 * size))
+    assert [r.trial_index for r in info.value.partial.records] == trials
+    # windows that end inside the sweep leave the table as the serial path
+    # writes it
+    windows.clear()
+    WindowPool.interrupt_at = None
+    config = replace(config, n_trials=size + 3)
+    assert format_csv(run_sweep(config, workers=2)) == format_csv(run_sweep(config))
+    assert [len(window) for window in windows] == [size, 3]
+
+
 def test_run_sweep_parallel_matches_sequential():
     config = small_sweep(n_trials=2, values=(20.0,))
     seq = run_sweep(config, workers=1)
@@ -529,6 +583,19 @@ def test_sweep_validation():
     with pytest.raises(ConfigError):
         SweepConfig(base=base, sweep_variable="snr_db", sweep_values=(0,),
                     algorithms=("NOPE",))
+    for empty in ((), []):
+        with pytest.raises(ConfigError, match="at least one algorithm"):
+            check_algorithms(empty)
+        with pytest.raises(ConfigError, match="at least one algorithm"):
+            SweepConfig(base=base, sweep_variable="snr_db", sweep_values=(0,),
+                        algorithms=empty)
+    # a source count is an integer: 2.7 would run 2 sources but print 2.7
+    assert SweepConfig(base=base, sweep_variable="n_sources",
+                       sweep_values=(1, 2.0)).sweep_values == (1, 2.0)
+    for value in (2.7, True, "2"):
+        with pytest.raises(ConfigError, match="integer"):
+            SweepConfig(base=base, sweep_variable="n_sources",
+                        sweep_values=(1, value))
 
 
 def test_repeated_algorithm_is_config_error():
@@ -618,6 +685,12 @@ def test_scenario_from_dict():
         geom=ArrayGeometry(M=6, d=0.5),
         pattern=MultiCosetPattern(L=11, offsets=(0, 1, 4, 6)),
         sources=(SourceTruth(theta=0.4, f_c=0.31),))
+    # a float equal to an integer is that integer
+    floats = scenario_dict()
+    floats["geometry"]["M"] = 6.0
+    floats["pattern"].update(L=11.0, offsets=[0.0, 1.0, 4.0, 6.0])
+    floats.update(n_snapshots=256.0, rng_seed=3.0)
+    assert scenario_from_dict(floats) == scenario_from_dict(scenario_dict())
 
 
 @pytest.mark.parametrize("mutate", [
@@ -628,6 +701,15 @@ def test_scenario_from_dict():
     lambda d: d["pattern"].update(offsets=[3, 1]),
     lambda d: d["sources"][0].update(amplitude="big"),
     lambda d: d["sources"][0].update(f_c=2.0),
+    # integer fields take integers (8 or 8.0), nothing cut off or coerced
+    lambda d: d["geometry"].update(M=6.9),
+    lambda d: d["pattern"].update(L=11.5),
+    lambda d: d["pattern"].update(offsets=[0, 1.5, 4, 6]),
+    lambda d: d["pattern"].update(offsets=[0, 1, "4", 6]),
+    lambda d: d.update(n_snapshots=256.5),
+    lambda d: d.update(n_snapshots="256"),
+    lambda d: d.update(rng_seed=3.5),
+    lambda d: d.update(rng_seed=False),
 ])
 def test_scenario_from_dict_rejects_bad_input(mutate):
     data = scenario_dict()
@@ -651,6 +733,12 @@ def test_sweep_from_dict():
     assert sweep.master_seed == 99
     with pytest.raises(ConfigError):
         sweep_from_dict({"base": scenario_dict()})
+    assert sweep_from_dict(data | {"n_trials": 4.0, "master_seed": 99.0}) == sweep
+    for bad in ({"n_trials": 4.5}, {"n_trials": True}, {"master_seed": 1.5},
+                {"master_seed": "99"}, {"sweep_variable": "n_sources",
+                                        "sweep_values": [1, 1.5]}):
+        with pytest.raises(ConfigError, match="integer"):
+            sweep_from_dict(data | bad)
     # every absent optional key takes the dataclass default
     required = {"base": scenario_dict(), "sweep_variable": "n_sources",
                 "sweep_values": [1, 2]}

@@ -300,12 +300,19 @@ def test_envelope_consistent_between_grids():
 
 def test_dump_load_round_trip(tmp_path):
     config = tone_scenario(snr_db=5.0, seed=21)
-    W = assemble_snapshots(config)
     path = tmp_path / "snap.snyq"
-    dump_snapshots(W, 21, path)
-    loaded, seed = load_snapshots(path)
-    assert seed == 21
-    np.testing.assert_array_equal(loaded, W)
+    # bit for bit, NaN payloads, infinities and signed zeros included
+    for special in (None, complex(3.0, np.inf), complex(5.0, np.nan),
+                    complex(-0.0, -0.0)):
+        W = assemble_snapshots(config)
+        if special is not None:
+            W[1, 2] = special
+        dump_snapshots(W, 21, path)
+        loaded, seed = load_snapshots(path)
+        assert seed == 21
+        assert loaded.dtype == complex and loaded.shape == W.shape
+        assert loaded.tobytes() == W.tobytes(), special
+        assert loaded.flags.writeable
     # header layout: 24 bytes then rows*cols complex128
     assert path.stat().st_size == 24 + W.size * 16
 
@@ -330,9 +337,11 @@ def test_load_rejects_truncated_payload(tmp_path):
     W = assemble_snapshots(config)
     path = tmp_path / "trunc.snyq"
     dump_snapshots(W, 0, path)
-    path.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(ConfigError):
-        load_snapshots(path)
+    whole = path.read_bytes()
+    for missing in (1, 8, 16):
+        path.write_bytes(whole[:-missing])
+        with pytest.raises(ConfigError):
+            load_snapshots(path)
 
 
 @pytest.mark.parametrize("kwargs", [
