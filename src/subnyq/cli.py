@@ -26,6 +26,7 @@ from .harness import (
     sweep_from_dict,
     trial_output,
 )
+from .model import check_identifiable
 from .siggen import assemble_snapshots, dump_snapshots
 
 EXIT_OK = 0
@@ -78,6 +79,8 @@ def cmd_single(args):
     if args.seed is not None:
         scenario = scenario.with_seed(args.seed)
     algorithms = _algorithms_from_args(args, ("JDFPI", "JDFSDPJ"))
+    if "JDFPI" in algorithms:  # before any algorithm prints
+        check_identifiable(scenario.pattern, scenario.n_sources)
     output = trial_output(scenario, algorithms)  # shared by every algorithm
     for name in algorithms:
         try:

@@ -174,11 +174,14 @@ def freq_crb_numerical(inp: CrbInput, full_structure: bool = False) -> np.ndarra
     source = np.tile(np.arange(K), 4)
     TT = (scale.conj()[:, None] * scale
           * inp.tone_moments[power[:, None] + power, source[:, None], source])
-    F = (2.0 / inp.sigma2) * np.real((G.conj().T @ G) * TT)
-    # F mixes radians, Hz and amplitude: judge it scaled to a unit diagonal
-    cond = np.linalg.cond(F / np.sqrt(np.outer(np.diag(F), np.diag(F))))
-    if not np.isfinite(cond) or cond > 1e14:
-        raise RankDeficiencyError("tone-model Fisher information is singular")
+    # F mixes radians, Hz and amplitude: judge it scaled to a unit diagonal,
+    # which an extreme noise power can overflow or underflow
+    with np.errstate(all="ignore"):
+        F = (2.0 / inp.sigma2) * np.real((G.conj().T @ G) * TT)
+        unit = F / np.sqrt(np.outer(np.diag(F), np.diag(F)))
+    if not np.isfinite(unit).all() or np.linalg.cond(unit) > 1e14:
+        raise RankDeficiencyError(
+            "tone-model Fisher information is singular or not finite")
     crb = np.linalg.inv(F)
     return crb[K:2 * K, K:2 * K].copy()  # a view would pin the 4K x 4K inverse
 

@@ -38,8 +38,10 @@ from .model import (
     build_A,
     build_B,
     build_G_selected,
+    check_identifiable,
     doa_from_phase,
     selected_channel_columns,
+    subset_bases,
 )
 
 __all__ = [
@@ -58,9 +60,7 @@ __all__ = [
 ]
 
 COND_LIMIT = 1e10
-CTF_RESIDUAL_TOL = 1e-8
 PAIRING_AMBIGUITY_RATIO = 3.0
-SWAP_PASSES = 3  # rounds of single-atom swaps in `_improve_support`
 
 
 @dataclass(frozen=True)
@@ -139,8 +139,7 @@ def _phase_minima(C: np.ndarray):
     big = np.abs(r) > 1e-12 * np.abs(r).max(axis=1, keepdims=True)
     big[:, 0] = True
     D = M - 1 - np.argmax(big[:, ::-1], axis=1)
-    n = 2 * (M - 1)
-    roots = np.full((S, n), np.nan, dtype=complex)
+    roots = np.full((S, 2 * (M - 1)), np.nan, dtype=complex)
     for deg in set(D.tolist()) - {0}:
         sel, k = np.flatnonzero(D == deg), 2 * deg
         part = coef[sel, M - 1 - deg:M + deg]
@@ -149,32 +148,32 @@ def _phase_minima(C: np.ndarray):
         comp[:, np.arange(1, k), np.arange(k - 1)] = 1.0
         roots[sel, :k] = np.linalg.eigvals(comp)
 
-    rd = r[:, None, 1:]
+    row, col = np.nonzero(~np.isnan(roots))
+    rd = r[row, 1:]
 
     def terms(phi):
         """r_d exp(j d phi) per d, and the slope and curvature of the cost."""
-        e = rd * np.exp(1j * phi[..., None] * d)
+        e = rd * np.exp(1j * phi[:, None] * d)
         return (e, -2.0 * np.sum(d * e, axis=-1).imag,
                 -2.0 * np.sum(d**2 * e, axis=-1).real)
 
-    phi = np.angle(roots)
+    phi = np.angle(roots[row, col])
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(3):
             _, slope, curv = terms(phi)
             phi = phi - slope / curv
         e, slope, curv = terms(phi)
         phi = np.pi - np.mod(np.pi - phi, 2.0 * np.pi)
-        # a root that Newton carried onto another root's point counts once
-        gap = np.abs(np.angle(np.exp(1j * (phi[:, :, None] - phi[:, None, :]))))
-    cost = r[:, :1].real + 2.0 * np.sum(e, axis=-1).real
+    cost = r[row, 0].real + 2.0 * np.sum(e, axis=-1).real
     # Roots off the circle come in pairs (w, 1/conj(w)) where c' nears zero
     # without crossing it; from their angles Newton either fails this slope
     # test or lands on a real root found again below.
     ok = (curv > 0) & (np.abs(slope) <= 1e-12 * np.sum(d * np.abs(rd), axis=-1))
-    earlier = np.tri(n, k=-1, dtype=bool)
-    ok &= ~np.any((gap < 1e-7) & ok[:, None, :] & earlier, axis=2)
-    row, col = np.nonzero(ok)
-    return row, phi[row, col], cost[row, col]
+    row, phi, cost = row[ok], phi[ok], cost[ok]
+    # a root that Newton carried onto an earlier root's point counts once
+    gap = np.abs(np.angle(np.exp(1j * (phi[:, None] - phi))))
+    dup = np.tril((gap < 1e-7) & (row[:, None] == row), -1).any(axis=1)
+    return row[~dup], phi[~dup], cost[~dup]
 
 
 def _search(R: np.ndarray, K: int, G: np.ndarray, step: str):
@@ -243,77 +242,27 @@ def ls_solve(mat: np.ndarray, obs: np.ndarray) -> np.ndarray:
     return vh.conj().T @ ((u.conj().T @ obs) / s[:, None])
 
 
-def ctf_support(R: np.ndarray, B: np.ndarray, K: int) -> tuple[int, ...]:
+def ctf_support(R: np.ndarray, pattern, K: int) -> tuple[int, ...]:
     """Band support from the P x P branch covariance R via the CTF reduction.
 
-    R is factored as V V^H through its eigendecomposition
-    (numerically positive eigenvalues only) and the resulting multiple
-    measurement vector system B U = V is solved for a row-sparse U by
-    simultaneous orthogonal matching pursuit over the columns of B.
+    R is factored as V V^H through its eigendecomposition (numerically
+    positive eigenvalues only), and the K-row-sparse fit B U = V is solved
+    exactly: minimizing ||V - Pi_S V||_F over the K-column supports S of
+    B = `build_B(pattern)` is maximizing ||U_S^H V||_F, read for every S at
+    once from the cached `subset_bases(pattern, K)`.  A tie goes to the
+    lexicographically first support.
     """
-    if K > B.shape[0] - 1:
-        raise ConfigError(f"CTF needs K <= P-1, got K={K}, P={B.shape[0]}")
+    if K > pattern.P - 1:
+        raise ConfigError(f"CTF needs K <= P-1, got K={K}, P={pattern.P}")
     eigvals, vecs = np.linalg.eigh(R)
     keep = eigvals > max(eigvals[-1], 0.0) * 1e-12
     if not np.any(keep):
         raise EmptySupportError("covariance frame has no energy", step="ctf_support")
     V = vecs[:, keep] * np.sqrt(eigvals[keep])
-
-    v_norm = np.linalg.norm(V)
-    selected: list[int] = []
-    residual = V
-    for it in range(K):
-        corr = np.linalg.norm(B.conj().T @ residual, axis=1)
-        corr[selected] = -1.0
-        atom = int(np.argmax(corr))
-        if it == 0 and corr[atom] <= v_norm * 1e-12:
-            raise EmptySupportError(
-                "strongest atom correlation below the noise floor",
-                step="ctf_support",
-            )
-        selected.append(atom)
-        coef, *_ = np.linalg.lstsq(B[:, selected], V, rcond=None)
-        residual = V - B[:, selected] @ coef
-        if np.linalg.norm(residual) < CTF_RESIDUAL_TOL * v_norm:
-            break
-    return tuple(sorted(_improve_support(B, V, selected)))
-
-
-def _improve_support(B: np.ndarray, V: np.ndarray, selected: list[int]) -> list[int]:
-    """Greedy pursuit is not exact for coherent dictionaries; polish the
-    support by single-atom swaps while they lower the joint residual.
-
-    For each position the residuals of every candidate swap come from one
-    batched SVD, truncated at `lstsq`'s default cutoff so that rank-deficient
-    column sets project as `lstsq` does; swaps are accepted in candidate
-    order while each beats the running minimum."""
-    rcond = np.finfo(float).eps * max(B.shape[0], len(selected))
-
-    def resid(column_sets):
-        """Residual norms of V against each column set of a (K, n) array."""
-        mats = B[:, column_sets].transpose(2, 0, 1)
-        u, s, _ = np.linalg.svd(mats, full_matrices=False)
-        u = u * (s > rcond * s[:, :1])[:, None, :]
-        return np.linalg.norm(V - u @ (u.conj().transpose(0, 2, 1) @ V),
-                              axis=(1, 2))
-
-    selected = list(selected)
-    best = resid(np.array(selected)[:, None])[0]
-    for _ in range(SWAP_PASSES):
-        improved = False
-        for i in range(len(selected)):
-            free = np.ones(B.shape[1], dtype=bool)
-            free[selected] = False
-            cands = np.flatnonzero(free)
-            sets = np.repeat(np.array(selected)[:, None], cands.size, axis=1)
-            sets[i] = cands
-            for cand, r in zip(cands, resid(sets)):
-                if r < best * (1.0 - 1e-12):
-                    selected[i], best = int(cand), r
-                    improved = True
-        if not improved:
-            break
-    return selected
+    subsets, bases, _ = subset_bases(pattern, K)
+    energy = np.abs(bases.reshape(-1, pattern.P) @ V) ** 2
+    best = np.argmax(energy.reshape(len(subsets), -1).sum(axis=1))
+    return tuple(int(l) for l in subsets[best])
 
 
 def pair_supports(C: np.ndarray, omega) -> tuple[int, ...]:
@@ -395,16 +344,14 @@ def jdfpi(W: np.ndarray, R: np.ndarray, config) -> EstimationResult:
     """
     K = config.n_sources
     pattern = config.pattern
-    if K > pattern.P - 1:
-        raise ConfigError(f"JDFPI needs K <= P-1, got K={K}, P={pattern.P}")
+    check_identifiable(pattern, K)
     rows = selected_channel_columns(config.geom.M, pattern.P)
     q, y = np.flatnonzero(rows % pattern.P == 0), np.flatnonzero(rows < pattern.P)
     phis = music_spatial(R[q][:, q], K)
     # A^+ R[q, y]; an ill-conditioned A fails before the support search runs
     AR = ls_solve(build_A(phis, config.geom.M), R[q][:, y])
-    B = build_B(pattern)
-    omega = ctf_support(R[y][:, y], B, K)
-    C = ls_solve(B[:, list(omega)], AR.conj().T).conj().T
+    omega = ctf_support(R[y][:, y], pattern, K)
+    C = ls_solve(build_B(pattern)[:, list(omega)], AR.conj().T).conj().T
     return _finish(W, phis, pair_supports(C, omega), config, "JDFPI", rows)
 
 

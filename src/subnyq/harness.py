@@ -13,7 +13,13 @@ import numpy as np
 from .crb import crb_input_from_scenario, crb_phase, freq_crb_numerical
 from .errors import ConfigError, EstimationError
 from .estimators import EstimationResult, jdfpi, jdfsd_full, jdfsdpj, sample_covariance
-from .model import ArrayGeometry, MultiCosetPattern, selected_channel_columns
+from .model import (
+    ArrayGeometry,
+    MultiCosetPattern,
+    _integer,
+    check_identifiable,
+    selected_channel_columns,
+)
 from .siggen import (
     ScenarioConfig,
     SourceTruth,
@@ -104,8 +110,8 @@ def default_scenario(K: int = 3, snr_db: float | None = 10.0) -> ScenarioConfig:
     in well-separated bands, N=4096 snapshots, seed 0."""
     geom = ArrayGeometry(M=8, d=0.5, c_prop=1.0)
     # Offsets chosen to minimize the max column coherence of the coset
-    # matrix (0.456 for 5 of 13); high-coherence patterns break the greedy
-    # band-support search.
+    # matrix (0.456 for 5 of 13), which keeps the bands' steering columns
+    # far apart for every pipeline.
     pattern = MultiCosetPattern(L=13, offsets=(0, 1, 4, 7, 9), f_N=1.0)
     f_s = pattern.f_s
     all_sources = (
@@ -135,6 +141,8 @@ class SweepConfig:
     def __post_init__(self):
         object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
+        for name in ("n_trials", "master_seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name)))
         if self.sweep_variable not in SWEEP_VARIABLES:
             raise ConfigError(
                 f"sweep variable must be one of {SWEEP_VARIABLES}, "
@@ -150,10 +158,14 @@ class SweepConfig:
         check_algorithms(self.algorithms)
         # validates each value; a repeated point would be run twice and
         # counted twice in its rows
-        if len({_scenario_for_value(self.base, self.sweep_variable, value)
-                for value in self.sweep_values}) < len(self.sweep_values):
+        points = [_scenario_for_value(self.base, self.sweep_variable, value)
+                  for value in self.sweep_values]
+        if len(set(points)) < len(points):
             raise ConfigError(
                 f"sweep value listed more than once: {self.sweep_values}")
+        if "JDFPI" in self.algorithms:
+            for scenario in points:
+                check_identifiable(scenario.pattern, scenario.n_sources)
 
 
 def _scenario_for_value(base: ScenarioConfig, variable: str, value) -> ScenarioConfig:
@@ -472,15 +484,6 @@ def read_csv(path):
     return tuple(rows)
 
 
-def _integer(value) -> int:
-    """A number equal to an integer (8 or 8.0) as an int; ConfigError for
-    anything else, booleans included."""
-    if isinstance(value, float) and value.is_integer() or (
-            isinstance(value, (int, np.integer)) and not isinstance(value, bool)):
-        return int(value)
-    raise ConfigError(f"expected an integer, got {value!r}")
-
-
 def _complex_from_json(value) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
@@ -505,10 +508,9 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"scenario config missing section: {exc}") from exc
     try:
-        geom = ArrayGeometry(M=_integer(geom_d["M"]), d=float(geom_d["d"]),
+        geom = ArrayGeometry(M=geom_d["M"], d=float(geom_d["d"]),
                              **_present(geom_d, c_prop=float))
-        pattern = MultiCosetPattern(L=_integer(pat_d["L"]),
-                                    offsets=tuple(map(_integer, pat_d["offsets"])),
+        pattern = MultiCosetPattern(L=pat_d["L"], offsets=tuple(pat_d["offsets"]),
                                     **_present(pat_d, f_N=float))
         sources = tuple(
             SourceTruth(theta=float(s["theta"]), f_c=float(s["f_c"]),
@@ -519,7 +521,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         return ScenarioConfig(
             geom=geom, pattern=pattern, sources=sources,
             **_present(data, snr_db=lambda v: None if v is None else float(v),
-                       n_snapshots=_integer, rng_seed=_integer),
+                       n_snapshots=None, rng_seed=None),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid scenario config: {exc}") from exc
@@ -531,8 +533,7 @@ def sweep_from_dict(data: dict) -> SweepConfig:
         return SweepConfig(
             base=base, sweep_variable=data["sweep_variable"],
             sweep_values=tuple(data["sweep_values"]),
-            **_present(data, n_trials=_integer, algorithms=tuple,
-                       master_seed=_integer),
+            **_present(data, n_trials=None, algorithms=tuple, master_seed=None),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid sweep config: {exc}") from exc

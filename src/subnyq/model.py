@@ -13,7 +13,10 @@ Conventions used throughout the package:
   sensors 2..M (`selected_channel_columns`).
 """
 
+import itertools
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,9 +29,22 @@ __all__ = [
     "doa_from_phase",
     "build_A",
     "build_B",
+    "subset_bases",
+    "check_identifiable",
     "selected_channel_columns",
     "build_G_selected",
 ]
+
+SUBSET_TABLE_BYTES = 2**25  # cap on the bases one `subset_bases` table holds
+
+
+def _integer(value) -> int:
+    """A number equal to an integer (8 or 8.0) as an int; ConfigError for
+    anything else, booleans included."""
+    if isinstance(value, float) and value.is_integer() or (
+            isinstance(value, (int, np.integer)) and not isinstance(value, bool)):
+        return int(value)
+    raise ConfigError(f"expected an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -40,6 +56,7 @@ class ArrayGeometry:
     c_prop: float = 3e8
 
     def __post_init__(self):
+        object.__setattr__(self, "M", _integer(self.M))
         if self.M < 2:
             raise ConfigError(f"need at least 2 sensors, got M={self.M}")
         if not 0 < self.d < np.inf:
@@ -63,12 +80,13 @@ class MultiCosetPattern:
     f_N: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "L", _integer(self.L))
         if self.L < 1:
             raise ConfigError(f"downsampling factor must be >= 1, got L={self.L}")
         if not 0 < self.f_N < np.inf:
             raise ConfigError(
                 f"Nyquist rate must be positive and finite, got f_N={self.f_N}")
-        offs = tuple(int(c) for c in self.offsets)
+        offs = tuple(_integer(c) for c in self.offsets)
         object.__setattr__(self, "offsets", offs)
         if not offs:
             raise ConfigError("sampling pattern needs at least one offset")
@@ -118,6 +136,49 @@ def build_B(pattern: MultiCosetPattern) -> np.ndarray:
     c = np.asarray(pattern.offsets)
     l = np.arange(pattern.L)
     return np.exp(2j * np.pi * np.outer(c, l) / pattern.L) / np.sqrt(pattern.L)
+
+
+@lru_cache(maxsize=8)
+def subset_bases(pattern: MultiCosetPattern, k: int):
+    """Read-only (subsets, bases, sv) for every k-column subset S of
+    `build_B(pattern)`, from one batched SVD per (pattern, k): S in
+    lexicographic order (C x k), U_S^H with U_S an orthonormal basis of
+    span(B_S) (C x k x P), and B_S's singular values (C x k, descending).
+    Basis vectors at or below `lstsq`'s cutoff eps * max(P, k) are zeroed.
+    ConfigError if the bases would take more than SUBSET_TABLE_BYTES.
+    """
+    L, P = pattern.L, pattern.P
+    need = math.comb(L, k) * k * P * np.dtype(complex).itemsize
+    if need > SUBSET_TABLE_BYTES:
+        raise ConfigError(
+            f"the {k}-column subsets of L={L} bands need {need} bytes of bases,"
+            f" above the {SUBSET_TABLE_BYTES}-byte cap")
+    subsets = np.array(list(itertools.combinations(range(L), k)), dtype=int)
+    u, sv, _ = np.linalg.svd(build_B(pattern)[:, subsets].transpose(1, 0, 2),
+                             full_matrices=False)
+    u *= (sv > np.finfo(float).eps * max(P, k) * sv[:, :1])[:, None, :]
+    bases = np.ascontiguousarray(u.conj().transpose(0, 2, 1))
+    for table in (subsets, bases, sv):
+        table.setflags(write=False)
+    return subsets, bases, sv
+
+
+def check_identifiable(pattern: MultiCosetPattern, K: int) -> None:
+    """ConfigError unless rank-K branch data has one K-band support: every
+    K + 1 columns of B independent (Davies & Eldar, IEEE TIT 2012), each
+    subset's smallest singular value at least 1e-8 times its largest.  For
+    prime L every DFT minor is nonzero (Chebotarev), so no table is read."""
+    if K > pattern.P - 1:
+        raise ConfigError(f"JDFPI needs K <= P-1, got K={K}, P={pattern.P}")
+    if all(pattern.L % p for p in range(2, math.isqrt(pattern.L) + 1)):
+        return
+    subsets, _, sv = subset_bases(pattern, K + 1)
+    dependent = np.flatnonzero(sv[:, -1] < 1e-8 * sv[:, 0])
+    if dependent.size:
+        raise ConfigError(
+            f"JDFPI cannot identify K={K} bands for L={pattern.L}, offsets "
+            f"{pattern.offsets}: coset columns {subsets[dependent[0]].tolist()}"
+            " are dependent")
 
 
 def selected_channel_columns(M: int, P: int) -> np.ndarray:

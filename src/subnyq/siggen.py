@@ -26,6 +26,7 @@ from .errors import ConfigError
 from .model import (
     ArrayGeometry,
     MultiCosetPattern,
+    _integer,
     build_G_selected,
     phase_from_doa,
     selected_channel_columns,
@@ -89,10 +90,17 @@ class ScenarioConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(self.sources))
+        for name in ("n_snapshots", "rng_seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name)))
         K = len(self.sources)
         M, P, L = self.geom.M, self.pattern.P, self.pattern.L
-        if self.snr_db is not None and not np.isfinite(self.snr_db):
-            raise ConfigError(f"SNR must be finite or None, got {self.snr_db}")
+        if self.snr_db is not None:
+            with np.errstate(over="ignore"):
+                ratio = np.float64(10.0) ** (self.snr_db / 10.0)
+            if not 0 < ratio < np.inf:
+                raise ConfigError(
+                    f"SNR {self.snr_db} dB is a power ratio of {ratio}; it "
+                    "must be positive and finite")
         if self.rng_seed < 0:
             raise ConfigError(f"RNG seed must be non-negative, got {self.rng_seed}")
         if K >= M:

@@ -1,14 +1,12 @@
 """Shared generators for randomized tests.
 
 Random-but-valid scenario construction: distinct bands, well-separated
-spatial phases, and a coset pattern whose columns are incoherent enough for
-greedy support recovery to be well posed.  Also the explicit selection and
-combined matrices J and H = J (A kron B) and the per-band channel maps;
-the grid-and-refine phase search,
-kept as the reference for the estimators' polynomial-root search; the joint
-search that roots every band, kept as the reference for its bound-pruned
-form; the sequential support-swap loop, kept as the reference for its
-batched form; the brute-force Fisher oracles behind the bounds; and the
+spatial phases, and an incoherent coset pattern whose band supports are
+identifiable.  Also the explicit selection and combined matrices J and
+H = J (A kron B) and the per-band channel maps; the grid-and-refine phase
+search, kept as the reference for the estimators' polynomial-root search;
+the joint search that roots every band, kept as the reference for its
+bound-pruned form; the brute-force Fisher oracles behind the bounds; and the
 Nyquist-rate streams and coset decimation behind the per-channel snapshot
 synthesis.
 """
@@ -25,6 +23,7 @@ from subnyq.model import (
     build_A,
     build_B,
     build_G_selected,
+    check_identifiable,
     phase_from_doa,
     selected_channel_columns,
 )
@@ -85,23 +84,13 @@ def pattern_coherence(pattern: MultiCosetPattern) -> float:
     return float(G.max())
 
 
-def kruskal_rank_at_least(pattern: MultiCosetPattern, k: int) -> bool:
-    """True if every k-subset of coset-matrix columns is linearly independent.
-
-    Composite L can make column subsets exactly dependent (offsets covering
-    too few residues modulo a divisor of L), in which case two different band
-    supports explain the branch data identically and no method can tell them
-    apart.
-    """
-    import itertools
-
-    B = build_B(pattern)
-    if k > pattern.P:
+def supports_identifiable(pattern: MultiCosetPattern, K: int) -> bool:
+    """True if `check_identifiable(pattern, K)` passes: every K + 1 coset
+    columns are linearly independent."""
+    try:
+        check_identifiable(pattern, K)
+    except ConfigError:
         return False
-    for combo in itertools.combinations(range(pattern.L), k):
-        s = np.linalg.svd(B[:, combo], compute_uv=False)
-        if s[-1] < 1e-8 * s[0]:
-            return False
     return True
 
 
@@ -109,9 +98,9 @@ def random_pattern(rng: np.random.Generator, max_coherence: float = 0.5,
                    L_range=(8, 16), P_range=(4, 6),
                    min_krank: int = 4) -> MultiCosetPattern:
     """Random multi-coset pattern valid for band-support recovery of up to
-    `min_krank - 1` sources: bounded column coherence (greedy pursuit needs
-    incoherent columns) and Kruskal rank at least `min_krank`
-    (identifiability).  Resamples until both hold.
+    `min_krank - 1` sources: bounded column coherence (incoherent columns
+    keep the bands' steering vectors far apart) and Kruskal rank at least
+    `min_krank` (identifiability).  Resamples until both hold.
     """
     for _ in range(200):
         L = int(rng.integers(L_range[0], L_range[1] + 1))
@@ -119,7 +108,7 @@ def random_pattern(rng: np.random.Generator, max_coherence: float = 0.5,
         offsets = np.sort(rng.choice(L, size=P, replace=False))
         pattern = MultiCosetPattern(L=L, offsets=tuple(int(c) for c in offsets))
         if (pattern_coherence(pattern) <= max_coherence
-                and kruskal_rank_at_least(pattern, min(min_krank, P))):
+                and supports_identifiable(pattern, min(min_krank, P) - 1)):
             return pattern
     raise RuntimeError("no pattern with acceptable coherence found")
 
@@ -338,34 +327,6 @@ def freq_crb_dense_oracle(inp: CrbInput, full_structure: bool = False) -> np.nda
     Fisher matrix."""
     K = inp.n_sources
     return tone_crb_dense_oracle(inp, full_structure)[K:2 * K, K:2 * K]
-
-
-def sequential_swap_oracle(B: np.ndarray, V: np.ndarray, selected: list[int],
-                           max_passes: int = 3) -> list[int]:
-    """Single-atom support swaps with one `lstsq` per candidate, accepted in
-    candidate order while each lowers the joint residual; the reference for
-    the estimators' batched swap search."""
-
-    def resid(cols):
-        coef, *_ = np.linalg.lstsq(B[:, cols], V, rcond=None)
-        return float(np.linalg.norm(V - B[:, cols] @ coef))
-
-    best = resid(selected)
-    for _ in range(max_passes):
-        improved = False
-        for i in range(len(selected)):
-            for cand in range(B.shape[1]):
-                if cand in selected:
-                    continue
-                trial = selected.copy()
-                trial[i] = cand
-                r = resid(trial)
-                if r < best * (1.0 - 1e-12):
-                    selected, best = trial, r
-                    improved = True
-        if not improved:
-            break
-    return selected
 
 
 def synthesize_streams(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:

@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, flags, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import subnyq
 from subnyq import harness
 from subnyq.cli import EXIT_CONFIG, EXIT_ESTIMATION, EXIT_IO, EXIT_OK, main
 from subnyq.harness import read_csv
@@ -284,6 +289,37 @@ def test_non_finite_or_negative_numbers_are_config_errors(tmp_path, capsys, comm
     assert main([command, "--config", config]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "configuration error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("snr_db", [-4000.0, 4000.0, -3000.0, 3000.0])
+def test_extreme_snr_is_config_error(tmp_path, snr_db):
+    # the noise power over- or underflows, or the Fisher matrix does; LAPACK
+    # writes its complaints to the process's stderr, hence the subprocess
+    config = scenario_json(tmp_path, snr_db=snr_db)
+    src = Path(subnyq.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "subnyq.cli", "crb", "--config", config],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, timeout=60)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith("configuration error")
+    assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+
+
+def test_single_rejects_unidentifiable_jdfpi(tmp_path, capsys):
+    # columns 0, 2 and 4 of this coset matrix are dependent: the bands of
+    # two sources are not determined by the branch data
+    pattern = {"L": 6, "offsets": [0, 1, 3]}
+    sources = [{"theta": 0.3, "f_c": 0.4 / 6}, {"theta": -0.5, "f_c": 4.4 / 6}]
+    config = scenario_json(tmp_path, pattern=pattern, sources=sources,
+                           geometry={"M": 4, "d": 0.5, "c_prop": 1.0})
+    for algorithms in ("JDFPI", "JDFSDPJ,JDFPI"):
+        assert main(["single", "--config", config,
+                     "--algorithms", algorithms]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "cannot identify K=2 bands" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+    assert main(["single", "--config", config, "--algorithms", "JDFSDPJ"]) == EXIT_OK
 
 
 def test_invalid_json_is_config_error(tmp_path, capsys):

@@ -11,11 +11,11 @@ from helpers import (
     all_band_search,
     channel_maps,
     grid_search_oracle,
+    pattern_coherence,
     random_scenario,
-    sequential_swap_oracle,
     steering_column,
 )
-from subnyq import estimators
+from subnyq import estimators, model
 from subnyq.errors import (
     ConfigError,
     EmptySupportError,
@@ -24,7 +24,6 @@ from subnyq.errors import (
     RankDeficiencyError,
 )
 from subnyq.estimators import (
-    _improve_support,
     _phase_minima,
     _search,
     ctf_support,
@@ -46,8 +45,14 @@ from subnyq.model import (
     build_B,
     build_G_selected,
     selected_channel_columns,
+    subset_bases,
 )
-from subnyq.siggen import assemble_full_snapshots, assemble_snapshots
+from subnyq.siggen import (
+    ScenarioConfig,
+    SourceTruth,
+    assemble_full_snapshots,
+    assemble_snapshots,
+)
 
 PATTERN = MultiCosetPattern(L=11, offsets=(0, 1, 4, 6), f_N=1.0)
 
@@ -155,59 +160,112 @@ def brute_force_support(Y1, B, K):
     return best
 
 
+# Noiseless sources on coherent L = 11 patterns for which greedy pursuit
+# (matching pursuit with single-atom swaps) returns wrong bands:
+# (offsets, ((theta, f_c) per source)).
+GREEDY_MISSES = [
+    ((0, 4, 5, 6, 10), ((-0.74, 0.6585), (1.39, 0.125), (-1.32, 0.0453))),
+    ((0, 1, 4, 7, 8), ((-0.044, 0.3914), (1.24, 0.0636), (0.43, 0.5682))),
+]
+
+
+def coherent_prime_patterns():
+    """Every P = 5 pattern with first offset 0, prime L in {7, 11, 13} and
+    column coherence at least 0.7 (L = 7 has none: its maximum is 0.36)."""
+    patterns = (MultiCosetPattern(L=L, offsets=(0, *rest))
+                for L in (7, 11, 13)
+                for rest in itertools.combinations(range(1, L), 4))
+    return [p for p in patterns if pattern_coherence(p) >= 0.7]
+
+
 def test_ctf_support_matches_brute_force():
     rng = np.random.default_rng(4)
+    configs = [random_scenario(rng, snr_db=20.0, n_snapshots=512)
+               for _ in range(15)]
+    coherent = coherent_prime_patterns()
+    assert {p.L for p in coherent} == {11, 13}
+    for i in range(30):
+        configs.append(random_scenario(
+            rng, K=2 + i % 2, snr_db=None, n_snapshots=64,
+            pattern=coherent[int(rng.integers(len(coherent)))]))
+    geom = ArrayGeometry(M=4, d=0.5, c_prop=1.0)
+    for offsets, sources in GREEDY_MISSES:
+        configs.append(ScenarioConfig(
+            geom=geom, pattern=MultiCosetPattern(L=11, offsets=offsets),
+            sources=tuple(SourceTruth(theta=t, f_c=f) for t, f in sources),
+            snr_db=None, n_snapshots=64))
     hits = 0
-    for _ in range(15):
-        config = random_scenario(rng, snr_db=20.0, n_snapshots=512)
+    for config in configs:
         K = config.n_sources
         if K > config.pattern.P - 1:
             continue
         Y1 = assemble_snapshots(config)[:config.pattern.P]
-        B = build_B(config.pattern)
-        est = ctf_support(sample_covariance(Y1), B, K)
-        oracle = brute_force_support(Y1, B, K)
+        est = ctf_support(sample_covariance(Y1), config.pattern, K)
+        oracle = brute_force_support(Y1, build_B(config.pattern), K)
         truth = tuple(sorted(config.band_of(k) for k in range(K)))
         assert est == tuple(sorted(oracle)) == truth
         hits += 1
-    assert hits >= 10
-
-
-def covariance_factor(Y1):
-    """V with V V^H the sample covariance, as `ctf_support` factors it."""
-    eigvals, vecs = np.linalg.eigh(sample_covariance(Y1))
-    keep = eigvals > max(eigvals[-1], 0.0) * 1e-12
-    return vecs[:, keep] * np.sqrt(eigvals[keep])
-
-
-@pytest.mark.parametrize("duplicates", [(), (4, 9)],
-                         ids=["default", "duplicated_columns"])
-def test_batched_swaps_match_sequential_oracle(duplicates):
-    # exact copies of columns make every candidate set holding both copies
-    # rank deficient, which the swap residuals must truncate as lstsq does
-    rng = np.random.default_rng(6)
-    changed = 0
-    for snr_db in (0.0, 10.0, 20.0):
-        for _ in range(20):
-            config = replace(default_scenario(K=3, snr_db=snr_db), n_snapshots=256,
-                             rng_seed=int(rng.integers(2**31)))
-            B = build_B(config.pattern)
-            B = np.column_stack([B] + [B[:, c] for c in duplicates])
-            V = covariance_factor(assemble_snapshots(config)[:config.pattern.P])
-            start = [int(c) for c in rng.choice(B.shape[1], 3, replace=False)]
-            batched = _improve_support(B, V, start.copy())
-            assert batched == sequential_swap_oracle(B, V, start.copy())
-            changed += sorted(batched) != sorted(start)
-    assert changed >= 30
+    assert hits >= 40
 
 
 def test_ctf_support_validates_and_rejects_empty():
-    B = build_B(PATTERN)
     R = sample_covariance(np.zeros((PATTERN.P, 8), dtype=complex))
     with pytest.raises(ConfigError):
-        ctf_support(R, B, PATTERN.P)
+        ctf_support(R, PATTERN, PATTERN.P)
     with pytest.raises(EmptySupportError):
-        ctf_support(R, B, 2)
+        ctf_support(R, PATTERN, 2)
+
+
+def test_subset_table_is_built_once_and_read_only(monkeypatch):
+    svd_calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        svd_calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    subset_bases.cache_clear()
+    pattern = MultiCosetPattern(L=10, offsets=(0, 1, 3, 7))
+    config = random_scenario(np.random.default_rng(8), K=2, snr_db=20.0,
+                             pattern=pattern)
+    W = assemble_snapshots(config)
+    for _ in range(3):  # the check reads k = K + 1, the support search k = K
+        jdfpi(W, sample_covariance(W), config)
+    tables = [shape for shape in svd_calls if len(shape) == 3]
+    assert tables == [(120, 4, 3), (45, 4, 2)]
+    subsets, bases, sv = subset_bases(pattern, 2)
+    assert subset_bases(pattern, 2)[1] is bases
+    assert subsets.shape == (45, 2) and bases.shape == (45, 2, 4)
+    assert sv.shape == (45, 2)
+    for table in (subsets, bases, sv):
+        assert not table.flags.writeable
+
+
+def test_subset_table_above_the_cap_is_config_error(monkeypatch):
+    pattern = MultiCosetPattern(L=9, offsets=(0, 2, 3, 7))
+    # C(9, 3) subsets, each a 3 x 4 complex basis: 84 * 192 bytes
+    monkeypatch.setattr(model, "SUBSET_TABLE_BYTES", 16127)
+    with pytest.raises(ConfigError, match=r"need 16128 bytes.*16127-byte cap"):
+        ctf_support(np.eye(4), pattern, 3)
+
+
+@pytest.mark.parametrize("bands, snr_db", [
+    ((0, 4), None), ((1, 3), None), ((0, 2), 20.0), ((2, 4), 20.0),
+], ids=["0_4_noiseless", "1_3_noiseless", "0_2_20dB", "2_4_20dB"])
+def test_jdfpi_rejects_unidentifiable_support(bands, snr_db):
+    # columns 0, 2 and 4 of this pattern's coset matrix are dependent, so
+    # the branch data of two sources has more than one band support: a
+    # support search returns wrong bands (such as [0, 0] for (0, 4))
+    pattern = MultiCosetPattern(L=6, offsets=(0, 1, 3))
+    sources = tuple(SourceTruth(theta=t, f_c=(b + 0.4) * pattern.f_s)
+                    for t, b in zip((0.3, -0.5), bands))
+    config = ScenarioConfig(geom=ArrayGeometry(M=4, d=0.5, c_prop=1.0),
+                            pattern=pattern, sources=sources, snr_db=snr_db,
+                            n_snapshots=512)
+    W = assemble_snapshots(config)
+    with pytest.raises(ConfigError, match="cannot identify K=2 bands"):
+        jdfpi(W, sample_covariance(W), config)
 
 
 def spy_calls(monkeypatch, *names):

@@ -589,6 +589,13 @@ def test_sweep_validation():
         with pytest.raises(ConfigError, match="at least one algorithm"):
             SweepConfig(base=base, sweep_variable="snr_db", sweep_values=(0,),
                         algorithms=empty)
+    for fields in ({"n_trials": 2.5}, {"master_seed": 1.5}, {"n_trials": True}):
+        with pytest.raises(ConfigError, match="integer"):
+            SweepConfig(base=base, sweep_variable="snr_db", sweep_values=(0,),
+                        **fields)
+    config = SweepConfig(base=base, sweep_variable="snr_db", sweep_values=(0,),
+                         n_trials=2.0, master_seed=np.int64(4))
+    assert (type(config.n_trials), type(config.master_seed)) == (int, int)
     # a source count is an integer: 2.7 would run 2 sources but print 2.7
     assert SweepConfig(base=base, sweep_variable="n_sources",
                        sweep_values=(1, 2.0)).sweep_values == (1, 2.0)
@@ -752,3 +759,20 @@ def test_default_sweep_shapes():
     assert snr.sweep_variable == "snr_db" and len(snr.sweep_values) >= 3
     k = default_sweep("n_sources")
     assert k.sweep_values == (1, 2, 3)
+
+
+def test_sweep_rejects_unidentifiable_jdfpi_points():
+    # columns 0, 2 and 4 of this coset matrix are dependent: two sources
+    # have more than one band support, one source has one
+    pattern = MultiCosetPattern(L=6, offsets=(0, 1, 3))
+    base = ScenarioConfig(
+        geom=ArrayGeometry(M=4, d=0.5, c_prop=1.0), pattern=pattern,
+        sources=(SourceTruth(theta=0.3, f_c=0.4 * pattern.f_s),
+                 SourceTruth(theta=-0.5, f_c=4.4 * pattern.f_s)),
+        snr_db=20.0, n_snapshots=512)
+    for variable, values in (("snr_db", (10.0, 20.0)), ("n_sources", (1, 2))):
+        with pytest.raises(ConfigError, match="cannot identify K=2 bands"):
+            SweepConfig(base=base, sweep_variable=variable, sweep_values=values)
+    SweepConfig(base=base, sweep_variable="n_sources", sweep_values=(1,))
+    SweepConfig(base=base, sweep_variable="snr_db", sweep_values=(20.0,),
+                algorithms=("JDFSDPJ",))

@@ -12,6 +12,7 @@ from helpers import (
     selection_matrix,
     steering_column,
 )
+from subnyq import model
 from subnyq.errors import ConfigError
 from subnyq.model import (
     ArrayGeometry,
@@ -19,6 +20,7 @@ from subnyq.model import (
     build_A,
     build_B,
     build_G_selected,
+    check_identifiable,
     doa_from_phase,
     phase_from_doa,
     selected_channel_columns,
@@ -194,6 +196,8 @@ def test_combined_matrix_is_selected_kron():
     dict(M=1, d=0.5),
     dict(M=4, d=0.0),
     dict(M=4, d=0.5, c_prop=-1.0),
+    dict(M=8.5, d=0.5),
+    dict(M=True, d=0.5),
 ])
 def test_geometry_validation(kwargs):
     with pytest.raises(ConfigError):
@@ -207,10 +211,21 @@ def test_geometry_validation(kwargs):
     dict(L=5, offsets=(2, 1)),
     dict(L=5, offsets=(1, 1)),
     dict(L=5, offsets=(0, 2), f_N=0.0),
+    dict(L=5, offsets=(0, 1.7, 4)),
+    dict(L=5.5, offsets=(0, 2)),
 ])
 def test_pattern_validation(kwargs):
     with pytest.raises(ConfigError):
         MultiCosetPattern(**kwargs)
+
+
+def test_integer_fields_are_stored_as_int():
+    geom = ArrayGeometry(M=8.0, d=0.5)
+    pattern = MultiCosetPattern(L=np.int64(13), offsets=(0.0, 1, np.int32(4)))
+    assert type(geom.M) is int and geom.M == 8
+    assert type(pattern.L) is int and pattern.L == 13
+    assert pattern.offsets == (0, 1, 4)
+    assert all(type(c) is int for c in pattern.offsets)
 
 
 def test_band_bounds_checked():
@@ -231,3 +246,16 @@ def test_selected_builder_rejects_too_many_sources():
         build_G_selected(phis, bands, GEOM, PATTERN, SELECTED)
     assert build_G_selected(phis, bands, GEOM, PATTERN, ALL_ROWS).shape == (
         ALL_ROWS.size, K)
+
+
+def test_check_identifiable_reads_only_composite_l(monkeypatch):
+    # columns 0, 2 and 4 of this coset matrix are dependent
+    pattern = MultiCosetPattern(L=6, offsets=(0, 1, 3))
+    check_identifiable(pattern, 1)
+    with pytest.raises(ConfigError, match=r"columns \[0, 2, 4\] are dependent"):
+        check_identifiable(pattern, 2)
+    with pytest.raises(ConfigError, match="K <= P-1"):
+        check_identifiable(pattern, 3)
+    # prime L: every DFT minor is nonzero, so no table is read
+    monkeypatch.setattr(model, "subset_bases", None)
+    check_identifiable(MultiCosetPattern(L=13, offsets=(0, 1, 4, 7, 9)), 4)

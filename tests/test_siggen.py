@@ -372,6 +372,18 @@ def test_scenario_validation():
         mk(out_of_range)
     with pytest.raises(ConfigError):
         mk((SourceTruth(theta=0.1, f_c=0.5 * f_s),), n_snapshots=4)
+    one = (SourceTruth(theta=0.1, f_c=0.5 * f_s),)
+    for fields in ({"n_snapshots": 256.5}, {"rng_seed": 1.5},
+                   {"rng_seed": True}):
+        with pytest.raises(ConfigError, match="integer"):
+            mk(one, **fields)
+    scenario = mk(one, n_snapshots=256.0, rng_seed=np.int64(3))
+    assert (type(scenario.n_snapshots), type(scenario.rng_seed)) == (int, int)
+    # the noise power divides by the power ratio 10^(snr/10): it must be
+    # positive and finite
+    for snr_db in (-4000.0, 4000.0, -1e308):
+        with pytest.raises(ConfigError, match="power ratio"):
+            mk(one, snr_db=snr_db)
 
 
 def one_source_scenario(pattern):
