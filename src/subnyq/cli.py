@@ -81,7 +81,13 @@ def cmd_single(args):
     algorithms = _algorithms_from_args(args, ("JDFPI", "JDFSDPJ"))
     if "JDFPI" in algorithms:  # before any algorithm prints
         check_identifiable(scenario.pattern, scenario.n_sources)
-    output = trial_output(scenario, algorithms)  # shared by every algorithm
+    with np.errstate(over="ignore", invalid="ignore"):
+        output = trial_output(scenario, algorithms)  # shared by every algorithm
+    # an extreme noise power overflows the sample covariance, which no
+    # eigensolver takes; a sweep's bounds reject it before any trial
+    if not all(np.isfinite(R).all() for _, R in output.values()):
+        raise ConfigError(f"noise power {scenario.sigma2:.3g} at SNR "
+                          f"{scenario.snr_db} dB overflows the sample covariance")
     for name in algorithms:
         try:
             result = run_algorithm(name, scenario, lambda: output)

@@ -14,7 +14,8 @@ The frequency bound has no analytic form here; `freq_crb_numerical`
 computes the deterministic tone-model bound (Stoica & Nehorai, IEEE TASSP
 1989) numerically.  Each derivative of the mean is a spatial vector times a
 temporal one, so its Fisher matrix is the Hadamard product of two small Gram
-matrices and the (rows * N) x 4K derivative matrix is never formed.
+matrices and the (rows * N) x 4K derivative matrix is never formed; the
+temporal Gram matrix comes from tone moments summed in O(log N) steps.
 
 Both bounds use the full-structure steering model and its analytic phase
 derivative; the simplified structure is a selection of its rows.
@@ -94,18 +95,50 @@ class CrbInput:
         """sum_n n^p conj(t_a[n]) t_b[n] for p = 0, 1, 2 over n < N, shape
         (3, K, K), with t_k[n] = rho_k exp(j 2 pi f_k n T_s) the tone of
         source k and rho_k = sqrt(L p_k).  Both structures' frequency bounds
-        read it; it is computed once per input and is read-only."""
-        n = np.arange(self.n_snapshots)
-        T_s = 1.0 / self.pattern.f_s
+        read it; it is computed once per input and is read-only.
+
+        conj(t_a[n]) t_b[n] = rho_a rho_b z_ab^n with z_ab = exp(j 2 pi
+        nu_ab) and nu_ab = (f_b - f_a) T_s turns per snapshot, so the
+        moments are rho_a rho_b times `_power_sums` of the K x K steps."""
+        f, f_s = np.array(self.f_residuals), self.pattern.f_s
+        # a pair more than f_s / 2 apart is brought within half a turn before
+        # the subtraction rounds: f - f_s is exact for f >= f_s / 2
+        step, below = f - f[:, None], f - f_s
+        step = np.where(step > f_s / 2, below - f[:, None],
+                        np.where(step < -f_s / 2, f - below[:, None], step))
         rho = np.sqrt(self.pattern.L * np.array(self.powers))
-        tones = np.array(
-            [r * np.exp(2j * np.pi * f * n * T_s)
-             for r, f in zip(rho, self.f_residuals)]
-        )
-        weighted = tones.conj() * n ** np.arange(3.0)[:, None, None]
-        moments = weighted @ tones.T
+        moments = np.outer(rho, rho) * _power_sums(step / f_s, self.n_snapshots)
         moments.setflags(write=False)
         return moments
+
+
+def _power_sums(nu: np.ndarray, N: int) -> np.ndarray:
+    """S_p = sum_{n<N} n^p z^n for p = 0, 1, 2 and z = exp(j 2 pi nu),
+    element-wise, stacked on a new first axis.  Built in O(log N) steps over
+    the bits of N from the top: a doubling step is
+
+        S_p(2m) = S_p(m) + z^m sum_k C(p, k) m^(p-k) S_k(m),
+
+    and a set bit adds m^p z^m.  No step divides by 1 - z, and each z^m is
+    taken from nu m reduced to the nearest whole turn, so no power of z
+    accumulates rounding."""
+
+    def z_to(m):
+        turns = nu * m
+        return np.exp(2j * np.pi * (turns - np.round(turns)))
+
+    s0 = s1 = s2 = np.zeros(np.shape(nu), dtype=complex)
+    m = 0.0
+    for bit in bin(N)[2:]:
+        w = z_to(m)
+        s0, s1, s2 = (s0 + w * s0, s1 + w * (s1 + m * s0),
+                      s2 + w * (s2 + 2 * m * s1 + m * m * s0))
+        m *= 2
+        if bit == "1":
+            w = z_to(m)
+            s0, s1, s2 = s0 + w, s1 + m * w, s2 + m * m * w
+            m += 1
+    return np.stack([s0, s1, s2])
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ class EstimationError(SubnyqError):
 
 
 class PeakCountError(EstimationError):
-    """Fewer pseudo-spectrum peaks than requested sources."""
+    """The phase search found fewer noise-subspace cost minima than
+    requested sources."""
 
     def __init__(self, message: str, found: int, wanted: int, step: str | None = None):
         super().__init__(message, step=step)
@@ -31,4 +32,5 @@ class RankDeficiencyError(EstimationError):
 
 
 class EmptySupportError(EstimationError):
-    """Support recovery found no atom above the noise floor."""
+    """Support recovery was given a covariance with no energy: no positive
+    eigenvalue to build a support from."""

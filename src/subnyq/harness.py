@@ -4,7 +4,6 @@ import csv
 import io
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cache
 
@@ -388,6 +387,10 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> ResultTable:
     records: list[TrialRecord] = []
     try:
         if workers > 1:
+            # imported here: a serial sweep, a bound or `import subnyq`
+            # does not load the process machinery
+            from concurrent.futures import ProcessPoolExecutor
+
             # map submits all it is given: one window, 32 chunks per worker
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 while window := list(itertools.islice(tasks, 128 * workers)):

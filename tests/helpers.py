@@ -6,9 +6,9 @@ identifiable.  Also the explicit selection and combined matrices J and
 H = J (A kron B) and the per-band channel maps; the grid-and-refine phase
 search, kept as the reference for the estimators' polynomial-root search;
 the joint search that roots every band, kept as the reference for its
-bound-pruned form; the brute-force Fisher oracles behind the bounds; and the
-Nyquist-rate streams and coset decimation behind the per-channel snapshot
-synthesis.
+bound-pruned form; the brute-force Fisher oracles and the exact tone
+moments behind the bounds; and the Nyquist-rate streams and coset decimation
+behind the per-channel snapshot synthesis.
 """
 
 import numpy as np
@@ -327,6 +327,38 @@ def freq_crb_dense_oracle(inp: CrbInput, full_structure: bool = False) -> np.nda
     Fisher matrix."""
     K = inp.n_sources
     return tone_crb_dense_oracle(inp, full_structure)[K:2 * K, K:2 * K]
+
+
+def exact_tone_moments(inp: CrbInput) -> np.ndarray:
+    """`CrbInput.tone_moments` in 120-digit arithmetic, rounded once: the
+    float inputs are taken as exact, and each sum_{n<N} n^p x^n, x =
+    exp(j 2 pi (f_b - f_a) / f_s), comes from its closed form (the integer
+    sums where x = 1).  Needs mpmath."""
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = 120
+    N = mp.mpf(inp.n_snapshots)
+    K = inp.n_sources
+    rho = [mp.sqrt(mp.mpf(inp.pattern.L) * mp.mpf(p)) for p in inp.powers]
+    out = np.empty((3, K, K), dtype=complex)
+    for a in range(K):
+        for b in range(K):
+            x = mp.expjpi(2 * (mp.mpf(inp.f_residuals[b]) - mp.mpf(inp.f_residuals[a]))
+                          / mp.mpf(inp.pattern.f_s))
+            if x == 1:
+                sums = [N, N * (N - 1) / 2, (N - 1) * N * (2 * N - 1) / 6]
+            else:
+                xN, d = x ** N, 1 - x
+                sums = [
+                    (1 - xN) / d,
+                    x * (1 - N * x ** (N - 1) + (N - 1) * xN) / d ** 2,
+                    x * (1 + x - N ** 2 * x ** (N - 1) + (2 * N ** 2 - 2 * N - 1) * xN
+                         - (N - 1) ** 2 * x ** (N + 1)) / d ** 3,
+                ]
+            for p, s in enumerate(sums):
+                out[p, a, b] = complex(rho[a] * rho[b] * s)
+    return out
 
 
 def synthesize_streams(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:

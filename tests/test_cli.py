@@ -34,6 +34,15 @@ def scenario_json(tmp_path, **overrides):
     return str(path)
 
 
+def python(*args):
+    """A fresh interpreter on this checkout's subnyq: LAPACK writes its
+    complaints to the process's stderr, which capsys does not see."""
+    src = Path(subnyq.__file__).parents[1]
+    return subprocess.run([sys.executable, *args],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+
+
 def sweep_json(tmp_path, variable="snr_db", values=(10.0, 20.0), **overrides):
     data = {
         "base": json.loads((tmp_path / "scenario.json").read_text()),
@@ -295,15 +304,30 @@ def test_non_finite_or_negative_numbers_are_config_errors(tmp_path, capsys, comm
 def test_extreme_snr_is_config_error(tmp_path, snr_db):
     # the noise power over- or underflows, or the Fisher matrix does; LAPACK
     # writes its complaints to the process's stderr, hence the subprocess
-    config = scenario_json(tmp_path, snr_db=snr_db)
-    src = Path(subnyq.__file__).parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-m", "subnyq.cli", "crb", "--config", config],
-        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
-        text=True, timeout=60)
+    proc = python("-m", "subnyq.cli", "crb", "--config",
+                  scenario_json(tmp_path, snr_db=snr_db))
     assert proc.returncode == EXIT_CONFIG
     assert proc.stderr.startswith("configuration error")
     assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+
+
+@pytest.mark.parametrize("snr_db", [-3070.0, -3080.0])
+def test_single_at_overflowing_noise_is_config_error(tmp_path, snr_db):
+    # the power ratio is finite, but noise of about 1e307 overflows the
+    # sample covariance, which no eigensolver takes
+    proc = python("-m", "subnyq.cli", "single", "--config",
+                  scenario_json(tmp_path, snr_db=snr_db))
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith("configuration error")
+    assert "overflows the sample covariance" in proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+
+
+def test_import_loads_no_process_pool():
+    # the pool's modules load only when a sweep runs with workers > 1
+    proc = python("-c", "import sys, subnyq, subnyq.cli; print(sorted(m for m in "
+                  "('concurrent.futures', 'multiprocessing') if m in sys.modules))")
+    assert proc.returncode == 0 and proc.stdout == "[]\n"
 
 
 def test_single_rejects_unidentifiable_jdfpi(tmp_path, capsys):

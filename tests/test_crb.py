@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    exact_tone_moments,
     fim_numerical,
     freq_crb_dense_oracle,
     random_geometry,
@@ -304,6 +305,47 @@ def test_tone_moments_are_computed_once_per_input(moment_builds):
                 crb_phase(inp, full_structure=full)
                 freq_crb_numerical(inp, full_structure=full)
     assert len(moment_builds) == 18
+
+
+F_S = PATTERN.f_s
+TOP = float(np.nextafter(F_S, 0.0))  # the highest residual below f_s
+MOMENT_LAYOUTS = {  # in-band frequencies of K <= 4 sources
+    "one_source": [0.3 * F_S],
+    "equal": [0.3 * F_S, 0.3 * F_S],
+    "df_1e-12": [0.3 * F_S, (0.3 + 1e-12) * F_S],
+    "generic": [0.05 * F_S, 0.37 * F_S, 0.81 * F_S],
+    "near_f_s": [0.4 * F_S, TOP],
+    "wrapped": [1e-9 * F_S, (1 - 1e-9) * F_S],
+    "mixed": [0.0, 0.1 * F_S, (0.1 + 1e-12) * F_S, TOP],
+}
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 1000, 4096, 2**20 + 1])
+@pytest.mark.parametrize("layout", MOMENT_LAYOUTS)
+def test_tone_moments_match_exact_sums(layout, N):
+    # within 1e-15 of the largest moment, against sums in 120-digit
+    # arithmetic: equal and nearly equal frequencies, generic spacings, a
+    # residual one ulp below f_s, and pairs nearly one f_s apart (alike in
+    # discrete time)
+    pytest.importorskip("mpmath")
+    f = MOMENT_LAYOUTS[layout]
+    K = len(f)
+    inp = make_input(phis=np.linspace(-1.0, 1.0, K), bands=range(1, K + 1),
+                     powers=np.linspace(0.5, 2.0, K), f_residuals=f, n_snapshots=N)
+    want = exact_tone_moments(inp)
+    assert np.abs(inp.tone_moments - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_tone_moments_memory_does_not_scale_with_snapshots():
+    # the moments of 2**20 snapshots once took three N-length complex rows
+    inp = make_input(phis=(0.4,), bands=(3,), powers=[1.0], n_snapshots=2**20)
+    tracemalloc.start()
+    try:
+        inp.tone_moments
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_freq_bound_memory_does_not_scale_with_channels():

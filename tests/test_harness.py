@@ -473,9 +473,8 @@ def test_nonpositive_workers_is_config_error(workers):
 def test_pool_is_capped_at_cpu_count(monkeypatch):
     # a stand-in pool records its size and maps in this process, so no
     # worker process is started whatever the requested count
+    import concurrent.futures
     import os
-
-    import subnyq.harness as harness
 
     sizes = []
 
@@ -492,7 +491,7 @@ def test_pool_is_capped_at_cpu_count(monkeypatch):
         def map(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     config = small_sweep(n_trials=2, values=(20.0,))
     serial = format_csv(run_sweep(config))
@@ -509,9 +508,8 @@ def test_pool_is_fed_one_window_at_a_time(monkeypatch):
     # process: a sweep of 10**12 trials hands each map call one bounded
     # window, in task order, and a Ctrl-C in the third window returns the
     # records of the first two; no task list is built, no process started
+    import concurrent.futures
     import os
-
-    import subnyq.harness as harness
 
     cap, windows = 1000, []
 
@@ -537,7 +535,7 @@ def test_pool_is_fed_one_window_at_a_time(monkeypatch):
             windows.append(drawn)
             return map(fn, drawn)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", WindowPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", WindowPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     config = small_sweep(n_trials=10**12, values=(20.0,), algorithms=("JDFPI",),
                          n_snapshots=64)
