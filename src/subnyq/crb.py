@@ -37,6 +37,7 @@ from .errors import ConfigError, RankDeficiencyError
 from .model import (
     ArrayGeometry,
     MultiCosetPattern,
+    _integer,
     build_G_selected,
     selected_channel_columns,
 )
@@ -80,11 +81,18 @@ class CrbInput:
         if not all(0 < p < np.inf for p in self.powers):
             raise ConfigError(
                 f"source powers must be positive and finite, got {self.powers}")
+        if not np.isfinite(self.phis + self.f_residuals).all():
+            raise ConfigError(
+                f"phases and residual frequencies must be finite, got "
+                f"{self.phis} and {self.f_residuals}")
         if not self.sigma2 > 0:
             raise ConfigError(f"noise power must be positive, got {self.sigma2}")
-        if not isinstance(self.n_snapshots, (int, np.integer)) or self.n_snapshots < 1:
-            raise ConfigError(
-                f"need an integer n_snapshots >= 1, got {self.n_snapshots!r}")
+        try:
+            object.__setattr__(self, "n_snapshots", _integer(self.n_snapshots))
+        except ConfigError as exc:
+            raise ConfigError(f"n_snapshots: {exc}") from None
+        if self.n_snapshots < 1:
+            raise ConfigError(f"need n_snapshots >= 1, got {self.n_snapshots}")
 
     @property
     def n_sources(self) -> int:

@@ -361,7 +361,15 @@ def _joint_search(X: np.ndarray, R: np.ndarray, config, rows, algorithm: str,
     whose rows are the channels `rows` (flat indices m*P + p), and its sample
     covariance R, then the shared `_finish`.  Band l maps v(phi) to those
     rows of a(phi) kron B_l: row m*P + p of the map is B[p, l] times the
-    m-th unit row."""
+    m-th unit row.
+
+    Nothing guards the joint searches against a pattern whose K + 1 coset
+    columns are dependent: `check_identifiable` guards JDFPI only, and no
+    rule here says when the joint (phi, band) support stays unique.  With
+    L = 6, offsets (0, 1, 3), M = 4, N = 512 and two noiseless tones at
+    theta = (0.3, -0.5) rad and f_c = (b + 0.4) f_s in bands b = (2, 4),
+    JDFSDPJ returns bands [1, 5] without an error; JDFSD-full, on every
+    channel, returns [2, 4]."""
     M, P = config.geom.M, config.pattern.P
     G = np.eye(M)[rows // P] * build_B(config.pattern)[rows % P].T[:, :, None]
     phis, bands = _search(R, config.n_sources, G, step)

@@ -22,6 +22,7 @@ from .model import (
 from .siggen import (
     ScenarioConfig,
     SourceTruth,
+    _draws,
     assemble_full_snapshots,
     assemble_snapshots,
 )
@@ -65,7 +66,7 @@ def check_algorithms(names) -> None:
         raise ConfigError(f"algorithm listed more than once: {tuple(names)}")
 
 
-def trial_output(scenario: ScenarioConfig, algorithms) -> dict:
+def trial_output(scenario: ScenarioConfig, algorithms, draws=None) -> dict:
     """Receiver output of one seeded trial and its sample covariance, as an
     (output, covariance) pair per receiver structure the `algorithms` use,
     keyed like `_point_bounds` (True for the full structure).
@@ -74,14 +75,17 @@ def trial_output(scenario: ScenarioConfig, algorithms) -> dict:
     selected rows, which agree bit-exactly with `assemble_snapshots` for the
     same seed, and its covariance is still taken of W itself.  The
     algorithms of a trial share these arrays: consumers must not modify them.
+    `draws`, if given, is the trial's random numbers drawn ahead of time,
+    `siggen._draws` for the channel count of the output built here (M*P
+    with JDFSD-full, else M+P-1); the output is assembled in them.
     """
     structures = {algorithm == "JDFSD-full" for algorithm in algorithms}
     if True in structures:
-        full = assemble_full_snapshots(scenario)
+        full = assemble_full_snapshots(scenario, draws)
         M, P = scenario.geom.M, scenario.pattern.P
         outputs = {True: full, False: full[selected_channel_columns(M, P)]}
     else:
-        outputs = {False: assemble_snapshots(scenario)}
+        outputs = {False: assemble_snapshots(scenario, draws)}
     return {s: (outputs[s], sample_covariance(outputs[s])) for s in structures}
 
 
@@ -328,12 +332,15 @@ def run_trial(scenario: ScenarioConfig, algorithm: str, seed: int,
     )
 
 
-def _run_task(task) -> list[TrialRecord]:
+def _run_task(task, draws=None) -> list[TrialRecord]:
     """Every algorithm of one (sweep point, trial), on one shared receiver
-    output and covariance, computed inside the first `run_trial` call."""
+    output and covariance, computed inside the first `run_trial` call.
+
+    `draws`, if given, is a zero-argument callable returning the trial's
+    random numbers (see `trial_output`); it is called there too."""
     scenario, algorithms, seed, value, trial_index = task
     scenario = scenario.with_seed(seed)
-    output = cache(lambda: trial_output(scenario, algorithms))
+    output = cache(lambda: trial_output(scenario, algorithms, draws and draws()))
     return [run_trial(scenario, algorithm, seed, sweep_value=value,
                       trial_index=trial_index, output=output)
             for algorithm in algorithms]
@@ -369,9 +376,13 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> ResultTable:
 
     `workers` must be at least 1; the process pool is capped at the CPU
     count, and one worker runs in this process.  Tasks are derived as they
-    run: one at a time serially, one window at a time on the pool.  On
-    KeyboardInterrupt the completed records are aggregated into a partial
-    table that is returned via the exception's `partial` attribute.
+    run.  Serially that is one task ahead: a fill thread draws each trial's
+    random numbers while the trial before it runs, so one extra noise block
+    is held (`_run_serial`).  The pool takes one window at a time, in
+    workers spawned with single-threaded BLAS (`_run_pool`).  No thread or
+    process outlives the call.  On KeyboardInterrupt the completed records
+    are aggregated into a partial table that is returned via the
+    exception's `partial` attribute.
     """
     if workers < 1:
         raise ConfigError(f"need workers >= 1, got {workers}")
@@ -387,23 +398,71 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> ResultTable:
     records: list[TrialRecord] = []
     try:
         if workers > 1:
-            # imported here: a serial sweep, a bound or `import subnyq`
-            # does not load the process machinery
-            from concurrent.futures import ProcessPoolExecutor
-
-            # map submits all it is given: one window, 32 chunks per worker
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                while window := list(itertools.islice(tasks, 128 * workers)):
-                    for group in pool.map(_run_task, window, chunksize=4):
-                        records.extend(group)
+            _run_pool(tasks, workers, records)
         else:
-            for task in tasks:
-                records.extend(_run_task(task))
+            _run_serial(tasks, records)
     except KeyboardInterrupt as exc:
         exc.partial = _aggregate(config, records, bounds)
         raise
 
     return _aggregate(config, records, bounds)
+
+
+# Each runner imports its own executor, so `import subnyq` loads neither.
+
+def _run_serial(tasks, records: list) -> None:
+    """Run `tasks` in this thread, each one's random numbers drawn on a fill
+    thread while the task before it runs: numpy releases the GIL while it
+    fills the noise block, and the estimators hold it.  The draws are the
+    numbers a per-trial run makes, in its order; all else runs here."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    fill = ThreadPoolExecutor(max_workers=1)
+
+    def submit(task):
+        scenario, algorithms, seed, value, trial = task
+        scenario = scenario.with_seed(seed)
+        M, P = scenario.geom.M, scenario.pattern.P
+        rows = M * P if "JDFSD-full" in algorithms else M + P - 1
+        draws = fill.submit(_draws, scenario, rows)
+        return (scenario, algorithms, seed, value, trial), draws.result
+
+    try:
+        ahead = map(submit, tasks)
+        current = next(ahead, None)
+        while current:
+            upcoming = next(ahead, None)
+            records.extend(_run_task(*current))
+            current = upcoming
+    finally:
+        # waits for the fill in flight, also on Ctrl-C; a queued one is dropped
+        fill.shutdown(cancel_futures=True)
+
+
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _run_pool(tasks, workers: int, records: list) -> None:
+    """Run `tasks` on `workers` spawned processes.  OPENBLAS_NUM_THREADS,
+    OMP_NUM_THREADS and MKL_NUM_THREADS are 1 while the pool lives, so the
+    workers' BLAS does not oversubscribe the cores on these small matrices;
+    the caller's values come back afterwards."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARIABLES, "1"))
+    try:
+        # map submits all it is given: one window, 32 chunks per worker
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            while window := list(itertools.islice(tasks, 128 * workers)):
+                for group in pool.map(_run_task, window, chunksize=4):
+                    records.extend(group)
+    finally:
+        for name in _BLAS_THREAD_VARIABLES:
+            os.environ.pop(name, None)
+        os.environ.update({k: v for k, v in saved.items() if v is not None})
 
 
 def _aggregate(config: SweepConfig, records, bounds) -> ResultTable:

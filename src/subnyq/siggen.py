@@ -219,15 +219,21 @@ def _white_noise(rng: np.random.Generator, rows: int, cols: int,
 
 def _aligned_signal(config: ScenarioConfig, rng: np.random.Generator,
                     channels) -> np.ndarray:
-    """Noiseless aligned signal on `channels` (flat indices m*P + p).
+    """Noiseless aligned signal on `channels` (flat indices m*P + p), its
+    envelopes drawn from `rng`.  Tones draw nothing, so for an all-tone
+    scenario `rng` may be None."""
+    return _envelope_signal(config, _draw_envelopes(config, rng), channels)
+
+
+def _envelope_signal(config: ScenarioConfig, coeffs, channels) -> np.ndarray:
+    """Noiseless aligned signal on `channels` for the envelope coefficients
+    `coeffs` of `_draw_envelopes`.
 
     Row r is accumulated element-wise from channel channels[r] alone, so it
-    does not depend on which other channels are listed.  Tones draw nothing
-    from `rng`, which may then be None.
+    does not depend on which other channels are listed.
     """
     geom, pattern = config.geom, config.pattern
     N = config.n_snapshots
-    coeffs = _draw_envelopes(config, rng)
     signal = np.zeros((len(channels), N), dtype=complex)
     if not config.n_sources:
         return signal
@@ -255,46 +261,60 @@ def _tone_signal(config: ScenarioConfig, channels: tuple) -> np.ndarray:
     return signal
 
 
-def _channel_rows(config: ScenarioConfig, channels) -> np.ndarray:
-    """Receiver output on `channels` (flat indices m*P + p), in that order.
+def _draws(config: ScenarioConfig, n_rows: int) -> tuple:
+    """Every random number of `n_rows` channels of one trial, as (envelope
+    coefficients, noise rows): the envelopes first, then one noise row per
+    channel, all from one generator seeded with `config.rng_seed`.
 
-    The envelopes are drawn first, then one noise row per listed channel in
-    list order, so two calls whose channel lists share a prefix agree
-    bit-exactly on those rows.
+    This is the only part of synthesis that draws; it calls no public
+    function, so it may run on another thread while the caller works.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.rng_seed)))
+    coeffs = _draw_envelopes(config, rng)
+    return coeffs, _white_noise(rng, n_rows, config.n_snapshots, config.sigma2)
+
+
+def _channel_rows(config: ScenarioConfig, channels, draws=None) -> np.ndarray:
+    """Receiver output on `channels` (flat indices m*P + p), in that order.
+
+    `draws` is `_draws(config, len(channels))`, drawn here when None; its
+    noise rows become the output.  Two calls whose channel lists share a
+    prefix agree bit-exactly on those rows.
+    """
+    coeffs, rows = draws or _draws(config, len(channels))
     if all(src.envelope == "tone" for src in config.sources):
         signal = _tone_signal(replace(config, rng_seed=0, snr_db=None),
                               tuple(int(c) for c in channels))
     else:
-        signal = _aligned_signal(config, rng, channels)
-    rows = _white_noise(rng, len(channels), config.n_snapshots, config.sigma2)
+        signal = _envelope_signal(config, coeffs, channels)
     rows += signal
     return rows
 
 
-def assemble_snapshots(config: ScenarioConfig) -> np.ndarray:
+def assemble_snapshots(config: ScenarioConfig, draws=None) -> np.ndarray:
     """Simplified receiver output W ((M+P-1) x N), deterministic in rng_seed.
 
     Its rows are the channels `selected_channel_columns(M, P)` (flat indices
-    m*P + p), in that order.
+    m*P + p), in that order.  `draws`, if given, is `_draws(config, M+P-1)`
+    drawn ahead of time; W is assembled in its noise array.
     """
     M, P = config.geom.M, config.pattern.P
-    return _channel_rows(config, selected_channel_columns(M, P))
+    return _channel_rows(config, selected_channel_columns(M, P), draws)
 
 
-def assemble_full_snapshots(config: ScenarioConfig) -> np.ndarray:
+def assemble_full_snapshots(config: ScenarioConfig, draws=None) -> np.ndarray:
     """Full-structure output (M*P x N), sensor-major channel order.
 
     Noise is drawn for the J-selected channels first and for the others
     after them, so the rows selected by the J matrix agree bit-exactly with
-    `assemble_snapshots(config)` for the same seed.
+    `assemble_snapshots(config)` for the same seed.  `draws`, if given, is
+    `_draws(config, M*P)` drawn ahead of time.
     """
     M, P = config.geom.M, config.pattern.P
     selected = selected_channel_columns(M, P)
     order = np.concatenate([selected, np.setdiff1d(np.arange(M * P), selected)])
     Y = np.empty((M * P, config.n_snapshots), dtype=complex)
-    Y[order] = _channel_rows(config, order)
+    Y[order] = _channel_rows(config, order, draws)
     return Y
 
 

@@ -382,6 +382,23 @@ def test_input_validation():
         make_input(phis=(), bands=(), powers=[], f_residuals=())
 
 
+def test_input_rejects_non_finite_angles_and_boolean_counts():
+    # a NaN residual used to reach the Fisher matrix and end in "bound
+    # undefined"; True used to build a one-snapshot input
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            make_input(phis=(0.4, bad))
+        with pytest.raises(ConfigError, match="finite"):
+            make_input(f_residuals=(0.01, bad))
+    for n_snapshots in (True, np.bool_(True), "512"):
+        with pytest.raises(ConfigError, match="n_snapshots"):
+            make_input(n_snapshots=n_snapshots)
+    # an integer-valued count of any numeric type is that integer
+    for n_snapshots in (512.0, np.int32(512)):
+        inp = make_input(n_snapshots=n_snapshots)
+        assert inp.n_snapshots == 512 and type(inp.n_snapshots) is int
+
+
 def test_input_from_scenario_bookkeeping():
     rng = np.random.default_rng(3)
     config = random_scenario(rng, K=2, snr_db=12.0, n_snapshots=256)

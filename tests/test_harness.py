@@ -180,8 +180,8 @@ def test_sweep_synthesizes_each_trial_once(monkeypatch):
     calls = []
     for name in ("assemble_snapshots", "assemble_full_snapshots"):
         original = getattr(harness, name)
-        monkeypatch.setattr(harness, name, lambda config, _f=original, _n=name:
-                            calls.append(_n) or _f(config))
+        monkeypatch.setattr(harness, name, lambda config, *a, _f=original, _n=name:
+                            calls.append(_n) or _f(config, *a))
     run_sweep(small_sweep(n_trials=2, values=(20.0,)))
     assert calls == ["assemble_snapshots"] * 2
     calls.clear()
@@ -213,8 +213,8 @@ def test_sweep_synthesizes_inside_first_run_trial(monkeypatch, algorithms):
     monkeypatch.setattr(harness, "run_trial", tracked_trial)
     for name in ("assemble_snapshots", "assemble_full_snapshots"):
         original = getattr(harness, name)
-        monkeypatch.setattr(harness, name, lambda config, _f=original:
-                            assembled.append(tuple(active)) or _f(config))
+        monkeypatch.setattr(harness, name, lambda config, *a, _f=original:
+                            assembled.append(tuple(active)) or _f(config, *a))
     config = small_sweep(n_trials=2, values=(10.0, 20.0), algorithms=algorithms)
     run_sweep(config)
     assert assembled == [((value, trial, algorithms[0]),)
@@ -293,8 +293,8 @@ def test_undefined_bound_raises_before_any_trial(monkeypatch):
     calls = []
     for name in ("assemble_snapshots", "assemble_full_snapshots"):
         original = getattr(harness, name)
-        monkeypatch.setattr(harness, name, lambda config, _f=original, _n=name:
-                            calls.append(_n) or _f(config))
+        monkeypatch.setattr(harness, name, lambda config, *a, _f=original, _n=name:
+                            calls.append(_n) or _f(config, *a))
     base = replace(default_scenario(K=2, snr_db=20.0), n_snapshots=256)
     same = replace(base, sources=(base.sources[0],) * 2)
     config = SweepConfig(base=same, sweep_variable="snr_db",
@@ -312,11 +312,11 @@ def test_interrupted_sweep_returns_partial_table(monkeypatch):
 
     original, done = harness._run_task, []
 
-    def interrupting(task):
+    def interrupting(task, *args):
         if len(done) == 2:
             raise KeyboardInterrupt
         done.append(task)
-        return original(task)
+        return original(task, *args)
 
     monkeypatch.setattr(harness, "_run_task", interrupting)
     config = small_sweep(n_trials=2, values=(10.0, 20.0))
@@ -452,7 +452,7 @@ def test_serial_sweep_derives_each_task_when_it_runs(monkeypatch):
         derived.append(args)
         return original(*args)
 
-    def interrupting(task):
+    def interrupting(task, *args):
         at_first_task.append(len(derived))
         raise KeyboardInterrupt
 
@@ -460,8 +460,101 @@ def test_serial_sweep_derives_each_task_when_it_runs(monkeypatch):
     monkeypatch.setattr(harness, "_run_task", interrupting)
     with pytest.raises(KeyboardInterrupt) as info:
         run_sweep(small_sweep(n_trials=1000, values=(10.0, 20.0)))
-    assert at_first_task == [1]
+    assert at_first_task == [2]
     assert info.value.partial.records == ()
+
+
+def noise_envelope_sweep(algorithms, bandwidth=0.4, n_trials=3):
+    """A source-count sweep whose second source has a filtered-noise
+    envelope of `bandwidth` band widths: its trials draw envelope
+    coefficients before the noise."""
+    base = replace(default_scenario(K=2, snr_db=20.0), n_snapshots=256)
+    f_s = base.pattern.f_s
+    noisy = SourceTruth(theta=-0.5, f_c=(6 + 0.3) * f_s, envelope="noise",
+                        bandwidth=bandwidth * f_s)
+    return SweepConfig(base=replace(base, sources=(base.sources[0], noisy)),
+                       sweep_variable="n_sources", sweep_values=(1, 2),
+                       n_trials=n_trials, algorithms=algorithms, master_seed=5)
+
+
+@pytest.mark.parametrize("algorithms", [("JDFPI", "JDFSDPJ"),
+                                        ("JDFSD-full", "JDFPI", "JDFSDPJ")],
+                         ids=["simplified", "full"])
+def test_noise_envelope_sweep_matches_per_trial_runs(algorithms):
+    # the draws made ahead on the fill thread, and those made in pool
+    # workers, are the ones each run_trial call makes for itself
+    import subnyq.harness as harness
+
+    config = noise_envelope_sweep(algorithms)
+    points = [_scenario_for_value(config.base, "n_sources", v)
+              for v in config.sweep_values]
+    records = [run_trial(scenario, algorithm,
+                         derive_trial_seed(config.master_seed, s_idx, trial),
+                         sweep_value=value, trial_index=trial)
+               for s_idx, (scenario, value) in enumerate(zip(points, config.sweep_values))
+               for trial in range(config.n_trials)
+               for algorithm in algorithms]
+    bounds = [harness._point_bounds(scenario, algorithms) for scenario in points]
+    per_trial = format_csv(harness._aggregate(config, records, bounds))
+    assert sum(not r.failed for r in records) > len(records) // 2
+    assert format_csv(run_sweep(config, workers=1)) == per_trial
+    assert format_csv(run_sweep(config, workers=2)) == per_trial
+
+
+def test_serial_sweep_draws_on_a_thread_that_ends_with_it(monkeypatch):
+    import threading
+
+    import subnyq.harness as harness
+
+    before, fillers = threading.enumerate(), []
+    original = harness._draws
+    monkeypatch.setattr(harness, "_draws", lambda *a: fillers.append(
+        threading.current_thread()) or original(*a))
+    run_sweep(small_sweep(n_trials=3))
+    assert len(fillers) == 6
+    assert threading.main_thread() not in fillers
+    assert threading.enumerate() == before
+
+
+def test_raising_fill_leaves_no_thread():
+    # the second point's noise envelope is narrower than one frequency bin:
+    # its first draw raises the ConfigError of a per-trial run, after the
+    # first point's trials ran with the next draw already in flight
+    import threading
+
+    before = threading.enumerate()
+    config = noise_envelope_sweep(("JDFPI", "JDFSDPJ"), bandwidth=1e-6)
+    with pytest.raises(ConfigError, match="below the frequency resolution"):
+        run_trial(_scenario_for_value(config.base, "n_sources", 2), "JDFPI", 0)
+    with pytest.raises(ConfigError, match="below the frequency resolution"):
+        run_sweep(config)
+    assert threading.enumerate() == before
+
+
+def test_interrupted_serial_sweep_leaves_no_thread(monkeypatch):
+    # a Ctrl-C in the third trial waits for the fill in flight, at most one
+    # draw ahead, and returns with no thread left
+    import threading
+
+    import subnyq.harness as harness
+
+    before, started, ran = threading.enumerate(), [], []
+    original_draws, original_task = harness._draws, harness._run_task
+    monkeypatch.setattr(harness, "_draws",
+                        lambda *a: started.append(a) or original_draws(*a))
+
+    def interrupting(task, *args):
+        if len(ran) == 2:
+            raise KeyboardInterrupt
+        ran.append(task)
+        return original_task(task, *args)
+
+    monkeypatch.setattr(harness, "_run_task", interrupting)
+    with pytest.raises(KeyboardInterrupt) as info:
+        run_sweep(small_sweep(n_trials=100))
+    assert len(info.value.partial.records) == 2 * 2
+    assert len(started) <= 4
+    assert threading.enumerate() == before
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -470,17 +563,44 @@ def test_nonpositive_workers_is_config_error(workers):
         run_sweep(small_sweep(n_trials=1, values=(20.0,)), workers=workers)
 
 
+BLAS_CAPS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def set_blas_variables(monkeypatch):
+    """A caller's thread settings: one variable set, one unset, one empty;
+    returns them as os.environ.get reads them."""
+    import os
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "")
+    return {name: os.environ.get(name) for name in BLAS_CAPS}
+
+
+def check_spawned_with_blas_caps(mp_context):
+    """What a stand-in pool checks when it is built and when it maps: the
+    workers are spawned, and BLAS runs one thread in each."""
+    import os
+
+    assert mp_context.get_start_method() == "spawn"
+    assert {name: os.environ.get(name) for name in BLAS_CAPS} == dict.fromkeys(
+        BLAS_CAPS, "1")
+
+
 def test_pool_is_capped_at_cpu_count(monkeypatch):
     # a stand-in pool records its size and maps in this process, so no
-    # worker process is started whatever the requested count
+    # worker process is started whatever the requested count; it checks the
+    # spawn context and the BLAS caps, and the caller's settings come back
     import concurrent.futures
     import os
 
     sizes = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
+            check_spawned_with_blas_caps(mp_context)
             sizes.append(max_workers)
+            self.mp_context = mp_context
 
         def __enter__(self):
             return self
@@ -489,8 +609,10 @@ def test_pool_is_capped_at_cpu_count(monkeypatch):
             return False
 
         def map(self, fn, iterable, chunksize=1):
+            check_spawned_with_blas_caps(self.mp_context)
             return map(fn, iterable)
 
+    caller = set_blas_variables(monkeypatch)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     config = small_sweep(n_trials=2, values=(20.0,))
@@ -498,6 +620,7 @@ def test_pool_is_capped_at_cpu_count(monkeypatch):
     assert format_csv(run_sweep(config, workers=100_000)) == serial
     assert format_csv(run_sweep(config, workers=2)) == serial
     assert sizes == [3, 2]
+    assert {name: os.environ.get(name) for name in BLAS_CAPS} == caller
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one CPU
     assert format_csv(run_sweep(config, workers=4)) == serial
     assert sizes == [3, 2]
@@ -516,8 +639,8 @@ def test_pool_is_fed_one_window_at_a_time(monkeypatch):
     class WindowPool:
         interrupt_at = 2  # windows handed over before the Ctrl-C; None: never
 
-        def __init__(self, max_workers):
-            pass
+        def __init__(self, max_workers, mp_context):
+            self.mp_context = mp_context
 
         def __enter__(self):
             return self
@@ -526,6 +649,7 @@ def test_pool_is_fed_one_window_at_a_time(monkeypatch):
             return False
 
         def map(self, fn, iterable, chunksize=1):
+            check_spawned_with_blas_caps(self.mp_context)
             if len(windows) == self.interrupt_at:
                 raise KeyboardInterrupt
             drawn = []
@@ -535,12 +659,15 @@ def test_pool_is_fed_one_window_at_a_time(monkeypatch):
             windows.append(drawn)
             return map(fn, drawn)
 
+    caller = set_blas_variables(monkeypatch)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", WindowPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     config = small_sweep(n_trials=10**12, values=(20.0,), algorithms=("JDFPI",),
                          n_snapshots=64)
     with pytest.raises(KeyboardInterrupt) as info:
         run_sweep(config, workers=2)
+    # the caller's thread settings come back after the Ctrl-C too
+    assert {name: os.environ.get(name) for name in BLAS_CAPS} == caller
     size = len(windows[0])
     assert len(windows) == 2 and len(windows[1]) == size
     trials = [task[4] for window in windows for task in window]
