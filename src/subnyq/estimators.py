@@ -16,14 +16,18 @@ pipelines run on one output share one covariance.
 
 Every phase search (spatial MUSIC and both joint searches) minimizes a
 noise-subspace cost that is, per band, a trigonometric polynomial in the
-phase; its minima are found exactly as roots of the derivative polynomial,
-with no phase grid.  A joint search roots only the bands whose Rayleigh
-lower bound could still beat the K-th lowest minimum found, which picks
-exactly what rooting every band would.
+phase; its minima are found exactly, with no phase grid, as the real roots
+of the derivative polynomial in tan(phi/2), through one cached root plan per
+array size.  A joint search reads its band maps from a cache per (M,
+pattern, structure) and roots only the bands whose Rayleigh lower bound
+could still beat the K-th lowest minimum found, which picks exactly what
+rooting every band would.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -108,71 +112,90 @@ def decompose(R: np.ndarray, K: int) -> SubspaceDecomposition:
         eigvals=eigvals, U_N=vecs[:, K:], weak_separation=weak)
 
 
+@lru_cache(maxsize=16)
+def _root_plan(M: int):
+    """Read-only (gather, tmap, sub, dpow) for rooting M x M costs.  Row d
+    of `np.take(flat, gather, axis=1)` (flat C_s, one zero appended) is C_s's
+    d-th subdiagonal, zero-padded.  tmap maps [Re r_1, Im r_1, Re r_2, ...]
+    to the coefficients, highest first, of (1 + t^2)^(M-1) c'(phi) =
+    -2 Im sum_d d r_d q_d(t), with q_d = (1 + jt)^(M-1+d) (1 - jt)^(M-1-d)
+    (that is (1 + t^2)^(M-1) w^d), whose t^k coefficient is j^k times that
+    of (1 + x)^(M-1+d) (1 - x)^(M-1-d).  `sub` indexes the companion
+    subdiagonal; dpow has the rows 1, d, d^2 for d = 1..M-1."""
+    n, m, k = M - 1, np.arange(M), np.arange(2 * M - 1)
+    gather = np.where(m[:, None] + m < M, (m[:, None] + m) * M + m, M * M)
+    tmap = np.zeros((2 * n + 1, n, 2))
+    for d in range(1, M):
+        q = np.convolve([math.comb(n + d, i) for i in range(n + d + 1)],
+                        [(-1) ** i * math.comb(n - d, i) for i in range(n - d + 1)])
+        # -2 Im(j^k r_d) is -2 Im r_d, -2 Re r_d, 2 Im r_d, 2 Re r_d for k = 0..3
+        tmap[k, d - 1, 1 - k % 2] = np.where(k % 4 < 2, -2.0, 2.0) * d * q
+    tmap = np.ascontiguousarray(tmap.reshape(2 * n + 1, 2 * n)[::-1])
+    sub = (np.arange(1, 2 * n), np.arange(2 * n - 1))
+    dpow = np.arange(1.0, M) ** np.arange(3.0)[:, None]
+    for table in (gather, tmap, *sub, dpow):
+        table.setflags(write=False)
+    return gather, tmap, sub, dpow
+
+
 def _phase_minima(C: np.ndarray):
     """Local minima over phi of cost_s(phi) = v(phi)^H C_s v(phi), with
     v_m = exp(-j m phi), for a stack C of S Hermitian M x M matrices.
 
     cost_s is the trigonometric polynomial sum_{|d| < M} r_d exp(j d phi),
-    r_d the sum of C_s's d-th subdiagonal, so its stationary points are roots
-    on the unit circle of a degree-2(M-1) polynomial in w = exp(j phi)
-    (root-MUSIC; Barabell, ICASSP 1983).  The rows are rooted as the
-    eigenvalues of their companion matrices, batched by degree; the root
-    angles are polished by Newton steps on the real polynomial, and each
-    converged point of positive curvature is kept once.  No grid is involved.
+    r_d the sum of C_s's d-th subdiagonal (root-MUSIC; Barabell, ICASSP
+    1983).  In t = tan(phi/2), (1 + t^2)^(M-1) c_s'(phi) is a real
+    polynomial of degree 2(M-1) (Pesavento, Gershman & Haardt, IEEE TSP
+    2000), and all rows are rooted in one batch of real companion matrices
+    from `_root_plan(M)`.  Its leading coefficient is c_s'(pi): those below
+    1e-12 of the row's largest are trimmed (freeing roots t = 0) and phi =
+    pi is one more start.  A row whose r_d (d > 0) are within 1e-12 of r_0
+    is constant.  Newton steps on phi polish the starts 2 atan(Re t), one
+    per real root or conjugate pair, and each converged point of positive
+    curvature is kept once.  Every sum runs along one row, so a row's
+    minima do not depend on the rest of the stack.
 
     Returns flat arrays (row, phi, cost) over the minima of all rows, phi in
     (-pi, pi].
     """
     S, M, _ = C.shape
-    d = np.arange(1, M)
-    r = np.stack([np.trace(C, offset=-k, axis1=1, axis2=2) for k in range(M)],
-                 axis=1)
-    # c'(phi) = sum_d j d r_d w^d with r_{-d} = conj(r_d); coefficients of
-    # w^(M-1) c'(phi), highest power first
-    coef = 1j * np.concatenate(
-        [d[::-1] * r[:, :0:-1], np.zeros((S, 1)), -d * r[:, 1:].conj()], axis=1)
-
-    # degree of each row: a vanishing corner entry C_s[M-1, 0] lowers it.
-    # Dropping terms below 1e-12 only moves the starting points: Newton
-    # below runs on the full polynomial.  A row of degree D > 0 is rooted
-    # from its 2D+1 middle coefficients.
-    big = np.abs(r) > 1e-12 * np.abs(r).max(axis=1, keepdims=True)
-    big[:, 0] = True
-    D = M - 1 - np.argmax(big[:, ::-1], axis=1)
-    roots = np.full((S, 2 * (M - 1)), np.nan, dtype=complex)
-    for deg in set(D.tolist()) - {0}:
-        sel, k = np.flatnonzero(D == deg), 2 * deg
-        part = coef[sel, M - 1 - deg:M + deg]
-        comp = np.zeros((sel.size, k, k), dtype=complex)
-        comp[:, 0, :] = -part[:, 1:] / part[:, :1]
-        comp[:, np.arange(1, k), np.arange(k - 1)] = 1.0
-        roots[sel, :k] = np.linalg.eigvals(comp)
-
-    row, col = np.nonzero(~np.isnan(roots))
-    rd = r[row, 1:]
-
-    def terms(phi):
-        """r_d exp(j d phi) per d, and the slope and curvature of the cost."""
-        e = rd * np.exp(1j * phi[:, None] * d)
-        return (e, -2.0 * np.sum(d * e, axis=-1).imag,
-                -2.0 * np.sum(d**2 * e, axis=-1).real)
-
-    phi = np.angle(roots[row, col])
+    gather, tmap, sub, dpow = _root_plan(M)
+    flat = np.zeros((S, M * M + 1), dtype=complex)
+    flat[:, :-1] = C.reshape(S, M * M)
+    r = np.take(flat, gather, axis=1).sum(axis=-1)
+    live = np.flatnonzero(np.abs(r[:, 1:]).max(axis=1) > 1e-12 * np.abs(r[:, 0]))
+    coef = (r[live, None, 1:].view(float) * tmap).sum(axis=-1)
+    big = np.abs(coef) > 1e-12 * np.abs(coef).max(axis=1, keepdims=True)
+    trimmed = np.flatnonzero(~big[:, 0])
+    for i in trimmed:  # c'(pi) = 0: the leading coefficients vanish
+        lead = np.argmax(big[i])
+        coef[i] = np.concatenate([coef[i, lead:], np.zeros(lead)])
+    comp = np.zeros((live.size, 2 * M - 2, 2 * M - 2))
+    comp[:, sub[0], sub[1]] = 1.0
+    comp[:, 0] = -coef[:, 1:] / coef[:, :1]
+    t = np.linalg.eigvals(comp)
+    upper = t.imag >= 0
+    row = live[np.concatenate([np.nonzero(upper)[0], trimmed])]
+    phi = np.concatenate([2.0 * np.arctan(t.real[upper]),
+                          np.full(trimmed.size, np.pi)])
+    # z_i = sum_d d^i r_d exp(j d phi), one product per start: c = r_0 +
+    # 2 Re z_0, c' = -2 Im z_1, c'' = -2 Re z_2
+    rdp, jd = r[row, None, 1:] * dpow, 1j * dpow[1, :, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(3):
-            _, slope, curv = terms(phi)
-            phi = phi - slope / curv
-        e, slope, curv = terms(phi)
+        for _ in range(3):  # Newton: phi - c'/c'' = phi - Im z_1 / Re z_2
+            z = rdp @ np.exp(phi[:, None, None] * jd)
+            phi = phi - z[:, 1, 0].imag / z[:, 2, 0].real
+        z = (rdp @ np.exp(phi[:, None, None] * jd))[..., 0]
         phi = np.pi - np.mod(np.pi - phi, 2.0 * np.pi)
-    cost = r[row, 0].real + 2.0 * np.sum(e, axis=-1).real
-    # Roots off the circle come in pairs (w, 1/conj(w)) where c' nears zero
-    # without crossing it; from their angles Newton either fails this slope
-    # test or lands on a real root found again below.
-    ok = (curv > 0) & (np.abs(slope) <= 1e-12 * np.sum(d * np.abs(rd), axis=-1))
+    slope, curv = -2.0 * z[:, 1].imag, -2.0 * z[:, 2].real
+    cost = r[row, 0].real + 2.0 * z[:, 0].real
+    # from a complex pair, where c' nears zero without crossing it, Newton
+    # fails this slope test or lands on a real root found again below
+    ok = (curv > 0) & (np.abs(slope) <= 1e-12 * np.abs(rdp[:, 1]).sum(axis=-1))
     row, phi, cost = row[ok], phi[ok], cost[ok]
-    # a root that Newton carried onto an earlier root's point counts once
-    gap = np.abs(np.angle(np.exp(1j * (phi[:, None] - phi))))
-    dup = np.tril((gap < 1e-7) & (row[:, None] == row), -1).any(axis=1)
+    # a point within 1e-7 rad (mod 2 pi) of an earlier one of its row counts once
+    near = np.abs(np.pi - np.abs(phi[:, None] - phi)) > np.pi - 1e-7
+    dup = (near & (row[:, None] == row) & np.tri(row.size, k=-1, dtype=bool)).any(1)
     return row[~dup], phi[~dup], cost[~dup]
 
 
@@ -355,13 +378,25 @@ def jdfpi(W: np.ndarray, R: np.ndarray, config) -> EstimationResult:
     return _finish(W, phis, pair_supports(C, omega), config, "JDFPI", rows)
 
 
-def _joint_search(X: np.ndarray, R: np.ndarray, config, rows, algorithm: str,
-                  step: str) -> EstimationResult:
-    """Joint 2-D subspace search over (phi, band) on the receiver output X,
-    whose rows are the channels `rows` (flat indices m*P + p), and its sample
-    covariance R, then the shared `_finish`.  Band l maps v(phi) to those
-    rows of a(phi) kron B_l: row m*P + p of the map is B[p, l] times the
-    m-th unit row.
+@lru_cache(maxsize=8)
+def _band_maps(M: int, pattern, full_structure: bool):
+    """Read-only (rows, G) of a joint search: the channel rows (flat indices
+    m*P + p) of the full structure or of `selected_channel_columns`, and the
+    (L, rows, M) stack G whose band l maps v(phi) to those rows of
+    a(phi) kron B_l: row m*P + p of G_l is B[p, l] times the m-th unit row."""
+    P = pattern.P
+    rows = np.arange(M * P) if full_structure else selected_channel_columns(M, P)
+    G = np.eye(M)[rows // P] * build_B(pattern)[rows % P].T[:, :, None]
+    for table in (rows, G):
+        table.setflags(write=False)
+    return rows, G
+
+
+def _joint_search(X: np.ndarray, R: np.ndarray, config, full_structure: bool,
+                  algorithm: str, step: str) -> EstimationResult:
+    """Joint 2-D subspace search over (phi, band) on the receiver output X of
+    one structure and its sample covariance R, through that structure's
+    cached `_band_maps`, then the shared `_finish`.
 
     Nothing guards the joint searches against a pattern whose K + 1 coset
     columns are dependent: `check_identifiable` guards JDFPI only, and no
@@ -370,8 +405,7 @@ def _joint_search(X: np.ndarray, R: np.ndarray, config, rows, algorithm: str,
     theta = (0.3, -0.5) rad and f_c = (b + 0.4) f_s in bands b = (2, 4),
     JDFSDPJ returns bands [1, 5] without an error; JDFSD-full, on every
     channel, returns [2, 4]."""
-    M, P = config.geom.M, config.pattern.P
-    G = np.eye(M)[rows // P] * build_B(config.pattern)[rows % P].T[:, :, None]
+    rows, G = _band_maps(config.geom.M, config.pattern, full_structure)
     phis, bands = _search(R, config.n_sources, G, step)
     return _finish(X, phis, bands, config, algorithm, rows)
 
@@ -379,13 +413,11 @@ def _joint_search(X: np.ndarray, R: np.ndarray, config, rows, algorithm: str,
 def jdfsdpj(W: np.ndarray, R: np.ndarray, config) -> EstimationResult:
     """Joint 2-D subspace search over (phi, band) on the simplified output W
     and R = `sample_covariance(W)`."""
-    rows = selected_channel_columns(config.geom.M, config.pattern.P)
-    return _joint_search(W, R, config, rows, "JDFSDPJ", "jdfsdpj_search")
+    return _joint_search(W, R, config, False, "JDFSDPJ", "jdfsdpj_search")
 
 
 def jdfsd_full(Y_full: np.ndarray, R_full: np.ndarray, config) -> EstimationResult:
     """Full-structure baseline: the same joint search on all M*P channels,
     with R_full = `sample_covariance(Y_full)`."""
-    rows = np.arange(config.geom.M * config.pattern.P)
-    return _joint_search(Y_full, R_full, config, rows, "JDFSD-full",
+    return _joint_search(Y_full, R_full, config, True, "JDFSD-full",
                          "jdfsd_full_search")

@@ -4,7 +4,9 @@ Random-but-valid scenario construction: distinct bands, well-separated
 spatial phases, and an incoherent coset pattern whose band supports are
 identifiable.  Also the explicit selection and combined matrices J and
 H = J (A kron B) and the per-band channel maps; the grid-and-refine phase
-search, kept as the reference for the estimators' polynomial-root search;
+search, kept as the reference for the estimators' polynomial-root search,
+and the complex-companion rooting in exp(j phi) that the real rooting in
+tan(phi/2) replaced, kept as the reference for `_phase_minima`;
 the joint search that roots every band, kept as the reference for its
 bound-pruned form; the brute-force Fisher oracles and the exact tone
 moments behind the bounds; and the Nyquist-rate streams and coset decimation
@@ -211,6 +213,73 @@ def grid_search_oracle(U_N: np.ndarray, steering, n_bands: int, K: int):
         if not any(b == l and abs(p - phi) < 0.5 * step for p, b in kept):
             kept.append((phi, l))
     return (np.array([p for p, _ in kept]), np.array([b for _, b in kept], dtype=int))
+
+
+def complex_companion_minima(C: np.ndarray):
+    """Local minima over phi of v(phi)^H C_s v(phi), v_m = exp(-j m phi),
+    for a stack C of S Hermitian M x M matrices, rooted in w = exp(j phi):
+    the reference for `estimators._phase_minima`, which roots the same
+    stationary points in t = tan(phi/2).
+
+    The derivative's coefficients come from the subdiagonal sums r_d, one
+    `np.trace` each; the rows are rooted as the eigenvalues of complex
+    companion matrices, batched by polynomial degree (a vanishing corner
+    entry C_s[M-1, 0] lowers it); the root angles are polished by three
+    Newton steps on the real polynomial, and each converged point of
+    positive curvature is kept once.  Returns flat arrays (row, phi, cost)
+    over the minima of all rows, phi in (-pi, pi].
+    """
+    S, M, _ = C.shape
+    d = np.arange(1, M)
+    r = np.stack([np.trace(C, offset=-k, axis1=1, axis2=2) for k in range(M)],
+                 axis=1)
+    # c'(phi) = sum_d j d r_d w^d with r_{-d} = conj(r_d); coefficients of
+    # w^(M-1) c'(phi), highest power first
+    coef = 1j * np.concatenate(
+        [d[::-1] * r[:, :0:-1], np.zeros((S, 1)), -d * r[:, 1:].conj()], axis=1)
+
+    # degree of each row: a vanishing corner entry C_s[M-1, 0] lowers it.
+    # Dropping terms below 1e-12 only moves the starting points: Newton
+    # below runs on the full polynomial.  A row of degree D > 0 is rooted
+    # from its 2D+1 middle coefficients.
+    big = np.abs(r) > 1e-12 * np.abs(r).max(axis=1, keepdims=True)
+    big[:, 0] = True
+    D = M - 1 - np.argmax(big[:, ::-1], axis=1)
+    roots = np.full((S, 2 * (M - 1)), np.nan, dtype=complex)
+    for deg in set(D.tolist()) - {0}:
+        sel, k = np.flatnonzero(D == deg), 2 * deg
+        part = coef[sel, M - 1 - deg:M + deg]
+        comp = np.zeros((sel.size, k, k), dtype=complex)
+        comp[:, 0, :] = -part[:, 1:] / part[:, :1]
+        comp[:, np.arange(1, k), np.arange(k - 1)] = 1.0
+        roots[sel, :k] = np.linalg.eigvals(comp)
+
+    row, col = np.nonzero(~np.isnan(roots))
+    rd = r[row, 1:]
+
+    def terms(phi):
+        """r_d exp(j d phi) per d, and the slope and curvature of the cost."""
+        e = rd * np.exp(1j * phi[:, None] * d)
+        return (e, -2.0 * np.sum(d * e, axis=-1).imag,
+                -2.0 * np.sum(d**2 * e, axis=-1).real)
+
+    phi = np.angle(roots[row, col])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(3):
+            _, slope, curv = terms(phi)
+            phi = phi - slope / curv
+        e, slope, curv = terms(phi)
+        phi = np.pi - np.mod(np.pi - phi, 2.0 * np.pi)
+    cost = r[row, 0].real + 2.0 * np.sum(e, axis=-1).real
+    # Roots off the circle come in pairs (w, 1/conj(w)) where c' nears zero
+    # without crossing it; from their angles Newton either fails this slope
+    # test or lands on a real root found again below.
+    ok = (curv > 0) & (np.abs(slope) <= 1e-12 * np.sum(d * np.abs(rd), axis=-1))
+    row, phi, cost = row[ok], phi[ok], cost[ok]
+    # a root that Newton carried onto an earlier root's point counts once
+    gap = np.abs(np.angle(np.exp(1j * (phi[:, None] - phi))))
+    dup = np.tril((gap < 1e-7) & (row[:, None] == row), -1).any(axis=1)
+    return row[~dup], phi[~dup], cost[~dup]
 
 
 def all_band_search(R: np.ndarray, K: int, G: np.ndarray):

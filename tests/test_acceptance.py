@@ -1,7 +1,9 @@
 """End-to-end acceptance checks for the receiver, estimators, bounds, and
-harness.  Each test prints one `[acceptance] criterion N: PASS/FAIL` line.
+harness.  Each test prints one `[acceptance] criterion N: PASS/FAIL` line,
+and one more test prints the SHA-256 of each 500-trial fixture's CSV.
 """
 
+import hashlib
 import time
 from dataclasses import replace
 
@@ -11,7 +13,14 @@ import pytest
 from helpers import combined_matrix, fim_numerical, random_scenario, selection_matrix
 from subnyq.crb import crb_input_from_scenario, crb_phase
 from subnyq.estimators import jdfpi, jdfsdpj, sample_covariance
-from subnyq.harness import SweepConfig, default_scenario, emit_csv, match_estimates, run_sweep
+from subnyq.harness import (
+    SweepConfig,
+    default_scenario,
+    emit_csv,
+    format_csv,
+    match_estimates,
+    run_sweep,
+)
 from subnyq.model import build_B, build_G_selected, selected_channel_columns
 from subnyq.crb import _projector_complement
 from subnyq.siggen import ScenarioConfig, assemble_snapshots
@@ -244,3 +253,13 @@ def test_criterion_10_deterministic_output(report, tmp_path):
     report(10, ok,
            "identical sweep config yields byte-identical CSV across two "
            "sequential runs and a 2-worker parallel run")
+
+
+def test_fixture_csv_digests(snr_sweep, source_count_sweep, capsys):
+    # one line per 500-trial fixture with the SHA-256 of its CSV bytes, so a
+    # change can cite "same bytes" from a suite run; nothing is asserted
+    with capsys.disabled():
+        for name, table in (("SNR sweep", snr_sweep[0]),
+                            ("source-count sweep", source_count_sweep)):
+            digest = hashlib.sha256(format_csv(table).encode()).hexdigest()
+            print(f"\n[acceptance] {name} CSV sha256: {digest}")

@@ -330,6 +330,16 @@ def test_import_loads_no_process_pool():
     assert proc.returncode == 0 and proc.stdout == "[]\n"
 
 
+def test_import_loads_no_numpy_polynomial():
+    # the phase search builds its rooting maps from integer binomials, so
+    # neither the import nor a search loads numpy.polynomial
+    proc = python("-c", "import sys, numpy as np, subnyq, subnyq.cli; "
+                  "a = subnyq.model.build_A([0.5], 4); "
+                  "subnyq.estimators.music_spatial(a @ a.conj().T + np.eye(4), 1); "
+                  "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+    assert proc.returncode == 0 and proc.stdout == "[]\n"
+
+
 def test_single_rejects_unidentifiable_jdfpi(tmp_path, capsys):
     # columns 0, 2 and 4 of this coset matrix are dependent: the bands of
     # two sources are not determined by the branch data

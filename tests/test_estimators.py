@@ -10,10 +10,12 @@ import pytest
 from helpers import (
     all_band_search,
     channel_maps,
+    complex_companion_minima,
     grid_search_oracle,
     pattern_coherence,
     random_scenario,
     steering_column,
+    structure_rows,
 )
 from subnyq import estimators, model
 from subnyq.errors import (
@@ -92,9 +94,10 @@ def cosine_cost(M, A, B, k, phi0):
 
 def test_phase_minima_closed_form():
     M = 5
-    # rows of one polynomial degree share one batch of companion matrices:
-    # rows 0 and 5 have the full degree, rows 1 and 6 drop to degree 2 (zero
-    # corner entries), row 4 to degree 1
+    # every row is rooted in one batch of companion matrices in
+    # t = tan(phi/2): rows 4 and 5 have a stationary point at phi = pi, which
+    # trims their leading coefficient, rows 2 and 3 are constant, and rows 1
+    # and 6 have zero corner entries
     C = np.stack([
         cosine_cost(M, 3.0, 1.0, 4, 0.4),
         cosine_cost(M, 2.0, 1.5, 2, -2.9),
@@ -114,6 +117,84 @@ def test_phase_minima_closed_form():
         np.testing.assert_allclose(got, want, atol=1e-12)
         np.testing.assert_allclose(costs[rows == row], floor, atol=1e-12)
     assert np.all((phis > -np.pi) & (phis <= np.pi))
+
+
+def projected_cost(rng, M, rank, phis=(), real=False):
+    """C = X^H X for a random rank x M matrix X whose rows are orthogonal to
+    v(phi) at each of `phis`, so the cost vanishes there: a minimum."""
+    X = rng.standard_normal((rank, M))
+    if not real:
+        X = X + 1j * rng.standard_normal((rank, M))
+    if len(phis):
+        V = build_A(phis, M).conj()  # v(phi) per column
+        if real:
+            V = V.real
+        X = X - (X @ V) @ np.linalg.pinv(V)
+    return X.conj().T @ X
+
+
+def oracle_stack(rng):
+    """A random stack of cost matrices, each of one kind: full-rank,
+    rank-deficient, constant, zero, a minimum exactly at phi = pi (a real
+    matrix, so c'(pi) = 0 exactly, or a complex one vanishing at pi), one
+    of two rows whose minima lie 1e-6 or 1e-8 rad apart, or zero corner
+    entries."""
+    M = int(rng.integers(2, 13))
+    rows = []
+    for _ in range(int(rng.integers(1, 7))):
+        kind = int(rng.integers(8))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        if kind == 0:
+            C = projected_cost(rng, M, M + 2)
+        elif kind == 1:
+            C = projected_cost(rng, M, int(rng.integers(1, M)))
+        elif kind == 2:
+            C = rng.uniform(0.1, 2.0) * np.eye(M)
+        elif kind == 3:
+            C = np.zeros((M, M))
+        elif kind == 4:
+            C = projected_cost(rng, M, M - 1, (np.pi,), real=True)
+        elif kind == 5:
+            C = projected_cost(rng, M, M - 1, (np.pi,))
+        elif kind == 6:
+            # two rows whose minima are 1e-6 rad apart, or closer than the
+            # duplicate radius; within one row of degree <= 11, minima that
+            # close are parted by a cost barrier far below rounding
+            phi0 = rng.uniform(-np.pi, np.pi)
+            rows.append(scale * projected_cost(rng, M, M - 1, (phi0,)))
+            C = projected_cost(rng, M, M - 1, (phi0 + rng.choice([1e-6, 1e-8]),))
+        else:
+            C = projected_cost(rng, M, int(rng.integers(1, M + 3)))
+            C[M - 1, 0] = C[0, M - 1] = 0.0
+        rows.append(scale * C)
+    return np.stack(rows).astype(complex)
+
+
+def test_phase_minima_match_complex_companion_oracle():
+    # the real t = tan(phi/2) rooting finds the minima that rooting in
+    # w = exp(j phi) finds: the same count per row, the same points, and
+    # the same costs
+    rng = np.random.default_rng(19)
+    n_rows = at_pi = 0
+    for _ in range(1200):
+        C = oracle_stack(rng)
+        got, want = _phase_minima(C), complex_companion_minima(C)
+        for s in range(C.shape[0]):
+            mine, theirs = got[0] == s, want[0] == s
+            assert mine.sum() == theirs.sum()
+            if not mine.any():
+                continue
+            gap = np.abs(np.angle(np.exp(1j * (got[1][mine][:, None]
+                                               - want[1][theirs]))))
+            match = np.argmin(gap, axis=1)
+            assert sorted(match) == list(range(theirs.sum()))
+            assert np.max(gap[np.arange(match.size), match]) < 1e-9
+            scale = np.abs(C[s]).sum()
+            np.testing.assert_array_less(
+                np.abs(got[2][mine] - want[2][theirs][match]), 1e-12 * scale)
+        n_rows += C.shape[0]
+        at_pi += np.sum(np.abs(np.angle(-np.exp(1j * got[1]))) < 1e-9)
+    assert n_rows >= 3000 and at_pi >= 200
 
 
 def test_music_spatial_recovers_phases():
@@ -240,6 +321,39 @@ def test_subset_table_is_built_once_and_read_only(monkeypatch):
     assert sv.shape == (45, 2)
     for table in (subsets, bases, sv):
         assert not table.flags.writeable
+
+
+def test_root_plan_and_band_maps_are_built_once_and_read_only():
+    estimators._root_plan.cache_clear()
+    estimators._band_maps.cache_clear()
+    config = random_scenario(np.random.default_rng(9), K=2, snr_db=20.0,
+                             n_snapshots=128)
+    M, pattern = config.geom.M, config.pattern
+    W, full = assemble_snapshots(config), assemble_full_snapshots(config)
+    for _ in range(3):
+        jdfpi(W, sample_covariance(W), config)
+        jdfsdpj(W, sample_covariance(W), config)
+        jdfsd_full(full, sample_covariance(full), config)
+    # one plan for every M x M cost, one band map per receiver structure
+    assert estimators._root_plan.cache_info().misses == 1
+    assert estimators._band_maps.cache_info().misses == 2
+    plan = estimators._root_plan(M)
+    assert estimators._root_plan(M) is plan
+    gather, tmap, sub, dpow = plan
+    assert gather.shape == (M, M) and tmap.shape == (2 * M - 1, 2 * M - 2)
+    assert dpow.shape == (3, M - 1)
+    tables = [gather, tmap, *sub, dpow]
+    for full_structure, n_rows in ((False, M + pattern.P - 1), (True, M * pattern.P)):
+        rows, G = estimators._band_maps(M, pattern, full_structure)
+        assert rows.shape == (n_rows,) and G.shape == (pattern.L, n_rows, M)
+        np.testing.assert_array_equal(
+            G, channel_maps(M, build_B(pattern), structure_rows(
+                config.geom, pattern, full_structure)))
+        tables += [rows, G]
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 1
 
 
 def test_subset_table_above_the_cap_is_config_error(monkeypatch):
