@@ -170,7 +170,7 @@ def _steering(inp: CrbInput, full_structure: bool):
     on the structure's rows of the full model: row m*P + p depends on phi
     only through exp(-j m phi), so its derivative is -j m times the row."""
     M, P = inp.geom.M, inp.pattern.P
-    rows = np.arange(M * P) if full_structure else selected_channel_columns(M, P)
+    rows = selected_channel_columns(M, P, full_structure)
     H = build_G_selected(inp.phis, inp.bands, inp.geom, inp.pattern, rows)
     return H, -1j * (rows // P)[:, None] * H
 

@@ -26,7 +26,7 @@ rooting every band would.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -49,7 +49,6 @@ from .model import (
 )
 
 __all__ = [
-    "SubspaceDecomposition",
     "EstimationResult",
     "sample_covariance",
     "decompose",
@@ -65,15 +64,6 @@ __all__ = [
 
 COND_LIMIT = 1e10
 PAIRING_AMBIGUITY_RATIO = 3.0
-
-
-@dataclass(frozen=True)
-class SubspaceDecomposition:
-    """Eigendecomposition of a sample covariance split at model order K."""
-
-    eigvals: np.ndarray
-    U_N: np.ndarray = field(repr=False)
-    weak_separation: bool = False
 
 
 @dataclass(frozen=True)
@@ -99,17 +89,13 @@ def sample_covariance(X: np.ndarray) -> np.ndarray:
     return 0.5 * (R + R.conj().T)
 
 
-def decompose(R: np.ndarray, K: int) -> SubspaceDecomposition:
-    """Split the dominant-K eigenvectors (signal) from the rest (noise)."""
+def decompose(R: np.ndarray, K: int) -> np.ndarray:
+    """Noise subspace U_N of R at model order K: a view of the eigenvectors
+    of all but the K largest eigenvalues, largest first."""
     rows = R.shape[0]
     if not 0 < K < rows:
         raise ConfigError(f"need 0 < K < {rows}, got K={K}")
-    eigvals, vecs = np.linalg.eigh(R)
-    eigvals = eigvals[::-1]
-    vecs = vecs[:, ::-1]
-    weak = bool(eigvals[K] > 0 and eigvals[K - 1] < 2.0 * eigvals[K])
-    return SubspaceDecomposition(
-        eigvals=eigvals, U_N=vecs[:, K:], weak_separation=weak)
+    return np.linalg.eigh(R)[1][:, rows - K - 1::-1]
 
 
 @lru_cache(maxsize=16)
@@ -214,7 +200,7 @@ def _search(R: np.ndarray, K: int, G: np.ndarray, step: str):
     out has only minima that cost more than the K-th pick, and rows are
     rooted independently, so the picks are those of rooting every band.
     """
-    U_N = decompose(R, K).U_N
+    U_N = decompose(R, K)
     T = U_N.conj().T @ G
     C = T.conj().transpose(0, 2, 1) @ T
     if len(C) <= K:  # every band is rooted first: nothing to prune
@@ -380,12 +366,12 @@ def jdfpi(W: np.ndarray, R: np.ndarray, config) -> EstimationResult:
 
 @lru_cache(maxsize=8)
 def _band_maps(M: int, pattern, full_structure: bool):
-    """Read-only (rows, G) of a joint search: the channel rows (flat indices
-    m*P + p) of the full structure or of `selected_channel_columns`, and the
-    (L, rows, M) stack G whose band l maps v(phi) to those rows of
+    """Read-only (rows, G) of a joint search: the structure's channel rows
+    `selected_channel_columns(M, P, full_structure)` (flat indices m*P + p),
+    and the (L, rows, M) stack G whose band l maps v(phi) to those rows of
     a(phi) kron B_l: row m*P + p of G_l is B[p, l] times the m-th unit row."""
     P = pattern.P
-    rows = np.arange(M * P) if full_structure else selected_channel_columns(M, P)
+    rows = selected_channel_columns(M, P, full_structure)
     G = np.eye(M)[rows // P] * build_B(pattern)[rows % P].T[:, :, None]
     for table in (rows, G):
         table.setflags(write=False)

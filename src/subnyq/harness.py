@@ -49,13 +49,16 @@ __all__ = [
     "sweep_from_dict",
 ]
 
-ALGORITHM_NAMES = ("JDFPI", "JDFSDPJ", "JDFSD-full")
+# each pipeline's receiver structure: True for all M*P channels
+_FULL_STRUCTURE = {"JDFPI": False, "JDFSDPJ": False, "JDFSD-full": True}
+ALGORITHM_NAMES = tuple(_FULL_STRUCTURE)
 SWEEP_VARIABLES = ("snr_db", "n_sources")
 
 
-def check_algorithms(names) -> None:
+def check_algorithms(names, scenarios=()) -> None:
     """Raise ConfigError unless there is at least one name, every name is
-    one of ALGORITHM_NAMES and none is repeated."""
+    one of ALGORITHM_NAMES and none is repeated, and JDFPI, if named, can
+    identify the bands of every one of `scenarios` (`check_identifiable`)."""
     if not names:
         raise ConfigError("need at least one algorithm")
     for name in names:
@@ -64,6 +67,9 @@ def check_algorithms(names) -> None:
                 f"unknown algorithm {name!r}; choose from {ALGORITHM_NAMES}")
     if len(set(names)) < len(names):
         raise ConfigError(f"algorithm listed more than once: {tuple(names)}")
+    if "JDFPI" in names:
+        for scenario in scenarios:
+            check_identifiable(scenario.pattern, scenario.n_sources)
 
 
 def trial_output(scenario: ScenarioConfig, algorithms, draws=None) -> dict:
@@ -71,15 +77,15 @@ def trial_output(scenario: ScenarioConfig, algorithms, draws=None) -> dict:
     (output, covariance) pair per receiver structure the `algorithms` use,
     keyed like `_point_bounds` (True for the full structure).
 
-    When JDFSD-full runs, the simplified output W is the full output's
-    selected rows, which agree bit-exactly with `assemble_snapshots` for the
-    same seed, and its covariance is still taken of W itself.  The
+    With a full-structure pipeline, the simplified output W is the full
+    output's selected rows, which agree bit-exactly with `assemble_snapshots`
+    for the same seed, and its covariance is still taken of W itself.  The
     algorithms of a trial share these arrays: consumers must not modify them.
     `draws`, if given, is the trial's random numbers drawn ahead of time,
     `siggen._draws` for the channel count of the output built here (M*P
-    with JDFSD-full, else M+P-1); the output is assembled in them.
+    with the full structure, else M+P-1); the output is assembled in them.
     """
-    structures = {algorithm == "JDFSD-full" for algorithm in algorithms}
+    structures = {_FULL_STRUCTURE[algorithm] for algorithm in algorithms}
     if True in structures:
         full = assemble_full_snapshots(scenario, draws)
         M, P = scenario.geom.M, scenario.pattern.P
@@ -99,12 +105,10 @@ def run_algorithm(name: str, scenario: ScenarioConfig,
     """
     check_algorithms((name,))
     outputs = output() if output else trial_output(scenario, (name,))
-    X, R = outputs[name == "JDFSD-full"]
-    if name == "JDFPI":
-        return jdfpi(X, R, scenario)
-    if name == "JDFSDPJ":
-        return jdfsdpj(X, R, scenario)
-    return jdfsd_full(X, R, scenario)
+    X, R = outputs[_FULL_STRUCTURE[name]]
+    # looked up at call time, so a pipeline replaced on this module is run
+    pipeline = {"JDFPI": jdfpi, "JDFSDPJ": jdfsdpj, "JDFSD-full": jdfsd_full}[name]
+    return pipeline(X, R, scenario)
 
 
 def default_scenario(K: int = 3, snr_db: float | None = 10.0) -> ScenarioConfig:
@@ -158,7 +162,6 @@ class SweepConfig:
         if self.master_seed < 0:
             raise ConfigError(
                 f"master seed must be non-negative, got {self.master_seed}")
-        check_algorithms(self.algorithms)
         # validates each value; a repeated point would be run twice and
         # counted twice in its rows
         points = [_scenario_for_value(self.base, self.sweep_variable, value)
@@ -166,9 +169,7 @@ class SweepConfig:
         if len(set(points)) < len(points):
             raise ConfigError(
                 f"sweep value listed more than once: {self.sweep_values}")
-        if "JDFPI" in self.algorithms:
-            for scenario in points:
-                check_identifiable(scenario.pattern, scenario.n_sources)
+        check_algorithms(self.algorithms, points)
 
 
 def _scenario_for_value(base: ScenarioConfig, variable: str, value) -> ScenarioConfig:
@@ -350,7 +351,7 @@ def _point_bounds(scenario: ScenarioConfig, algorithms) -> dict:
     """(phase, frequency) bound columns of one sweep point, keyed by
     receiver structure (full or not; JDFPI and JDFSDPJ share one): RMS over
     the per-source diagonals, NaN for a noiseless scenario."""
-    structures = {algorithm == "JDFSD-full" for algorithm in algorithms}
+    structures = {_FULL_STRUCTURE[algorithm] for algorithm in algorithms}
     if scenario.sigma2 <= 0:
         return dict.fromkeys(structures, (float("nan"), float("nan")))
     inp = crb_input_from_scenario(scenario)
@@ -422,9 +423,9 @@ def _run_serial(tasks, records: list) -> None:
     def submit(task):
         scenario, algorithms, seed, value, trial = task
         scenario = scenario.with_seed(seed)
-        M, P = scenario.geom.M, scenario.pattern.P
-        rows = M * P if "JDFSD-full" in algorithms else M + P - 1
-        draws = fill.submit(_draws, scenario, rows)
+        full = any(_FULL_STRUCTURE[algorithm] for algorithm in algorithms)
+        rows = selected_channel_columns(scenario.geom.M, scenario.pattern.P, full)
+        draws = fill.submit(_draws, scenario, rows.size)
         return (scenario, algorithms, seed, value, trial), draws.result
 
     try:
@@ -474,7 +475,7 @@ def _aggregate(config: SweepConfig, records, bounds) -> ResultTable:
             group = [r for r in records
                      if r.sweep_value == value and r.algorithm == algorithm]
             good = [r for r in group if not r.failed]
-            phase_crb, freq_crb = point_bounds[algorithm == "JDFSD-full"]
+            phase_crb, freq_crb = point_bounds[_FULL_STRUCTURE[algorithm]]
             for metric, crb_val, key in (
                 ("phase_rmse", phase_crb, "phase_errors"),
                 ("freq_rmse", freq_crb, "freq_errors"),

@@ -181,8 +181,11 @@ def check_identifiable(pattern: MultiCosetPattern, K: int) -> None:
             " are dependent")
 
 
-def selected_channel_columns(M: int, P: int) -> np.ndarray:
-    """Flat channel indices (sensor-major, m*P + p) kept by the selection matrix."""
+def selected_channel_columns(M: int, P: int, full_structure: bool = False) -> np.ndarray:
+    """Flat channel indices (sensor-major, m*P + p) a receiver structure
+    keeps: the selection matrix's, or all M*P when `full_structure`."""
+    if full_structure:
+        return np.arange(M * P)
     sensor1 = np.arange(P)
     others = np.arange(1, M) * P
     return np.concatenate([sensor1, others])

@@ -217,17 +217,9 @@ def _white_noise(rng: np.random.Generator, rows: int, cols: int,
     return draws.view(np.complex128)
 
 
-def _aligned_signal(config: ScenarioConfig, rng: np.random.Generator,
-                    channels) -> np.ndarray:
-    """Noiseless aligned signal on `channels` (flat indices m*P + p), its
-    envelopes drawn from `rng`.  Tones draw nothing, so for an all-tone
-    scenario `rng` may be None."""
-    return _envelope_signal(config, _draw_envelopes(config, rng), channels)
-
-
 def _envelope_signal(config: ScenarioConfig, coeffs, channels) -> np.ndarray:
-    """Noiseless aligned signal on `channels` for the envelope coefficients
-    `coeffs` of `_draw_envelopes`.
+    """Noiseless aligned signal on `channels` (flat indices m*P + p) for the
+    envelope coefficients `coeffs` of `_draw_envelopes` (None for a tone).
 
     Row r is accumulated element-wise from channel channels[r] alone, so it
     does not depend on which other channels are listed.
@@ -250,13 +242,13 @@ def _envelope_signal(config: ScenarioConfig, coeffs, channels) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _tone_signal(config: ScenarioConfig, channels: tuple) -> np.ndarray:
-    """Read-only `_aligned_signal` of a scenario whose sources are all tones.
+    """Read-only `_envelope_signal` of a scenario whose sources are all tones.
 
     Tones draw nothing from the RNG, so the signal depends on neither the
     seed nor the SNR: callers key it on the scenario with both cleared, and
     one entry serves every trial of an SNR sweep.
     """
-    signal = _aligned_signal(config, None, channels)
+    signal = _envelope_signal(config, (None,) * config.n_sources, channels)
     signal.setflags(write=False)
     return signal
 

@@ -44,8 +44,7 @@ def structure_rows(geom: ArrayGeometry, pattern: MultiCosetPattern,
                    full_structure: bool = False) -> np.ndarray:
     """Flat channel indices m*P + p a receiver structure keeps: every one
     for the full structure, `selected_channel_columns` for the simplified."""
-    M, P = geom.M, pattern.P
-    return np.arange(M * P) if full_structure else selected_channel_columns(M, P)
+    return selected_channel_columns(geom.M, pattern.P, full_structure)
 
 
 def steering_column(phi: float, band: int, geom: ArrayGeometry,
@@ -286,7 +285,7 @@ def all_band_search(R: np.ndarray, K: int, G: np.ndarray):
     """The joint subspace search on the covariance R rooting every band's
     cost, with no bound pruning; the reference for `estimators._search`.
     Returns (phis, bands) of the K lowest minima ranked by (cost, band, phi)."""
-    U_N = decompose(R, K).U_N
+    U_N = decompose(R, K)
     T = U_N.conj().T @ G
     band, phi, cost = _phase_minima(T.conj().transpose(0, 2, 1) @ T)
     if phi.size < K:

@@ -449,6 +449,14 @@ def test_crb_subcommand(tmp_path, capsys):
     assert main(["crb", "--config", noiseless]) == EXIT_CONFIG
 
 
+def test_crb_takes_no_seed(capsys):
+    # the bounds draw nothing: a seed would be accepted and ignored
+    with pytest.raises(SystemExit) as info:
+        main(["crb", "--seed", "1"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
 def test_dump_snapshots_round_trip(tmp_path, capsys):
     config = scenario_json(tmp_path)
     out = tmp_path / "w.snyq"

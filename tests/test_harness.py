@@ -228,8 +228,8 @@ def test_sweep_builds_the_tone_signal_once(monkeypatch):
     from subnyq import siggen
 
     built = []
-    original = siggen._aligned_signal
-    monkeypatch.setattr(siggen, "_aligned_signal",
+    original = siggen._envelope_signal
+    monkeypatch.setattr(siggen, "_envelope_signal",
                         lambda *a: built.append(a[2]) or original(*a))
     siggen._tone_signal.cache_clear()
     table = run_sweep(small_sweep(n_trials=5, values=(10.0, 20.0, 30.0)))
@@ -714,6 +714,17 @@ def test_sweep_validation():
         with pytest.raises(ConfigError, match="at least one algorithm"):
             SweepConfig(base=base, sweep_variable="snr_db", sweep_values=(0,),
                         algorithms=empty)
+    # columns 0, 2 and 4 of this coset matrix are dependent: JDFPI cannot
+    # tell K=2 bands apart, the joint search is not checked
+    pattern = MultiCosetPattern(L=6, offsets=(0, 1, 3))
+    unidentifiable = ScenarioConfig(
+        geom=ArrayGeometry(M=4, d=0.5, c_prop=1.0), pattern=pattern,
+        sources=tuple(SourceTruth(theta=t, f_c=(b + 0.4) * pattern.f_s)
+                      for t, b in ((0.3, 0), (-0.5, 4))),
+        snr_db=20.0, n_snapshots=512)
+    with pytest.raises(ConfigError, match="cannot identify"):
+        check_algorithms(("JDFPI",), [unidentifiable])
+    check_algorithms(("JDFSDPJ",), [unidentifiable])
     for fields in ({"n_trials": 2.5}, {"master_seed": 1.5}, {"n_trials": True}):
         with pytest.raises(ConfigError, match="integer"):
             SweepConfig(base=base, sweep_variable="snr_db", sweep_values=(0,),

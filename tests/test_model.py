@@ -57,6 +57,8 @@ def test_selection_matrix_small_example():
     np.testing.assert_array_equal(np.eye(6)[selected_channel_columns(3, 2)],
                                   expected)
     np.testing.assert_array_equal(selected_channel_columns(3, 2), [0, 1, 2, 4])
+    # the full structure keeps every channel
+    np.testing.assert_array_equal(selected_channel_columns(3, 2, True), np.arange(6))
 
 
 def test_selection_matrix_orthonormal_rows():

@@ -23,7 +23,8 @@ from subnyq import siggen
 from subnyq.siggen import (
     ScenarioConfig,
     SourceTruth,
-    _aligned_signal,
+    _draw_envelopes,
+    _envelope_signal,
     _white_noise,
     assemble_full_snapshots,
     assemble_snapshots,
@@ -234,7 +235,7 @@ def per_trial_rows(config, channels):
     """Receiver output drawn the per-trial way: envelopes, then the signal,
     then the noise added to it, all from one generator."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.rng_seed)))
-    rows = _aligned_signal(config, rng, channels)
+    rows = _envelope_signal(config, _draw_envelopes(config, rng), channels)
     rows += _white_noise(rng, len(channels), config.n_snapshots, config.sigma2)
     return rows
 
