@@ -2,18 +2,31 @@
 
 Exit codes: 0 success, 2 configuration error (sizes that do not fit in
 memory included), 3 estimation failure in `single` mode, 4 I/O error.
+
+Importing this module sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to "1" in this process's environment where they are unset
+(a value set outside wins), before numpy loads: the `subnyq` command's BLAS
+runs one thread, since more buy nothing on these small matrices and take
+the core a serial sweep's fill thread draws on.  pytest and library
+callers load numpy first and keep their BLAS threads.
 """
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
-import numpy as np
+from . import BLAS_THREAD_VARIABLES
 
-from .crb import crb_input_from_scenario, crb_phase, freq_crb_numerical
-from .errors import ConfigError, EstimationError, RankDeficiencyError
-from .harness import (
+for _name in BLAS_THREAD_VARIABLES:
+    os.environ.setdefault(_name, "1")
+
+import numpy as np  # noqa: E402
+
+from .crb import crb_input_from_scenario, crb_phase, freq_crb_numerical  # noqa: E402
+from .errors import ConfigError, EstimationError, RankDeficiencyError  # noqa: E402
+from .harness import (  # noqa: E402
     SweepConfig,
     check_algorithms,
     default_scenario,
@@ -26,7 +39,7 @@ from .harness import (
     sweep_from_dict,
     trial_output,
 )
-from .siggen import assemble_snapshots, dump_snapshots
+from .siggen import assemble_snapshots, dump_snapshots  # noqa: E402
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -384,13 +384,17 @@ def _joint_search(X: np.ndarray, R: np.ndarray, config, full_structure: bool,
     one structure and its sample covariance R, through that structure's
     cached `_band_maps`, then the shared `_finish`.
 
-    Nothing guards the joint searches against a pattern whose K + 1 coset
-    columns are dependent: `check_identifiable` guards JDFPI only, and no
-    rule here says when the joint (phi, band) support stays unique.  With
-    L = 6, offsets (0, 1, 3), M = 4, N = 512 and two noiseless tones at
-    theta = (0.3, -0.5) rad and f_c = (b + 0.4) f_s in bands b = (2, 4),
-    JDFSDPJ returns bands [1, 5] without an error; JDFSD-full, on every
-    channel, returns [2, 4]."""
+    The search needs a full-rank source covariance, and coherent sources
+    break it without an error: tones with equal residual frequencies are
+    one coarse-rate waveform up to a constant.  With L = 6, offsets
+    (0, 1, 3), M = 4, N = 512 and tones at theta = (0.3, -0.5) rad in bands
+    (2, 4), (0, 2) or (1, 3), both joint searches return the true bands at
+    residuals (0.4, 0.7) or (0.2, 0.6) f_s, noiseless and at 20 dB, though
+    columns 0, 2 and 4 of this coset matrix are dependent.  At residuals
+    (0.4, 0.4) f_s JDFSDPJ returns [1, 5] noiseless and [0, 4] at 20 dB
+    for (2, 4), and [1, 4] for (1, 3) at 20 dB; JDFSD-full returns [3, 5]
+    for (1, 3) noiseless and [0, 4] for (0, 2) at 20 dB.  No check here
+    rejects such sources."""
     rows, G = _band_maps(config.geom.M, config.pattern, full_structure)
     phis, bands = _search(R, config.n_sources, G, step)
     return _finish(X, phis, bands, config, algorithm, rows)

@@ -9,6 +9,7 @@ from functools import cache
 
 import numpy as np
 
+from . import BLAS_THREAD_VARIABLES
 from .crb import crb_input_from_scenario, crb_phase, freq_crb_numerical
 from .errors import ConfigError, EstimationError
 from .estimators import EstimationResult, jdfpi, jdfsd_full, jdfsdpj, sample_covariance
@@ -384,6 +385,11 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> ResultTable:
     process outlives the call.  On KeyboardInterrupt the completed records
     are aggregated into a partial table that is returned via the
     exception's `partial` attribute.
+
+    Spawned workers start by importing the caller's main module, so a
+    script that calls `run_sweep(..., workers=2)` must do so under
+    `if __name__ == "__main__":`; at module level each worker would run the
+    sweep again on import, and the call fails with `BrokenProcessPool`.
     """
     if workers < 1:
         raise ConfigError(f"need workers >= 1, got {workers}")
@@ -409,7 +415,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> ResultTable:
     return _aggregate(config, records, bounds)
 
 
-# Each runner imports its own executor, so `import subnyq` loads neither.
+# Each runner imports its own executor, so `import subnyq.harness` loads neither.
 
 def _run_serial(tasks, records: list) -> None:
     """Run `tasks` in this thread, each one's random numbers drawn on a fill
@@ -440,19 +446,16 @@ def _run_serial(tasks, records: list) -> None:
         fill.shutdown(cancel_futures=True)
 
 
-_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
 def _run_pool(tasks, workers: int, records: list) -> None:
-    """Run `tasks` on `workers` spawned processes.  OPENBLAS_NUM_THREADS,
-    OMP_NUM_THREADS and MKL_NUM_THREADS are 1 while the pool lives, so the
-    workers' BLAS does not oversubscribe the cores on these small matrices;
-    the caller's values come back afterwards."""
+    """Run `tasks` on `workers` spawned processes.  The BLAS thread
+    variables (`subnyq.BLAS_THREAD_VARIABLES`) are 1 while the pool lives,
+    so the workers' BLAS does not oversubscribe the cores on these small
+    matrices; the caller's values come back afterwards."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES}
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARIABLES, "1"))
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARIABLES, "1"))
     try:
         # map submits all it is given: one window, 32 chunks per worker
         with ProcessPoolExecutor(max_workers=workers,
@@ -461,7 +464,7 @@ def _run_pool(tasks, workers: int, records: list) -> None:
                 for group in pool.map(_run_task, window, chunksize=4):
                     records.extend(group)
     finally:
-        for name in _BLAS_THREAD_VARIABLES:
+        for name in BLAS_THREAD_VARIABLES:
             os.environ.pop(name, None)
         os.environ.update({k: v for k, v in saved.items() if v is not None})
 

@@ -330,6 +330,30 @@ def test_import_loads_no_process_pool():
     assert proc.returncode == 0 and proc.stdout == "[]\n"
 
 
+def test_package_import_loads_no_numpy():
+    # the package re-exports nothing, so `subnyq.cli` runs before numpy loads
+    proc = python("-c", "import sys, subnyq; print('numpy' in sys.modules)")
+    assert proc.returncode == 0 and proc.stdout == "False\n"
+
+
+BLAS_CAPS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("outside", [{}, {"OPENBLAS_NUM_THREADS": "4"}],
+                         ids=["unset", "openblas_4"])
+def test_cli_import_sets_unset_blas_variables(outside):
+    # a fresh interpreter, since this one loaded numpy and subnyq.cli
+    # already; a value set outside wins, each unset one becomes "1"
+    src = Path(subnyq.__file__).parents[1]
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_CAPS}
+    code = f"import os, subnyq.cli; print([os.environ.get(n) for n in {BLAS_CAPS}])"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**env, **outside, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == f"{[outside.get(n, '1') for n in BLAS_CAPS]}\n"
+
+
 def test_import_loads_no_numpy_polynomial():
     # the phase search builds its rooting maps from integer binomials, so
     # neither the import nor a search loads numpy.polynomial

@@ -128,7 +128,7 @@ def test_min_cost_assignment_rejects_non_finite_costs(bad):
 
 def test_import_loads_no_scipy():
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys, subnyq; "
+    code = ("import sys, subnyq.cli; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     # `python -c` puts its working directory first on the path
     out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
