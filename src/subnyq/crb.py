@@ -67,7 +67,7 @@ class CrbInput:
     pattern: MultiCosetPattern
 
     def __post_init__(self):
-        for name, kind in (("phis", float), ("bands", int), ("powers", float),
+        for name, kind in (("phis", float), ("bands", _integer), ("powers", float),
                            ("f_residuals", float)):
             object.__setattr__(self, name, tuple(kind(v) for v in getattr(self, name)))
         K = len(self.phis)

@@ -558,48 +558,35 @@ def _complex_from_json(value) -> complex:
     raise ConfigError(f"amplitude must be a number or [re, im], got {value!r}")
 
 
-def _present(data: dict, **convert) -> dict:
-    """The optional keys of `data` that are present, each converted (None:
-    taken as given); the dataclass supplies the default of every other."""
-    return {key: fn(data[key]) if fn else data[key]
-            for key, fn in convert.items() if key in data}
-
-
 def scenario_from_dict(data: dict) -> ScenarioConfig:
-    """Build a scenario from the documented JSON layout."""
+    """Build a scenario from the documented JSON layout.  Each section goes
+    to its dataclass, which supplies the defaults, converts the numbers and
+    rejects an unknown key; only `amplitude` ([re, im]) is converted here."""
     try:
         geom_d = data["geometry"]
         pat_d = data["pattern"]
         src_l = data["sources"]
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"scenario config missing section: {exc}") from exc
+    rest = {key: value for key, value in data.items()
+            if key not in ("geometry", "pattern", "sources")}
     try:
-        geom = ArrayGeometry(M=geom_d["M"], d=float(geom_d["d"]),
-                             **_present(geom_d, c_prop=float))
-        pattern = MultiCosetPattern(L=pat_d["L"], offsets=tuple(pat_d["offsets"]),
-                                    **_present(pat_d, f_N=float))
         sources = tuple(
-            SourceTruth(theta=float(s["theta"]), f_c=float(s["f_c"]),
-                        **_present(s, amplitude=_complex_from_json, envelope=None,
-                                   bandwidth=float))
-            for s in src_l
-        )
-        return ScenarioConfig(
-            geom=geom, pattern=pattern, sources=sources,
-            **_present(data, snr_db=lambda v: None if v is None else float(v),
-                       n_snapshots=None, rng_seed=None),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            SourceTruth(**(s | {"amplitude": _complex_from_json(s["amplitude"])}))
+            if "amplitude" in s else SourceTruth(**s) for s in src_l)
+        return ScenarioConfig(geom=ArrayGeometry(**geom_d),
+                              pattern=MultiCosetPattern(**pat_d),
+                              sources=sources, **rest)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid scenario config: {exc}") from exc
 
 
 def sweep_from_dict(data: dict) -> SweepConfig:
+    """Build a sweep from the documented JSON layout: `base` is a scenario
+    (`scenario_from_dict`) and every other key goes to `SweepConfig`."""
     try:
         base = scenario_from_dict(data["base"])
-        return SweepConfig(
-            base=base, sweep_variable=data["sweep_variable"],
-            sweep_values=tuple(data["sweep_values"]),
-            **_present(data, n_trials=None, algorithms=tuple, master_seed=None),
-        )
+        rest = {key: value for key, value in data.items() if key != "base"}
+        return SweepConfig(base=base, **rest)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid sweep config: {exc}") from exc

@@ -57,6 +57,8 @@ class ArrayGeometry:
 
     def __post_init__(self):
         object.__setattr__(self, "M", _integer(self.M))
+        for name in ("d", "c_prop"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.M < 2:
             raise ConfigError(f"need at least 2 sensors, got M={self.M}")
         if not 0 < self.d < np.inf:
@@ -81,6 +83,7 @@ class MultiCosetPattern:
 
     def __post_init__(self):
         object.__setattr__(self, "L", _integer(self.L))
+        object.__setattr__(self, "f_N", float(self.f_N))
         if self.L < 1:
             raise ConfigError(f"downsampling factor must be >= 1, got L={self.L}")
         if not 0 < self.f_N < np.inf:

@@ -67,7 +67,9 @@ def source_count_sweep():
         sweep_variable="n_sources", sweep_values=(1, 2, 3),
         n_trials=500, algorithms=("JDFPI", "JDFSDPJ"), master_seed=0,
     )
-    return run_sweep(config)
+    # two workers halve its set-up; criterion 10 still compares serial and
+    # pool bytes, and snr_sweep stays serial, as criterion 5 times it
+    return run_sweep(config, workers=2)
 
 
 def test_criterion_01_structural_identities(report):

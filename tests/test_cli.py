@@ -285,10 +285,11 @@ INF, NAN = float("inf"), float("nan")
                              "bandwidth": INF}]}, None),
     ("single", {"rng_seed": -1}, None),
     ("sweep-snr", {}, {"values": [NAN]}),
+    ("sweep-snr", {}, {"values": [None]}),
     ("sweep-snr", {}, {"master_seed": -1}),
     ("sweep-snr", {}, {"n_trials": INF}),
 ], ids=["M_inf", "d_nan", "n_snapshots_inf", "snr_nan", "amplitude_inf",
-        "bandwidth_inf", "rng_seed_negative", "sweep_value_nan",
+        "bandwidth_inf", "rng_seed_negative", "sweep_value_nan", "sweep_value_null",
         "master_seed_negative", "n_trials_inf"])
 def test_non_finite_or_negative_numbers_are_config_errors(tmp_path, capsys, command,
                                                           scenario, sweep):
@@ -378,6 +379,16 @@ def test_single_rejects_unidentifiable_jdfpi(tmp_path, capsys):
         assert "cannot identify K=2 bands" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
     assert main(["single", "--config", config, "--algorithms", "JDFSDPJ"]) == EXIT_OK
+
+
+def test_misspelt_key_is_config_error(tmp_path, capsys):
+    # misspelt keys used to be dropped: in place of the right ones, the run
+    # took N = 4096 at 10 dB and exited 0
+    config = scenario_json(tmp_path, n_snapshot=256, snr=0)
+    assert main(["single", "--config", config]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "'n_snapshot'" in captured.err
+    assert captured.out == ""
 
 
 def test_invalid_json_is_config_error(tmp_path, capsys):

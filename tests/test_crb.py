@@ -399,6 +399,15 @@ def test_input_rejects_non_finite_angles_and_boolean_counts():
         assert inp.n_snapshots == 512 and type(inp.n_snapshots) is int
 
 
+def test_input_bands_are_integers():
+    # int() used to cut 2.7 to band 2 and take "2" and True as bands
+    for bad in (2.7, "2", True):
+        with pytest.raises(ConfigError, match="integer"):
+            make_input(bands=(2, bad))
+    inp = make_input(bands=(2.0, np.int64(7)))
+    assert inp.bands == (2, 7) and all(type(b) is int for b in inp.bands)
+
+
 def test_input_from_scenario_bookkeeping():
     rng = np.random.default_rng(3)
     config = random_scenario(rng, K=2, snr_db=12.0, n_snapshots=256)

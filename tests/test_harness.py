@@ -861,6 +861,40 @@ def test_scenario_from_dict_rejects_bad_input(mutate):
         scenario_from_dict(data)
 
 
+def test_dataclasses_convert_their_real_fields():
+    scenario = ScenarioConfig(
+        geom=ArrayGeometry(M=6, d=1, c_prop=np.float64(2.0)),
+        pattern=MultiCosetPattern(L=11, offsets=(0, 1, 4, 6), f_N=3),
+        sources=(SourceTruth(theta=np.float64(0.4), f_c=1, envelope="noise",
+                             bandwidth=np.float32(0.0625)),),
+        snr_db=10)
+    source = scenario.sources[0]
+    values = (scenario.geom.d, scenario.geom.c_prop, scenario.pattern.f_N,
+              source.theta, source.f_c, source.bandwidth, scenario.snr_db)
+    assert values == (1.0, 2.0, 3.0, 0.4, 1.0, 0.0625, 10.0)
+    assert all(type(value) is float for value in values)
+
+
+@pytest.mark.parametrize("path", [
+    ("base",), ("base", "geometry"), ("base", "pattern"), ("base", "sources", 1),
+    (),
+], ids=["scenario", "geometry", "pattern", "source", "sweep"])
+def test_unknown_key_is_config_error_naming_it(path):
+    # an unlisted key used to be dropped, so a misspelt one ran the default
+    sweep = {"base": scenario_dict(), "sweep_variable": "snr_db",
+             "sweep_values": [0, 10]}
+    section = sweep
+    for key in path:
+        section = section[key]
+    section["typo_key"] = 1
+    unexpected = "unexpected keyword argument 'typo_key'"
+    with pytest.raises(ConfigError, match=unexpected):
+        sweep_from_dict(sweep)
+    if path:
+        with pytest.raises(ConfigError, match=unexpected):
+            scenario_from_dict(sweep["base"])
+
+
 def test_sweep_from_dict():
     data = {
         "base": scenario_dict(),
