@@ -38,6 +38,7 @@ from .model import (
     ArrayGeometry,
     MultiCosetPattern,
     _integer,
+    _real,
     build_G_selected,
     selected_channel_columns,
 )
@@ -67,9 +68,10 @@ class CrbInput:
     pattern: MultiCosetPattern
 
     def __post_init__(self):
-        for name, kind in (("phis", float), ("bands", _integer), ("powers", float),
-                           ("f_residuals", float)):
+        for name, kind in (("phis", _real), ("bands", _integer), ("powers", _real),
+                           ("f_residuals", _real)):
             object.__setattr__(self, name, tuple(kind(v) for v in getattr(self, name)))
+        object.__setattr__(self, "sigma2", _real(self.sigma2))
         K = len(self.phis)
         if K == 0:
             raise ConfigError("bounds need at least one source")

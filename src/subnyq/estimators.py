@@ -45,7 +45,6 @@ from .model import (
     check_identifiable,
     doa_from_phase,
     selected_channel_columns,
-    subset_bases,
 )
 
 __all__ = [
@@ -252,26 +251,18 @@ def ls_solve(mat: np.ndarray, obs: np.ndarray) -> np.ndarray:
 
 
 def ctf_support(R: np.ndarray, pattern, K: int) -> tuple[int, ...]:
-    """Band support from the P x P branch covariance R via the CTF reduction.
-
-    R is factored as V V^H through its eigendecomposition (numerically
-    positive eigenvalues only), and the K-row-sparse fit B U = V is solved
-    exactly: minimizing ||V - Pi_S V||_F over the K-column supports S of
-    B = `build_B(pattern)` is maximizing ||U_S^H V||_F, read for every S at
-    once from the cached `subset_bases(pattern, K)`.  A tie goes to the
-    lexicographically first support.
-    """
-    if K > pattern.P - 1:
-        raise ConfigError(f"CTF needs K <= P-1, got K={K}, P={pattern.P}")
-    eigvals, vecs = np.linalg.eigh(R)
-    keep = eigvals > max(eigvals[-1], 0.0) * 1e-12
-    if not np.any(keep):
+    """Band support from the P x P branch covariance R, ascending: the K
+    bands l of lowest ||U_N^H b_l||, U_N = `decompose(R, K)` and b_l column l
+    of `build_B(pattern)` (every column has one norm), a tie going to the
+    lower band.  The cost is zero exactly on the support of rank-K data whose
+    every K + 1 coset columns are independent, as `check_identifiable`
+    enforces: the MUSIC criterion for joint-sparse recovery (Lee, Bresler &
+    Junge, IEEE TIT 2012)."""
+    U_N = decompose(R, K)
+    if not np.any(R):
         raise EmptySupportError("covariance frame has no energy", step="ctf_support")
-    V = vecs[:, keep] * np.sqrt(eigvals[keep])
-    subsets, bases, _ = subset_bases(pattern, K)
-    energy = np.abs(bases.reshape(-1, pattern.P) @ V) ** 2
-    best = np.argmax(energy.reshape(len(subsets), -1).sum(axis=1))
-    return tuple(int(l) for l in subsets[best])
+    cost = np.linalg.norm(U_N.conj().T @ build_B(pattern), axis=0)
+    return tuple(sorted(int(l) for l in np.argsort(cost, kind="stable")[:K]))
 
 
 def pair_supports(C: np.ndarray, omega) -> tuple[int, ...]:

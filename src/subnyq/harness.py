@@ -17,6 +17,7 @@ from .model import (
     ArrayGeometry,
     MultiCosetPattern,
     _integer,
+    _real,
     check_identifiable,
     selected_channel_columns,
 )
@@ -175,7 +176,7 @@ class SweepConfig:
 
 def _scenario_for_value(base: ScenarioConfig, variable: str, value) -> ScenarioConfig:
     if variable == "snr_db":
-        return replace(base, snr_db=float(value))
+        return replace(base, snr_db=_real(value))
     k = _integer(value)
     if not 1 <= k <= len(base.sources):
         raise ConfigError(
@@ -551,11 +552,12 @@ def read_csv(path):
 
 
 def _complex_from_json(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(value[0], value[1])
-    raise ConfigError(f"amplitude must be a number or [re, im], got {value!r}")
+    parts = value if isinstance(value, (list, tuple)) and len(value) == 2 else [value]
+    try:
+        return complex(*map(_real, parts))
+    except ConfigError:
+        raise ConfigError(
+            f"amplitude must be a number or [re, im], got {value!r}") from None
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:

@@ -29,13 +29,12 @@ __all__ = [
     "doa_from_phase",
     "build_A",
     "build_B",
-    "subset_bases",
     "check_identifiable",
     "selected_channel_columns",
     "build_G_selected",
 ]
 
-SUBSET_TABLE_BYTES = 2**25  # cap on the bases one `subset_bases` table holds
+SUBSET_TABLE_BYTES = 2**25  # cap on the subset matrices `check_identifiable` reads
 
 
 def _integer(value) -> int:
@@ -45,6 +44,15 @@ def _integer(value) -> int:
             isinstance(value, (int, np.integer)) and not isinstance(value, bool)):
         return int(value)
     raise ConfigError(f"expected an integer, got {value!r}")
+
+
+def _real(value) -> float:
+    """An int, float or real numpy number as a float; ConfigError for
+    anything else, booleans and strings included."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"expected a real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -58,7 +66,7 @@ class ArrayGeometry:
     def __post_init__(self):
         object.__setattr__(self, "M", _integer(self.M))
         for name in ("d", "c_prop"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, _real(getattr(self, name)))
         if self.M < 2:
             raise ConfigError(f"need at least 2 sensors, got M={self.M}")
         if not 0 < self.d < np.inf:
@@ -83,7 +91,7 @@ class MultiCosetPattern:
 
     def __post_init__(self):
         object.__setattr__(self, "L", _integer(self.L))
-        object.__setattr__(self, "f_N", float(self.f_N))
+        object.__setattr__(self, "f_N", _real(self.f_N))
         if self.L < 1:
             raise ConfigError(f"downsampling factor must be >= 1, got L={self.L}")
         if not 0 < self.f_N < np.inf:
@@ -142,28 +150,22 @@ def build_B(pattern: MultiCosetPattern) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def subset_bases(pattern: MultiCosetPattern, k: int):
-    """Read-only (subsets, bases, sv) for every k-column subset S of
-    `build_B(pattern)`, from one batched SVD per (pattern, k): S in
-    lexicographic order (C x k), U_S^H with U_S an orthonormal basis of
-    span(B_S) (C x k x P), and B_S's singular values (C x k, descending).
-    Basis vectors at or below `lstsq`'s cutoff eps * max(P, k) are zeroed.
-    ConfigError if the bases would take more than SUBSET_TABLE_BYTES.
-    """
+def _subset_singular_values(pattern: MultiCosetPattern, k: int):
+    """Read-only (subsets, sv): every k-column subset S of `build_B(pattern)`
+    in lexicographic order and B_S's singular values, descending, from one
+    batched SVD.  ConfigError if the stacked B_S exceed SUBSET_TABLE_BYTES."""
     L, P = pattern.L, pattern.P
     need = math.comb(L, k) * k * P * np.dtype(complex).itemsize
     if need > SUBSET_TABLE_BYTES:
         raise ConfigError(
-            f"the {k}-column subsets of L={L} bands need {need} bytes of bases,"
-            f" above the {SUBSET_TABLE_BYTES}-byte cap")
+            f"the {k}-column subsets of L={L} bands need {need} bytes of subset"
+            f" matrices, above the {SUBSET_TABLE_BYTES}-byte cap")
     subsets = np.array(list(itertools.combinations(range(L), k)), dtype=int)
-    u, sv, _ = np.linalg.svd(build_B(pattern)[:, subsets].transpose(1, 0, 2),
-                             full_matrices=False)
-    u *= (sv > np.finfo(float).eps * max(P, k) * sv[:, :1])[:, None, :]
-    bases = np.ascontiguousarray(u.conj().transpose(0, 2, 1))
-    for table in (subsets, bases, sv):
+    sv = np.linalg.svd(build_B(pattern)[:, subsets].transpose(1, 0, 2),
+                       compute_uv=False)
+    for table in (subsets, sv):
         table.setflags(write=False)
-    return subsets, bases, sv
+    return subsets, sv
 
 
 def check_identifiable(pattern: MultiCosetPattern, K: int) -> None:
@@ -175,7 +177,7 @@ def check_identifiable(pattern: MultiCosetPattern, K: int) -> None:
         raise ConfigError(f"JDFPI needs K <= P-1, got K={K}, P={pattern.P}")
     if all(pattern.L % p for p in range(2, math.isqrt(pattern.L) + 1)):
         return
-    subsets, _, sv = subset_bases(pattern, K + 1)
+    subsets, sv = _subset_singular_values(pattern, K + 1)
     dependent = np.flatnonzero(sv[:, -1] < 1e-8 * sv[:, 0])
     if dependent.size:
         raise ConfigError(

@@ -27,6 +27,7 @@ from .model import (
     ArrayGeometry,
     MultiCosetPattern,
     _integer,
+    _real,
     build_G_selected,
     phase_from_doa,
     selected_channel_columns,
@@ -61,7 +62,7 @@ class SourceTruth:
 
     def __post_init__(self):
         for name in ("theta", "f_c", "bandwidth"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, _real(getattr(self, name)))
         if not -np.pi / 2 < self.theta < np.pi / 2:
             raise ConfigError(f"DOA must lie in (-pi/2, pi/2), got {self.theta}")
         if not np.isfinite(self.amplitude):
@@ -97,7 +98,7 @@ class ScenarioConfig:
         K = len(self.sources)
         M, P, L = self.geom.M, self.pattern.P, self.pattern.L
         if self.snr_db is not None:
-            object.__setattr__(self, "snr_db", float(self.snr_db))
+            object.__setattr__(self, "snr_db", _real(self.snr_db))
             with np.errstate(over="ignore"):
                 ratio = np.float64(10.0) ** (self.snr_db / 10.0)
             if not 0 < ratio < np.inf:

@@ -182,6 +182,34 @@ def test_fractional_integer_is_config_error(tmp_path, capsys, command, scenario,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command,scenario,sweep", [
+    # float() would read these as d = 1, theta = 0.5 rad and 20 dB
+    ("crb", {"geometry": {"M": 6, "d": True, "c_prop": 1.0},
+             "sources": [{"theta": "0.5", "f_c": 0.31}, {"theta": -0.7, "f_c": 0.79}],
+             "snr_db": "20"}, None),
+    ("crb", {"geometry": {"M": 6, "d": 0.5, "c_prop": "1"}}, None),
+    ("crb", {"pattern": {"L": 11, "offsets": [0, 1, 4, 6], "f_N": True}}, None),
+    ("single", {"sources": [{"theta": True, "f_c": 0.31}]}, None),
+    ("single", {"sources": [{"theta": 0.5, "f_c": 0.31, "amplitude": True}]}, None),
+    ("single", {"sources": [{"theta": 0.5, "f_c": 0.31, "amplitude": [1, "0"]}]},
+     None),
+    ("single", {"sources": [{"theta": 0.5, "f_c": 0.31, "envelope": "noise",
+                             "bandwidth": "0.01"}]}, None),
+    ("single", {"snr_db": True}, None),
+    ("sweep-snr", {}, {"values": ["10"]}),
+], ids=["d_theta_snr", "c_prop_string", "f_N_true", "theta_true", "amplitude_true",
+        "amplitude_part_string", "bandwidth_string", "snr_true", "sweep_value_string"])
+def test_non_number_real_field_is_config_error(tmp_path, capsys, command, scenario,
+                                               sweep):
+    config = scenario_json(tmp_path, **scenario)
+    if sweep is not None:
+        config = sweep_json(tmp_path, **sweep)
+    assert main([command, "--config", config]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "number" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("names", [",", " ", ""], ids=["comma", "blank", "empty"])
 def test_empty_algorithm_list_is_config_error(tmp_path, capsys, names):
     # a sweep rejected it already; `single` ran nothing and exited 0

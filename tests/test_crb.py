@@ -393,6 +393,11 @@ def test_input_rejects_non_finite_angles_and_boolean_counts():
     for n_snapshots in (True, np.bool_(True), "512"):
         with pytest.raises(ConfigError, match="n_snapshots"):
             make_input(n_snapshots=n_snapshots)
+    # a real field takes numbers only, as the count fields do
+    for field, bad in (("phis", (0.4, True)), ("powers", ["1", 1.0]),
+                       ("f_residuals", (np.bool_(False), 0.2)), ("sigma2", "0.01")):
+        with pytest.raises(ConfigError, match="real number"):
+            make_input(**{field: bad})
     # an integer-valued count of any numeric type is that integer
     for n_snapshots in (512.0, np.int32(512)):
         inp = make_input(n_snapshots=n_snapshots)

@@ -47,7 +47,6 @@ from subnyq.model import (
     build_B,
     build_G_selected,
     selected_channel_columns,
-    subset_bases,
 )
 from subnyq.siggen import (
     ScenarioConfig,
@@ -305,20 +304,19 @@ def test_subset_table_is_built_once_and_read_only(monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
-    subset_bases.cache_clear()
+    model._subset_singular_values.cache_clear()
     pattern = MultiCosetPattern(L=10, offsets=(0, 1, 3, 7))
     config = random_scenario(np.random.default_rng(8), K=2, snr_db=20.0,
                              pattern=pattern)
     W = assemble_snapshots(config)
-    for _ in range(3):  # the check reads k = K + 1, the support search k = K
+    for _ in range(3):  # the check reads k = K + 1; the support reads no table
         jdfpi(W, sample_covariance(W), config)
     tables = [shape for shape in svd_calls if len(shape) == 3]
-    assert tables == [(120, 4, 3), (45, 4, 2)]
-    subsets, bases, sv = subset_bases(pattern, 2)
-    assert subset_bases(pattern, 2)[1] is bases
-    assert subsets.shape == (45, 2) and bases.shape == (45, 2, 4)
-    assert sv.shape == (45, 2)
-    for table in (subsets, bases, sv):
+    assert tables == [(120, 4, 3)]
+    subsets, sv = model._subset_singular_values(pattern, 3)
+    assert model._subset_singular_values(pattern, 3)[1] is sv
+    assert subsets.shape == (120, 3) and sv.shape == (120, 3)
+    for table in (subsets, sv):
         assert not table.flags.writeable
 
 
@@ -357,10 +355,12 @@ def test_root_plan_and_band_maps_are_built_once_and_read_only():
 
 def test_subset_table_above_the_cap_is_config_error(monkeypatch):
     pattern = MultiCosetPattern(L=9, offsets=(0, 2, 3, 7))
-    # C(9, 3) subsets, each a 3 x 4 complex basis: 84 * 192 bytes
+    # K = 2 reads the C(9, 3) subsets, each a 4 x 3 complex matrix: 84 * 192
+    # bytes
+    model._subset_singular_values.cache_clear()
     monkeypatch.setattr(model, "SUBSET_TABLE_BYTES", 16127)
     with pytest.raises(ConfigError, match=r"need 16128 bytes.*16127-byte cap"):
-        ctf_support(np.eye(4), pattern, 3)
+        model.check_identifiable(pattern, 2)
 
 
 @pytest.mark.parametrize("bands, snr_db", [
@@ -379,6 +379,29 @@ def test_jdfpi_rejects_unidentifiable_support(bands, snr_db):
     W = assemble_snapshots(config)
     with pytest.raises(ConfigError, match="cannot identify K=2 bands"):
         jdfpi(W, sample_covariance(W), config)
+
+
+@pytest.mark.parametrize("L, offsets, bands", [
+    (61, (0, 1, 4, 9, 20), (3, 17, 30, 52)),
+    (97, (0, 2, 7, 19, 40, 66), (5, 21, 44, 60, 88)),
+], ids=["L61_K4", "L97_K5"])
+def test_jdfpi_recovers_bands_for_large_prime_l(L, offsets, bands):
+    # the stacked K-column subsets of these coset matrices would take 167 MB
+    # and 31 GB; the support is read from the noise subspace, one cost per band
+    pattern = MultiCosetPattern(L=L, offsets=offsets)
+    thetas = np.deg2rad([60.0, -40.0, 20.0, -70.0, 45.0])
+    residuals = (0.3, 0.55, 0.72, 0.12, 0.9)
+    sources = tuple(SourceTruth(theta=t, f_c=(b + r) * pattern.f_s)
+                    for t, b, r in zip(thetas, bands, residuals))
+    config = ScenarioConfig(geom=ArrayGeometry(M=8, d=0.5, c_prop=1.0),
+                            pattern=pattern, sources=sources, snr_db=None,
+                            n_snapshots=512)
+    W = assemble_snapshots(config)
+    result = jdfpi(W, sample_covariance(W), config)
+    assert sorted(result.band) == list(bands)
+    phase_err, freq_err = match_estimates(config, result)
+    assert np.max(np.abs(phase_err)) < 1e-6
+    assert np.max(np.abs(freq_err)) < 1e-8
 
 
 def spy_calls(monkeypatch, *names):

@@ -259,5 +259,5 @@ def test_check_identifiable_reads_only_composite_l(monkeypatch):
     with pytest.raises(ConfigError, match="K <= P-1"):
         check_identifiable(pattern, 3)
     # prime L: every DFT minor is nonzero, so no table is read
-    monkeypatch.setattr(model, "subset_bases", None)
+    monkeypatch.setattr(model, "_subset_singular_values", None)
     check_identifiable(MultiCosetPattern(L=13, offsets=(0, 1, 4, 7, 9)), 4)

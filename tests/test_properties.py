@@ -93,6 +93,12 @@ CLI_SWEEP_FIELDS = (
 CLI_SIZE_CAPS = {"n_trials": 2, "n_snapshots": 512}
 # json.dumps has no way to write this literal; it is spliced in as text
 HUGE = "__1e400__"
+# fields that take a number; every other value there must exit 2, except
+# the documented null snr_db (noiseless) and [re, im] amplitude
+NUMBER_FIELDS = {"M", "d", "c_prop", "L", "f_N", "theta", "f_c", "amplitude",
+                 "bandwidth", "snr_db", "n_snapshots", "rng_seed", "n_trials",
+                 "master_seed"}
+NUMBER_LISTS = {"offsets", "sweep_values"}
 
 json_leaves = st.one_of(
     st.none(), st.booleans(), st.integers(min_value=-3, max_value=40),
@@ -140,6 +146,23 @@ def too_large(path, value):
         return False
 
 
+def is_number(value):
+    return value == HUGE or (isinstance(value, (int, float))
+                             and not isinstance(value, bool))
+
+
+def wrongly_typed(path, value):
+    """True if `value` at `path` is no number in a number field: a string,
+    a boolean, an object, or null or a list where the layout allows none."""
+    if not path or not (path[-1] in NUMBER_FIELDS or isinstance(path[-1], int)
+                        and len(path) > 1 and path[-2] in NUMBER_LISTS):
+        return False
+    if is_number(value) or value is None and path[-1] == "snr_db":
+        return False
+    return not (path[-1] == "amplitude" and isinstance(value, list)
+                and len(value) == 2 and all(map(is_number, value)))
+
+
 def run_cli(command, path, value, tmp):
     """Exit code of `command` on its base config with `path` replaced."""
     config = tmp / "config.json"
@@ -156,15 +179,26 @@ def run_cli(command, path, value, tmp):
 DOCUMENTED_EXITS = (EXIT_OK, EXIT_CONFIG, EXIT_ESTIMATION, EXIT_IO)
 
 
+def check_exit(code, path, value):
+    if wrongly_typed(path, value):
+        assert code == EXIT_CONFIG
+    else:
+        assert code in DOCUMENTED_EXITS
+
+
 @pytest.mark.parametrize("command", ["single", "crb", "dump-snapshots"])
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(path=st.sampled_from(CLI_SCENARIO_FIELDS), value=json_values)
 @example(path=("sources",), value=[])
+@example(path=("geometry", "d"), value=True)
+@example(path=("sources", 0, "theta"), value="0.5")
+@example(path=("snr_db",), value="20")
+@example(path=("sources", 0, "amplitude"), value=False)
 def test_scenario_commands_exit_with_a_documented_code(command, path, value,
                                                        tmp_path_factory):
     assume(not too_large(path, value))
     code = run_cli(command, path, value, tmp_path_factory.mktemp("cli"))
-    assert code in DOCUMENTED_EXITS
+    check_exit(code, path, value)
 
 
 # low-SNR trials may warn about pairing; only the exit code matters here
@@ -173,8 +207,10 @@ def test_scenario_commands_exit_with_a_documented_code(command, path, value,
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(path=st.sampled_from(CLI_SWEEP_FIELDS), value=json_values)
 @example(path=("base", "sources"), value=[])
+@example(path=("sweep_values", 0), value="10")
+@example(path=("base", "pattern", "f_N"), value=True)
 def test_sweep_commands_exit_with_a_documented_code(command, path, value,
                                                     tmp_path_factory):
     assume(not too_large(path, value))
     code = run_cli(command, path, value, tmp_path_factory.mktemp("cli"))
-    assert code in DOCUMENTED_EXITS
+    check_exit(code, path, value)
