@@ -177,11 +177,26 @@ def _phase_minima(C: np.ndarray):
     # from a complex pair, where c' nears zero without crossing it, Newton
     # fails this slope test or lands on a real root found again below
     ok = (curv > 0) & (np.abs(slope) <= 1e-12 * np.abs(rdp[:, 1]).sum(axis=-1))
-    row, phi, cost = row[ok], phi[ok], cost[ok]
-    # a point within 1e-7 rad (mod 2 pi) of an earlier one of its row counts once
-    near = np.abs(np.pi - np.abs(phi[:, None] - phi)) > np.pi - 1e-7
-    dup = (near & (row[:, None] == row) & np.tri(row.size, k=-1, dtype=bool)).any(1)
-    return row[~dup], phi[~dup], cost[~dup]
+    keep = _first_of_each(row[ok], phi[ok])
+    return row[ok][keep], phi[ok][keep], cost[ok][keep]
+
+
+def _first_of_each(row, phi):
+    """Mask of the points not within 1e-7 rad (mod 2 pi) of an earlier point
+    of their row.  Sorted by (row, phi), each row followed by its points at
+    phi + 2 pi, such a pair is k apart for some k below the first k at which
+    no pair is near, so the cost is O(n log n) for clusters of a few."""
+    n = row.size
+    at = np.lexsort((np.concatenate([phi, phi + 2.0 * np.pi]), np.tile(row, 2))) % n
+    keep = np.ones(n, dtype=bool)
+    for k in range(1, 2 * n):
+        a, b = at[:-k], at[k:]
+        near = (row[a] == row[b]) & (a != b) & (
+            np.abs(np.pi - np.abs(phi[a] - phi[b])) > np.pi - 1e-7)
+        if not near.any():
+            break
+        keep[np.maximum(a, b)[near]] = False
+    return keep
 
 
 def _search(R: np.ndarray, K: int, G: np.ndarray, step: str):

@@ -6,7 +6,8 @@ identifiable.  Also the explicit selection and combined matrices J and
 H = J (A kron B) and the per-band channel maps; the grid-and-refine phase
 search, kept as the reference for the estimators' polynomial-root search,
 and the complex-companion rooting in exp(j phi) that the real rooting in
-tan(phi/2) replaced, kept as the reference for `_phase_minima`;
+tan(phi/2) replaced, kept as the reference for `_phase_minima`, with the
+pairwise duplicate rule that its sort-based `_first_of_each` replaced;
 the joint search that roots every band, kept as the reference for its
 bound-pruned form; the brute-force Fisher oracles and the exact tone
 moments behind the bounds; and the Nyquist-rate streams and coset decimation
@@ -279,6 +280,14 @@ def complex_companion_minima(C: np.ndarray):
     gap = np.abs(np.angle(np.exp(1j * (phi[:, None] - phi))))
     dup = np.tril((gap < 1e-7) & (row[:, None] == row), -1).any(axis=1)
     return row[~dup], phi[~dup], cost[~dup]
+
+
+def pairwise_first_of_each(row: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Mask of the points not within 1e-7 rad (mod 2 pi) of an earlier point
+    of their row, from every pair at once: the n x n rule that
+    `estimators._first_of_each` replaced, kept as its reference."""
+    near = np.abs(np.pi - np.abs(phi[:, None] - phi)) > np.pi - 1e-7
+    return ~(near & (row[:, None] == row) & np.tri(row.size, k=-1, dtype=bool)).any(1)
 
 
 def all_band_search(R: np.ndarray, K: int, G: np.ndarray):

@@ -12,6 +12,7 @@ from helpers import (
     channel_maps,
     complex_companion_minima,
     grid_search_oracle,
+    pairwise_first_of_each,
     pattern_coherence,
     random_scenario,
     steering_column,
@@ -26,6 +27,7 @@ from subnyq.errors import (
     RankDeficiencyError,
 )
 from subnyq.estimators import (
+    _first_of_each,
     _phase_minima,
     _search,
     ctf_support,
@@ -193,6 +195,45 @@ def test_phase_minima_match_complex_companion_oracle():
         n_rows += C.shape[0]
         at_pi += np.sum(np.abs(np.angle(-np.exp(1j * got[1]))) < 1e-9)
     assert n_rows >= 3000 and at_pi >= 200
+
+
+def test_phase_minima_keep_the_pairwise_rule_points(monkeypatch):
+    # the sort-based duplicate rule keeps, in order, bit for bit, the points
+    # the pairwise rule it replaced keeps
+    rng = np.random.default_rng(23)
+    stacks = [oracle_stack(rng) for _ in range(300)]
+    got = [_phase_minima(C) for C in stacks]
+    monkeypatch.setattr(estimators, "_first_of_each", pairwise_first_of_each)
+    for C, mine in zip(stacks, got):
+        for a, b in zip(mine, _phase_minima(C)):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_first_of_each_equals_pairwise_rule():
+    # clusters of two and three points, chains whose ends lie more than
+    # 1e-7 rad apart (the middle point, if latest, is dropped while the
+    # last one is kept), and clusters that straddle +-pi
+    rng = np.random.default_rng(31)
+    chain = (np.array([0, 0, 0]), np.array([0.3, 0.3 + 6e-8, 0.3 + 1.2e-7]))
+    cases = [chain, (chain[0], chain[1][[0, 2, 1]]),
+             (np.zeros(3, int), np.array([np.pi, -np.pi + 4e-8, np.pi - 5e-8])),
+             (np.zeros(2, int), np.array([-np.pi + 6e-8, np.pi - 6e-8])),
+             (np.array([0, 1]), np.array([np.pi, np.pi])),
+             (np.zeros(0, int), np.zeros(0))]
+    assert list(_first_of_each(*cases[1])) == [True, True, False]
+    assert list(_first_of_each(*cases[2])) == [True, False, False]
+    assert list(_first_of_each(*cases[3])) == [True, True]
+    for _ in range(500):
+        n = int(rng.integers(1, 40))
+        centres = rng.uniform(-np.pi, np.pi, int(rng.integers(1, 6)))
+        centres[0] = np.pi
+        phi = rng.choice(centres, n) + rng.choice([0.0, 1e-9, 4e-8, 9e-8, 2e-7], n) \
+            * rng.choice([-1.0, 1.0], n)
+        phi = np.pi - np.mod(np.pi - phi, 2.0 * np.pi)
+        cases.append((rng.integers(0, 3, n), phi))
+    for row, phi in cases:
+        np.testing.assert_array_equal(_first_of_each(row, phi),
+                                      pairwise_first_of_each(row, phi))
 
 
 def test_music_spatial_recovers_phases():
