@@ -551,13 +551,12 @@ def read_csv(path):
     return tuple(rows)
 
 
-def _complex_from_json(value) -> complex:
-    parts = value if isinstance(value, (list, tuple)) and len(value) == 2 else [value]
-    try:
-        return complex(*map(_real, parts))
-    except ConfigError:
-        raise ConfigError(
-            f"amplitude must be a number or [re, im], got {value!r}") from None
+def _complex_from_json(value):
+    """JSON's [re, im] amplitude as re + j im; any other value goes to
+    `SourceTruth`, which converts it."""
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return complex(_real(value[0]), _real(value[1]))
+    return value
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:

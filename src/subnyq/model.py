@@ -55,6 +55,14 @@ def _real(value) -> float:
     return float(value)
 
 
+def _complex(value) -> complex:
+    """A real or complex number (numpy numbers included) as a complex;
+    ConfigError for anything else, booleans and strings included."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, complex, np.number)):
+        raise ConfigError(f"expected a number, got {value!r}")
+    return complex(value)
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Uniform linear array: M sensors spaced d meters apart."""

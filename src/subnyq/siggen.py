@@ -26,6 +26,7 @@ from .errors import ConfigError
 from .model import (
     ArrayGeometry,
     MultiCosetPattern,
+    _complex,
     _integer,
     _real,
     build_G_selected,
@@ -63,6 +64,7 @@ class SourceTruth:
     def __post_init__(self):
         for name in ("theta", "f_c", "bandwidth"):
             object.__setattr__(self, name, _real(getattr(self, name)))
+        object.__setattr__(self, "amplitude", _complex(self.amplitude))
         if not -np.pi / 2 < self.theta < np.pi / 2:
             raise ConfigError(f"DOA must lie in (-pi/2, pi/2), got {self.theta}")
         if not np.isfinite(self.amplitude):

@@ -356,6 +356,20 @@ def test_source_validation(kwargs):
         SourceTruth(**kwargs)
 
 
+@pytest.mark.parametrize("amplitude", [True, "1", None, [1.0, 0.0]])
+def test_amplitude_must_be_a_number(amplitude):
+    # the dataclass owns the conversion: a boolean is no unit amplitude, and
+    # a string is a ConfigError, not numpy's TypeError
+    with pytest.raises(ConfigError, match="expected a number"):
+        SourceTruth(theta=0.1, f_c=0.1, amplitude=amplitude)
+
+
+def test_amplitude_is_stored_as_complex():
+    for value in (2, 0.5, np.float32(0.25), np.complex64(1 - 1j), 3j):
+        src = SourceTruth(theta=0.1, f_c=0.1, amplitude=value)
+        assert type(src.amplitude) is complex and src.amplitude == complex(value)
+
+
 def test_scenario_validation():
     f_s = PATTERN.f_s
     mk = lambda srcs, **kw: ScenarioConfig(geom=GEOM, pattern=PATTERN,
