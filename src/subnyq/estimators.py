@@ -12,7 +12,10 @@ Two pipelines operate on the simplified receiver output W:
 `jdfsd_full` is the full-structure (all M*P channels) baseline of the same
 subspace search, used for comparison only.  Every pipeline takes its
 receiver output together with that output's `sample_covariance`, so the
-pipelines run on one output share one covariance.
+pipelines run on one output share one covariance.  The pipelines and the
+`_trialwise` steps run a block of trials stacked along a leading axis and
+return (values, errors), one per trial; given one trial, they return its
+value or raise its error.
 
 Every phase search (spatial MUSIC and both joint searches) minimizes a
 noise-subspace cost that is, per band, a trigonometric polynomial in the
@@ -27,7 +30,7 @@ rooting every band would.
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -81,20 +84,42 @@ class EstimationResult:
         return self.phi.size
 
 
+def _trialwise(step):
+    """Let a block step take one trial: the first argument of at most two
+    dimensions, and each array argument of its dimension, as a block of one."""
+    @wraps(step)
+    def run(x, *args, **kwargs):
+        if np.ndim(x) > 2:
+            return step(x, *args, **kwargs)
+        args = [a[None] if isinstance(a, np.ndarray) and a.ndim == np.ndim(x) else a
+                for a in args]
+        values, (error,) = step(np.asarray(x)[None], *args, **kwargs)
+        if error:
+            raise error
+        return tuple(v[0] for v in values) if isinstance(values, tuple) else values[0]
+    return run
+
+
+def _first(*step_errors) -> list:
+    """Each trial's error at the first step it failed (a failed trial runs on
+    through the later steps on finite placeholders, their results unused)."""
+    return [next((error for error in errors if error), None) for errors in zip(*step_errors)]
+
+
 def sample_covariance(X: np.ndarray) -> np.ndarray:
-    """R = X X^H / N, symmetrized so it is Hermitian to machine precision."""
+    """R = X X^H / N per trial, symmetrized to be Hermitian to machine precision."""
     X = np.asarray(X)
-    R = X @ X.conj().T / X.shape[1]
-    return 0.5 * (R + R.conj().T)
+    R = X @ X.conj().swapaxes(-1, -2) / X.shape[-1]
+    return 0.5 * (R + R.conj().swapaxes(-1, -2))
 
 
 def decompose(R: np.ndarray, K: int) -> np.ndarray:
-    """Noise subspace U_N of R at model order K: a view of the eigenvectors
-    of all but the K largest eigenvalues, largest first."""
-    rows = R.shape[0]
+    """Noise subspace U_N of R (of each R of a stack) at model order K: a view
+    of the eigenvectors of all but the K largest eigenvalues, largest first."""
+    rows = R.shape[-1]
     if not 0 < K < rows:
         raise ConfigError(f"need 0 < K < {rows}, got K={K}")
-    return np.linalg.eigh(R)[1][:, rows - K - 1::-1]
+    return np.linalg.eigh(R)[1][..., rows - K - 1::-1]
 
 
 @lru_cache(maxsize=16)
@@ -183,11 +208,10 @@ def _phase_minima(C: np.ndarray):
 
 def _first_of_each(row, phi):
     """Mask of the points not within 1e-7 rad (mod 2 pi) of an earlier point
-    of their row.  Sorted by (row, phi), each row followed by its points at
-    phi + 2 pi, such a pair is k apart for some k below the first k at which
-    no pair is near, so the cost is O(n log n) for clusters of a few."""
-    n = row.size
-    at = np.lexsort((np.concatenate([phi, phi + 2.0 * np.pi]), np.tile(row, 2))) % n
+    of their row: sorted by (row, phi), each row repeated at phi + 2 pi, such
+    pairs lie k apart for k below the first k that has none."""
+    n, rows = row.size, np.concatenate([row, row])
+    at = np.lexsort((np.concatenate([phi, phi + 2.0 * np.pi]), rows)) % n
     keep = np.ones(n, dtype=bool)
     for k in range(1, 2 * n):
         a, b = at[:-k], at[k:]
@@ -199,12 +223,14 @@ def _first_of_each(row, phi):
     return keep
 
 
+@_trialwise
 def _search(R: np.ndarray, K: int, G: np.ndarray, step: str):
     """The K lowest minima over (phi, l) of ||U_N^H G_l v(phi)||^2.
 
     U_N is the noise subspace of the covariance R at model order K, and
     the stack G maps v(phi) to the steering vector of each band l.  Minima
-    are ranked by (cost, band, phi).  Returns (phis, bands).
+    are ranked by (cost, band, phi).  Returns (phis, bands), zeros for a
+    trial with fewer than K minima, which fails.
 
     Only bands that can hold one of the K picks are rooted.  Band l's cost
     is v^H C_l v with ||v||^2 = M, so none of its minima costs less than the
@@ -213,58 +239,63 @@ def _search(R: np.ndarray, K: int, G: np.ndarray, step: str):
     K-th lowest cost found, plus a slack far above rounding.  Every band left
     out has only minima that cost more than the K-th pick, and rows are
     rooted independently, so the picks are those of rooting every band.
+    Each stage roots the bands of every trial in one `_phase_minima` call.
     """
-    U_N = decompose(R, K)
-    T = U_N.conj().T @ G
-    C = T.conj().transpose(0, 2, 1) @ T
-    if len(C) <= K:  # every band is rooted first: nothing to prune
-        band, phi, cost = _phase_minima(C)
-    else:
-        M = C.shape[-1]
-        bound = M * np.linalg.eigvalsh(C)[:, 0]
-        order = np.argsort(bound, kind="stable")
-        first, rest = order[:K], order[K:]
-        row, phi, cost = _phase_minima(C[first])
-        band = first[row]
-        tau = np.partition(cost, K - 1)[K - 1] if cost.size >= K else np.inf
-        slack = 1e-9 * M * np.trace(C[rest], axis1=1, axis2=2).real
-        rest = rest[bound[rest] <= tau + slack]
-        if rest.size:
-            row, phi2, cost2 = _phase_minima(C[rest])
-            band = np.concatenate([band, rest[row]])
-            phi = np.concatenate([phi, phi2])
-            cost = np.concatenate([cost, cost2])
-    if phi.size < K:
-        raise PeakCountError(
-            f"found {phi.size} noise-subspace cost minima, need {K}",
-            found=int(phi.size), wanted=K, step=step,
-        )
-    pick = np.lexsort((phi, band, cost))[:K]
-    return phi[pick], band[pick]
+    T = decompose(R, K).conj().swapaxes(-1, -2)[:, None] @ G
+    C = T.conj().swapaxes(-1, -2) @ T
+    S, L, M = C.shape[:3]
+
+    def root(trial, band):  # the minima of each listed (trial, band)
+        row, phi, cost = _phase_minima(C[trial, band])
+        return trial[row], band[row], phi, cost
+
+    # with L <= K every band is rooted first: nothing to prune
+    bound = M * np.linalg.eigvalsh(C)[..., 0] if L > K else np.zeros((S, L))
+    order = np.argsort(bound, axis=-1, kind="stable")
+    found = root(np.repeat(np.arange(S), min(K, L)), order[:, :K].ravel())
+    if L > K:
+        firsts = (found[3][found[0] == s] for s in range(S))
+        tau = np.array([np.sort(c)[K - 1] if c.size >= K else np.inf for c in firsts])
+        slack = 1e-9 * M * np.trace(C, axis1=-2, axis2=-1).real
+        near = bound <= tau[:, None] + slack  # the bands that may hold a pick
+        t, j = np.nonzero(near[np.arange(S)[:, None], order[:, K:]])
+        if t.size:
+            found = [np.concatenate(pair) for pair in zip(found, root(t, order[t, j + K]))]
+    trial, band, phi, cost = found
+    phis, bands = np.zeros((S, K)), np.zeros((S, K), dtype=int)
+    for s in range(S):
+        mine = np.flatnonzero(trial == s)
+        pick = mine[np.lexsort((phi[mine], band[mine], cost[mine]))[:K]]
+        phis[s, :pick.size], bands[s, :pick.size] = phi[pick], band[pick]
+    return (phis, bands), [None if n >= K else PeakCountError(
+        f"found {n} noise-subspace cost minima, need {K}", found=int(n), wanted=K,
+        step=step) for n in np.bincount(trial, minlength=S)]
 
 
+@_trialwise
 def music_spatial(R: np.ndarray, K: int) -> np.ndarray:
     """Spatial-phase MUSIC on the M x M sensor covariance R; returns the K
     phases that minimize the noise-subspace cost, sorted."""
-    phis, _ = _search(R, K, np.eye(R.shape[0])[None], "music_spatial")
-    return np.sort(phis)
+    (phis, _), errors = _search(R, K, np.eye(R.shape[-1])[None], "music_spatial")
+    return np.sort(phis), errors
 
 
+@_trialwise
 def ls_solve(mat: np.ndarray, obs: np.ndarray) -> np.ndarray:
     """Pseudo-inverse solution mat^+ obs; rejects near-singular systems."""
-    mat = np.asarray(mat)
-    if mat.ndim != 2 or mat.shape[0] < mat.shape[1]:
-        raise ConfigError(f"system matrix must be tall, got shape {mat.shape}")
+    if mat.ndim != 3 or mat.shape[-2] < mat.shape[-1]:
+        raise ConfigError(f"system matrix must be tall, got shape {mat.shape[1:]}")
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    if s[-1] == 0.0 or s[0] / s[-1] > COND_LIMIT:
-        raise RankDeficiencyError(
-            f"system matrix condition number exceeds {COND_LIMIT:.0e} "
-            "(duplicated supports or coincident sources)",
-            step="ls_solve",
-        )
-    return vh.conj().T @ ((u.conj().T @ obs) / s[:, None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bad = (s[:, -1] == 0.0) | (s[:, 0] / s[:, -1] > COND_LIMIT)
+        x = vh.conj().swapaxes(-1, -2) @ ((u.conj().swapaxes(-1, -2) @ obs) / s[..., None])
+    x[bad] = 0.0  # finite, for the later steps a failed trial runs through
+    return x, [RankDeficiencyError(
+        f"system matrix condition number exceeds {COND_LIMIT:.0e} (duplicated "
+        "supports or coincident sources)", step="ls_solve") if b else None for b in bad]
 
 
+@_trialwise
 def ctf_support(R: np.ndarray, pattern, K: int) -> tuple[int, ...]:
     """Band support from the P x P branch covariance R, ascending: the K
     bands l of lowest ||U_N^H b_l||, U_N = `decompose(R, K)` and b_l column l
@@ -274,10 +305,11 @@ def ctf_support(R: np.ndarray, pattern, K: int) -> tuple[int, ...]:
     enforces: the MUSIC criterion for joint-sparse recovery (Lee, Bresler &
     Junge, IEEE TIT 2012)."""
     U_N = decompose(R, K)
-    if not np.any(R):
-        raise EmptySupportError("covariance frame has no energy", step="ctf_support")
-    cost = np.linalg.norm(U_N.conj().T @ build_B(pattern), axis=0)
-    return tuple(sorted(int(l) for l in np.argsort(cost, kind="stable")[:K]))
+    cost = np.linalg.norm(U_N.conj().swapaxes(-1, -2) @ build_B(pattern), axis=-2)
+    supports = [tuple(sorted(int(l) for l in order[:K]))
+                for order in np.argsort(cost, axis=-1, kind="stable")]
+    return supports, [None if np.any(frame) else EmptySupportError(
+        "covariance frame has no energy", step="ctf_support") for frame in R]
 
 
 def pair_supports(C: np.ndarray, omega) -> tuple[int, ...]:
@@ -301,6 +333,7 @@ def pair_supports(C: np.ndarray, omega) -> tuple[int, ...]:
     return tuple(bands)
 
 
+@_trialwise
 def residual_frequency(x: np.ndarray, f_s: float):
     """In-band frequency of a (near) single tone, in [0, f_s): a float for
     one sequence, or one per row of a 2-D array of sequences.
@@ -309,13 +342,10 @@ def residual_frequency(x: np.ndarray, f_s: float):
     clean tone, wrap-free over [0, f_s)), then a derotated refinement using
     parabolically weighted phase increments, which is efficient in noise.
     """
-    x = np.asarray(x)
-    if x.ndim == 0 or x.shape[-1] < 2:
+    if x.shape[-1] < 2:
         raise ConfigError("need at least 2 samples for a frequency estimate")
-    if not np.all(np.any(x, axis=-1)):
-        raise EstimationError("zero sequence has no frequency",
-                              step="residual_frequency")
-    prods = x[..., 1:] * np.conj(x[..., :-1])
+    lag = np.conj(x[..., :-1])  # named: numpy would multiply a large temporary in
+    prods = x[..., 1:] * lag  # place, rounding differently as a block grows
     z = np.sum(prods, axis=-1)
     coarse = np.angle(z) / (2.0 * np.pi)  # cycles per snapshot, in (-0.5, 0.5]
     # derotate so the remaining increments sit near zero phase
@@ -326,27 +356,29 @@ def residual_frequency(x: np.ndarray, f_s: float):
     w /= np.sum(w)
     fine = coarse + np.sum(w * incr, axis=-1) / (2.0 * np.pi)
     frac = fine % 1.0  # 1.0 for a tiny negative fine: that is 0 cycles
-    return np.where(frac < 1.0, frac, 0.0) * f_s
+    return np.where(frac < 1.0, frac, 0.0) * f_s, [None if np.all(np.any(trial, axis=-1))
+        else EstimationError("zero sequence has no frequency", step="residual_frequency")
+        for trial in x]
 
 
 def _finish(W: np.ndarray, phis: np.ndarray, bands, config, algorithm: str,
-            rows) -> EstimationResult:
-    """Steps shared by every pipeline on the receiver output W, whose rows are
-    the channels `rows` (flat indices m*P + p): LS reconstruction, residual
-    frequency, unfolding, and the phase-to-DOA conversion (NaN where the
-    DOA is undefined)."""
+            rows, errors: list):
+    """Steps shared by every pipeline on a block's receiver outputs W, whose
+    rows are the channels `rows` (flat indices m*P + p), after steps that
+    left `errors`: LS reconstruction, residual frequency, unfolding, and the
+    phase-to-DOA conversion (NaN where the DOA is undefined)."""
     geom, pattern = config.geom, config.pattern
     bands = np.asarray(bands, dtype=int)
-    mat = build_G_selected(phis, bands, geom, pattern, rows)
-    S = ls_solve(mat, W)
-    f_res = residual_frequency(S, pattern.f_s)
+    S, ls_errors = ls_solve(build_G_selected(phis, bands, geom, pattern, rows), W)
+    f_res, f_errors = residual_frequency(S, pattern.f_s)
     f = bands * pattern.f_s + f_res
-    return EstimationResult(
-        algorithm=algorithm, phi=np.asarray(phis, dtype=float), band=bands,
-        f_residual=f_res, f=f, theta=doa_from_phase(phis, f, geom),
-    )
+    errors = _first(errors, ls_errors, f_errors)
+    return [None if error else EstimationResult(algorithm, *estimate)
+            for error, *estimate in zip(errors, phis, bands, f_res, f,
+                                        doa_from_phase(phis, f, geom))], errors
 
 
+@_trialwise
 def jdfpi(W: np.ndarray, R: np.ndarray, config) -> EstimationResult:
     """Individual-estimates pipeline: spatial MUSIC + CTF support + pairing.
 
@@ -357,17 +389,20 @@ def jdfpi(W: np.ndarray, R: np.ndarray, config) -> EstimationResult:
     with the band signals X = B_omega^+ W[y] as
     Z X^H / N = A^+ R[q, y] (B_omega^+)^H.
     """
-    K = config.n_sources
-    pattern = config.pattern
+    K, M, pattern = config.n_sources, config.geom.M, config.pattern
     check_identifiable(pattern, K)
-    rows = selected_channel_columns(config.geom.M, pattern.P)
+    rows = selected_channel_columns(M, pattern.P)
     q, y = np.flatnonzero(rows % pattern.P == 0), np.flatnonzero(rows < pattern.P)
-    phis = music_spatial(R[q][:, q], K)
-    # A^+ R[q, y]; an ill-conditioned A fails before the support search runs
-    AR = ls_solve(build_A(phis, config.geom.M), R[q][:, y])
-    omega = ctf_support(R[y][:, y], pattern, K)
-    C = ls_solve(build_B(pattern)[:, list(omega)], AR.conj().T).conj().T
-    return _finish(W, phis, pair_supports(C, omega), config, "JDFPI", rows)
+    phis, music_errors = music_spatial(R[:, q[:, None], q], K)
+    # A^+ R[q, y]; an ill-conditioned A fails the trial before its support does
+    AR, a_errors = ls_solve(build_A(phis, M), R[:, q[:, None], y])
+    omega, support_errors = ctf_support(R[:, y[:, None], y], pattern, K)
+    C, b_errors = ls_solve(build_B(pattern)[:, omega].transpose(1, 0, 2),
+                           AR.conj().swapaxes(-1, -2))
+    errors = _first(music_errors, a_errors, support_errors, b_errors)
+    bands = [o if error else pair_supports(c.conj().T, o)
+             for c, o, error in zip(C, omega, errors)]
+    return _finish(W, phis, bands, config, "JDFPI", rows, errors)
 
 
 @lru_cache(maxsize=8)
@@ -384,8 +419,9 @@ def _band_maps(M: int, pattern, full_structure: bool):
     return rows, G
 
 
+@_trialwise
 def _joint_search(X: np.ndarray, R: np.ndarray, config, full_structure: bool,
-                  algorithm: str, step: str) -> EstimationResult:
+                  algorithm: str, step: str):
     """Joint 2-D subspace search over (phi, band) on the receiver output X of
     one structure and its sample covariance R, through that structure's
     cached `_band_maps`, then the shared `_finish`.
@@ -402,8 +438,8 @@ def _joint_search(X: np.ndarray, R: np.ndarray, config, full_structure: bool,
     for (1, 3) noiseless and [0, 4] for (0, 2) at 20 dB.  No check here
     rejects such sources."""
     rows, G = _band_maps(config.geom.M, config.pattern, full_structure)
-    phis, bands = _search(R, config.n_sources, G, step)
-    return _finish(X, phis, bands, config, algorithm, rows)
+    (phis, bands), errors = _search(R, config.n_sources, G, step)
+    return _finish(X, phis, bands, config, algorithm, rows, errors)
 
 
 def jdfsdpj(W: np.ndarray, R: np.ndarray, config) -> EstimationResult:

@@ -5,13 +5,12 @@ import io
 import itertools
 import os
 from dataclasses import dataclass, field, replace
-from functools import cache
 
 import numpy as np
 
 from . import BLAS_THREAD_VARIABLES
 from .crb import crb_input_from_scenario, crb_phase, freq_crb_numerical
-from .errors import ConfigError, EstimationError
+from .errors import ConfigError
 from .estimators import EstimationResult, jdfpi, jdfsd_full, jdfsdpj, sample_covariance
 from .model import (
     ArrayGeometry,
@@ -24,7 +23,6 @@ from .model import (
 from .siggen import (
     ScenarioConfig,
     SourceTruth,
-    _draws,
     assemble_full_snapshots,
     assemble_snapshots,
 )
@@ -55,6 +53,7 @@ __all__ = [
 _FULL_STRUCTURE = {"JDFPI": False, "JDFSDPJ": False, "JDFSD-full": True}
 ALGORITHM_NAMES = tuple(_FULL_STRUCTURE)
 SWEEP_VARIABLES = ("snr_db", "n_sources")
+BLOCK_BYTES = 2**20  # a sweep block holds as many trial_outputs as fit, at least two
 
 
 def check_algorithms(names, scenarios=()) -> None:
@@ -74,40 +73,37 @@ def check_algorithms(names, scenarios=()) -> None:
             check_identifiable(scenario.pattern, scenario.n_sources)
 
 
-def trial_output(scenario: ScenarioConfig, algorithms, draws=None) -> dict:
+def trial_output(scenario, algorithms) -> dict:
     """Receiver output of one seeded trial and its sample covariance, as an
     (output, covariance) pair per receiver structure the `algorithms` use,
-    keyed like `_point_bounds` (True for the full structure).
+    keyed like `_point_bounds` (True for the full structure); a block (a
+    list of scenarios differing only in seed) gives them stacked.
 
     With a full-structure pipeline, the simplified output W is the full
     output's selected rows, which agree bit-exactly with `assemble_snapshots`
     for the same seed, and its covariance is still taken of W itself.  The
     algorithms of a trial share these arrays: consumers must not modify them.
-    `draws`, if given, is the trial's random numbers drawn ahead of time,
-    `siggen._draws` for the channel count of the output built here (M*P
-    with the full structure, else M+P-1); the output is assembled in them.
     """
     structures = {_FULL_STRUCTURE[algorithm] for algorithm in algorithms}
     if True in structures:
-        full = assemble_full_snapshots(scenario, draws)
-        M, P = scenario.geom.M, scenario.pattern.P
-        outputs = {True: full, False: full[selected_channel_columns(M, P)]}
+        full = assemble_full_snapshots(scenario)
+        first = scenario if isinstance(scenario, ScenarioConfig) else scenario[0]
+        rows = selected_channel_columns(first.geom.M, first.pattern.P)
+        outputs = {True: full, False: full[..., rows, :]}
     else:
-        outputs = {False: assemble_snapshots(scenario, draws)}
+        outputs = {False: assemble_snapshots(scenario)}
     return {s: (outputs[s], sample_covariance(outputs[s])) for s in structures}
 
 
-def run_algorithm(name: str, scenario: ScenarioConfig,
-                  output=None) -> EstimationResult:
+def run_algorithm(name: str, scenario: ScenarioConfig, output=None):
     """Run pipeline `name` on `scenario`'s receiver output.
 
-    `output` is a zero-argument callable returning the `trial_output` of
-    `scenario` (same seed) for a list of algorithms that includes `name`;
-    without it the output is assembled here.
+    `output` is the `trial_output` of `scenario` (same seed) for a list of
+    algorithms that includes `name`; without it the output is assembled
+    here.  A block's output gives the pipeline's (results, errors).
     """
     check_algorithms((name,))
-    outputs = output() if output else trial_output(scenario, (name,))
-    X, R = outputs[_FULL_STRUCTURE[name]]
+    X, R = (output or trial_output(scenario, (name,)))[_FULL_STRUCTURE[name]]
     # looked up at call time, so a pipeline replaced on this module is run
     pipeline = {"JDFPI": jdfpi, "JDFSDPJ": jdfsdpj, "JDFSD-full": jdfsd_full}[name]
     return pipeline(X, R, scenario)
@@ -308,45 +304,36 @@ def derive_trial_seed(master_seed: int, sweep_index: int, trial_index: int) -> i
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def run_trial(scenario: ScenarioConfig, algorithm: str, seed: int,
-              sweep_value=None, trial_index: int = 0,
-              output=None) -> TrialRecord:
-    """One seeded trial; estimation failures are recorded, not raised.
-
-    `output` (see `run_algorithm`) shares the receiver output of
-    `scenario.with_seed(seed)` with the other algorithms run on the same
-    trial; without it the output is assembled for this call alone.  A
-    scenario that already carries `seed` is used as it is.
+def run_trial(scenario: ScenarioConfig, algorithm: str, seed,
+              sweep_value=None, trial_index: int = 0, output=None):
+    """One seeded trial; estimation failures are recorded, not raised.  A
+    list of seeds is a block of trials numbered from `trial_index`, run
+    together, and gives a list of records.  `output`, if given, is the
+    `trial_output` of `[scenario.with_seed(s) for s in seeds]` for
+    algorithms that include `algorithm`; without it it is built here.
     """
-    scen = scenario.with_seed(seed)
+    seeds = seed if isinstance(seed, list) else [seed]
     if sweep_value is None:
-        sweep_value = scen.snr_db
-    try:
-        result = run_algorithm(algorithm, scen, output)
-    except EstimationError as exc:
-        return TrialRecord(
-            sweep_value=sweep_value, algorithm=algorithm, trial_index=trial_index,
-            seed=seed, failed=True, failure_step=exc.step or type(exc).__name__,
-        )
-    phase_err, freq_err = match_estimates(scen, result)
-    return TrialRecord(
-        sweep_value=sweep_value, algorithm=algorithm, trial_index=trial_index,
-        seed=seed, phase_errors=phase_err, freq_errors=freq_err,
-    )
+        sweep_value = scenario.snr_db
+    output = output or trial_output([scenario.with_seed(s) for s in seeds], (algorithm,))
+    outcomes = zip(seeds, *run_algorithm(algorithm, scenario, output))
+    records = [TrialRecord(sweep_value, algorithm, trial_index + i, s, failed=True,
+                           failure_step=error.step or type(error).__name__) if error
+               else TrialRecord(sweep_value, algorithm, trial_index + i, s,
+                                *match_estimates(scenario, result))
+               for i, (s, result, error) in enumerate(outcomes)]
+    return records if isinstance(seed, list) else records[0]
 
 
-def _run_task(task, draws=None) -> list[TrialRecord]:
-    """Every algorithm of one (sweep point, trial), on one shared receiver
-    output and covariance, computed inside the first `run_trial` call.
-
-    `draws`, if given, is a zero-argument callable returning the trial's
-    random numbers (see `trial_output`); it is called there too."""
-    scenario, algorithms, seed, value, trial_index = task
-    scenario = scenario.with_seed(seed)
-    output = cache(lambda: trial_output(scenario, algorithms, draws and draws()))
-    return [run_trial(scenario, algorithm, seed, sweep_value=value,
-                      trial_index=trial_index, output=output)
-            for algorithm in algorithms]
+def _run_task(task, output=None) -> list[TrialRecord]:
+    """Every algorithm of one block of a sweep point's trials, on the block's
+    `trial_output` (built here when None); records in (trial, algorithm)
+    order."""
+    scenario, algorithms, seeds, value, first = task
+    output = output or trial_output([scenario.with_seed(s) for s in seeds], algorithms)
+    by_algorithm = [run_trial(scenario, algorithm, seeds, value, first, output)
+                    for algorithm in algorithms]
+    return [record for trial in zip(*by_algorithm) for record in trial]
 
 
 def _point_bounds(scenario: ScenarioConfig, algorithms) -> dict:
@@ -370,22 +357,25 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> ResultTable:
     """Run every (sweep value, trial, algorithm) and aggregate RMSE per point.
 
     Every point's bounds are computed first, so a point whose bound is
-    undefined raises before any trial runs.  Each (sweep value, trial) is
-    synthesized once and every algorithm runs on the same snapshots; records
-    come in (sweep value, trial, algorithm) order.  Deterministic in
+    undefined raises before any trial runs.  Each point's trials run in
+    blocks of BLOCK_BYTES of receiver output, or of two trials when one
+    trial's is larger; each trial is synthesized once, every algorithm runs
+    on the same snapshots, a block at a time, and records come in (sweep
+    value, trial, algorithm) order.  Deterministic in
     `config` (including `master_seed`); any worker count produces the
     identical table because each trial's seed depends only on its indices
     and records are aggregated in task order.
 
     `workers` must be at least 1; the process pool is capped at the CPU
-    count, and one worker runs in this process.  Tasks are derived as they
-    run.  Serially that is one task ahead: a fill thread draws each trial's
-    random numbers while the trial before it runs, so one extra noise block
-    is held (`_run_serial`).  The pool takes one window at a time, in
-    workers spawned with single-threaded BLAS (`_run_pool`).  No thread or
-    process outlives the call.  On KeyboardInterrupt the completed records
-    are aggregated into a partial table that is returned via the
-    exception's `partial` attribute.
+    count, and one worker runs in this process.  Blocks are derived as they
+    run.  Serially that is one block ahead: a fill thread builds each
+    block's `trial_output` while the block before it runs, so at most two
+    blocks' outputs are held (`_run_serial`).  The pool takes one window of
+    blocks at a time, in workers spawned with single-threaded BLAS
+    (`_run_pool`).  No thread or process outlives the call.  On
+    KeyboardInterrupt the records of the completed blocks are aggregated
+    into a partial table that is returned via the exception's `partial`
+    attribute.
 
     Spawned workers start by importing the caller's main module, so a
     script that calls `run_sweep(..., workers=2)` must do so under
@@ -398,10 +388,14 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> ResultTable:
     points = [(_scenario_for_value(config.base, config.sweep_variable, value), value)
               for value in config.sweep_values]
     bounds = [_point_bounds(scenario, config.algorithms) for scenario, _ in points]
+    M, P, N = config.base.geom.M, config.base.pattern.P, config.base.n_snapshots
+    rows = {M * P if _FULL_STRUCTURE[name] else M + P - 1 for name in config.algorithms}
+    size, n = max(2, BLOCK_BYTES // sum(16 * r * (N + r) for r in rows)), config.n_trials
     tasks = ((scenario, config.algorithms,
-              derive_trial_seed(config.master_seed, s_idx, trial), value, trial)
+              [derive_trial_seed(config.master_seed, s_idx, trial)
+               for trial in range(first, min(first + size, n))], value, first)
              for s_idx, (scenario, value) in enumerate(points)
-             for trial in range(config.n_trials))
+             for first in range(0, n, size))
 
     records: list[TrialRecord] = []
     try:
@@ -419,31 +413,28 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> ResultTable:
 # Each runner imports its own executor, so `import subnyq.harness` loads neither.
 
 def _run_serial(tasks, records: list) -> None:
-    """Run `tasks` in this thread, each one's random numbers drawn on a fill
-    thread while the task before it runs: numpy releases the GIL while it
-    fills the noise block, and the estimators hold it.  The draws are the
-    numbers a per-trial run makes, in its order; all else runs here."""
+    """Run `tasks` in this thread, each block's seeded scenarios and
+    `trial_output` built on a fill thread while the block before it runs:
+    numpy releases the GIL while it draws the noise and forms the
+    covariances, and the estimators hold it."""
     from concurrent.futures import ThreadPoolExecutor
 
     fill = ThreadPoolExecutor(max_workers=1)
 
     def submit(task):
-        scenario, algorithms, seed, value, trial = task
-        scenario = scenario.with_seed(seed)
-        full = any(_FULL_STRUCTURE[algorithm] for algorithm in algorithms)
-        rows = selected_channel_columns(scenario.geom.M, scenario.pattern.P, full)
-        draws = fill.submit(_draws, scenario, rows.size)
-        return (scenario, algorithms, seed, value, trial), draws.result
+        return task, fill.submit(lambda: trial_output(
+            [task[0].with_seed(seed) for seed in task[2]], task[1]))
 
     try:
         ahead = map(submit, tasks)
         current = next(ahead, None)
         while current:
             upcoming = next(ahead, None)
-            records.extend(_run_task(*current))
+            task, output = current
+            records.extend(_run_task(task, output.result()))
             current = upcoming
     finally:
-        # waits for the fill in flight, also on Ctrl-C; a queued one is dropped
+        # waits for the build in flight, also on Ctrl-C; a queued one is dropped
         fill.shutdown(cancel_futures=True)
 
 

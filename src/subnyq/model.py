@@ -145,9 +145,9 @@ def doa_from_phase(phi, f, geom: ArrayGeometry):
 
 def build_A(phis, M: int) -> np.ndarray:
     """M x K ULA steering matrix; column k is [1, e^{-j phi_k}, ...,
-    e^{-j phi_k (M-1)}]."""
+    e^{-j phi_k (M-1)}].  A stack of phase lists gives one per trial."""
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    return np.exp(-1j * np.outer(np.arange(M), phis))
+    return np.exp(-1j * (np.arange(M)[:, None] * phis[..., None, :]))
 
 
 def build_B(pattern: MultiCosetPattern) -> np.ndarray:
@@ -209,7 +209,8 @@ def build_G_selected(phis, bands, geom: ArrayGeometry,
     """len(rows) x K steering columns: rows `rows` (flat channel indices
     m*P + p) of a(phi_k) kron B[:, band_k], the package's one steering model
     (row m*P + p is e^{-j m phi} B[p, l]).  The full structure keeps every
-    row, the simplified receiver its `selected_channel_columns`."""
+    row, the simplified receiver its `selected_channel_columns`; stacks give
+    one per trial."""
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     bands = np.atleast_1d(np.asarray(bands, dtype=int))
     rows = np.asarray(rows)
@@ -217,13 +218,14 @@ def build_G_selected(phis, bands, geom: ArrayGeometry,
         raise ConfigError(
             f"phase/band lists differ in length: {phis.size} vs {bands.size}"
         )
-    if phis.size > rows.size:
+    if phis.shape[-1] > rows.size:
         raise ConfigError(
-            f"{phis.size} sources exceed {rows.size} output channels; "
+            f"{phis.shape[-1]} sources exceed {rows.size} output channels; "
             "least squares / CRB undefined"
         )
     if np.any((bands < 0) | (bands >= pattern.L)):
         raise ConfigError(
             f"band indices must lie in [0, {pattern.L - 1}], got {bands}")
     P = pattern.P
-    return build_A(phis, geom.M)[rows // P] * build_B(pattern)[rows % P][:, bands]
+    return (build_A(phis, geom.M)[..., rows // P, :]
+            * build_B(pattern)[(rows % P)[:, None], bands[..., None, :]])

@@ -352,7 +352,8 @@ def test_subset_table_is_built_once_and_read_only(monkeypatch):
     W = assemble_snapshots(config)
     for _ in range(3):  # the check reads k = K + 1; the support reads no table
         jdfpi(W, sample_covariance(W), config)
-    tables = [shape for shape in svd_calls if len(shape) == 3]
+    # the pipeline's own solves run on blocks of one trial
+    tables = [shape for shape in svd_calls if len(shape) == 3 and shape[0] > 1]
     assert tables == [(120, 4, 3)]
     subsets, sv = model._subset_singular_values(pattern, 3)
     assert model._subset_singular_values(pattern, 3)[1] is sv
@@ -481,8 +482,9 @@ def test_jdfpi_views_are_channel_rows(monkeypatch, M, pattern):
     R, P = sample_covariance(W), pattern.P
     jdfpi(W, R, config)
     q = [0, *range(P, M + P - 1)]
-    np.testing.assert_array_equal(seen["music_spatial"][0], R[q][:, q])
-    np.testing.assert_array_equal(seen["ctf_support"][0], R[:P][:, :P])
+    # the pipeline runs a block of one trial
+    np.testing.assert_array_equal(seen["music_spatial"][0], [R[q][:, q]])
+    np.testing.assert_array_equal(seen["ctf_support"][0], [R[:P][:, :P]])
 
 
 @pytest.mark.parametrize("algorithms", [
@@ -513,7 +515,8 @@ def test_one_sample_covariance_per_pipeline(monkeypatch, algorithms):
         algorithms=algorithms))
     assert not any(r.failed for r in table.records)
     M, P, N = base.geom.M, base.pattern.P, base.n_snapshots
-    shapes = {False: (M + P - 1, N), True: (M * P, N)}
+    # the sweep's one trial is a block of one
+    shapes = {False: (1, M + P - 1, N), True: (1, M * P, N)}
     assert sorted(covariances) == sorted(
         shapes[full] for full in {name == "JDFSD-full" for name in algorithms})
     assert len(handed) == len(algorithms)
@@ -540,7 +543,8 @@ def test_jdfpi_pairs_from_the_cross_block(monkeypatch):
             continue
         Q, Y1 = W[[0, *range(P, M + P - 1)]], W[:P]
         C, omega, _ = seen["pair_supports"]
-        Z = np.linalg.pinv(build_A(seen["music_spatial"][-1], M)) @ Q
+        (phis,), _ = seen["music_spatial"][-1]  # a block of one trial
+        Z = np.linalg.pinv(build_A(phis, M)) @ Q
         X_omega = np.linalg.pinv(build_B(config.pattern)[:, list(omega)]) @ Y1
         want = Z @ X_omega.conj().T / W.shape[1]
         assert np.linalg.norm(C - want) < 1e-12 * np.linalg.norm(want)
@@ -624,6 +628,22 @@ def test_residual_frequency_of_rows_equals_each_row():
         assert info.value.step == "residual_frequency"
     with pytest.raises(ConfigError):
         residual_frequency(np.ones((3, 1)), 1.0)
+
+
+def test_residual_frequency_of_a_block_equals_each_trial():
+    # a block of (K, N) arrays gives each trial's estimates bit for bit, also
+    # when the block's temporaries are larger than numpy's 256 KiB threshold
+    # for reusing a temporary in place and one trial's are not
+    # (computing the lag products of a block in a reused temporary changes 6
+    # of these 144 estimates in their last bits)
+    rng = np.random.default_rng(22)
+    n = np.arange(4096)
+    X = (np.exp(2j * np.pi * rng.uniform(0.0, 1.0, (48, 3, 1)) * n)
+         + rng.standard_normal((48, 3, n.size)) + 1j * rng.standard_normal((48, 3, n.size)))
+    block, errors = residual_frequency(X, 2.5)
+    assert errors == [None] * 48
+    for got, x in zip(block, X):
+        np.testing.assert_array_equal(got, residual_frequency(x, 2.5))
 
 
 @pytest.mark.parametrize("pipeline,full", [(jdfpi, False), (jdfsdpj, False),

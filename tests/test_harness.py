@@ -177,49 +177,58 @@ def test_table_invariant_to_source_order():
 def test_sweep_synthesizes_each_trial_once(monkeypatch):
     import subnyq.harness as harness
 
+    # each call assembles one block, a list of one scenario per trial seed
     calls = []
     for name in ("assemble_snapshots", "assemble_full_snapshots"):
         original = getattr(harness, name)
         monkeypatch.setattr(harness, name, lambda config, *a, _f=original, _n=name:
-                            calls.append(_n) or _f(config, *a))
-    run_sweep(small_sweep(n_trials=2, values=(20.0,)))
-    assert calls == ["assemble_snapshots"] * 2
+                            calls.append((_n, [c.rng_seed for c in config]))
+                            or _f(config, *a))
+    seeds = [derive_trial_seed(7, 0, trial) for trial in range(6)]
+    run_sweep(small_sweep(n_trials=6, values=(20.0,)))
+    assert calls == [("assemble_snapshots", seeds)]  # one block of 20 or fewer
     calls.clear()
-    run_sweep(small_sweep(n_trials=2, values=(20.0,),
+    run_sweep(small_sweep(n_trials=6, values=(20.0,),
                           algorithms=("JDFPI", "JDFSDPJ", "JDFSD-full")))
-    assert calls == ["assemble_full_snapshots"] * 2
+    # blocks of 4 at 241 KB per trial
+    assert calls == [("assemble_full_snapshots", seeds[:4]),
+                     ("assemble_full_snapshots", seeds[4:])]
 
 
 @pytest.mark.parametrize("algorithms", [("JDFSDPJ", "JDFPI"),
                                         ("JDFSD-full", "JDFPI", "JDFSDPJ")],
                          ids=["simplified", "full"])
-def test_sweep_synthesizes_inside_first_run_trial(monkeypatch, algorithms):
-    # each (point, trial) is assembled once, while the run_trial of its first
-    # algorithm is active: a trace of run_trial spans then holds synthesis
+def test_sweep_synthesizes_each_block_ahead_on_the_fill_thread(monkeypatch,
+                                                               algorithms):
+    # each block of a point's trials is assembled once, in task order, on
+    # the fill thread and before a run_trial of its own trials starts; the
+    # run_trial calls then read it, one per (block, algorithm)
+    import threading
+
     import subnyq.harness as harness
 
-    active, assembled = [], []
+    started, assembled = [], []
     original_trial = harness.run_trial
 
-    def tracked_trial(scenario, algorithm, seed, sweep_value=None,
-                      trial_index=0, **kwargs):
-        active.append((sweep_value, trial_index, algorithm))
-        try:
-            return original_trial(scenario, algorithm, seed, sweep_value,
-                                  trial_index, **kwargs)
-        finally:
-            active.pop()
+    def tracked_trial(scenario, algorithm, seed, *args, **kwargs):
+        started.append(tuple(seed))
+        return original_trial(scenario, algorithm, seed, *args, **kwargs)
 
     monkeypatch.setattr(harness, "run_trial", tracked_trial)
     for name in ("assemble_snapshots", "assemble_full_snapshots"):
         original = getattr(harness, name)
-        monkeypatch.setattr(harness, name, lambda config, *a, _f=original:
-                            assembled.append(tuple(active)) or _f(config, *a))
-    config = small_sweep(n_trials=2, values=(10.0, 20.0), algorithms=algorithms)
+        monkeypatch.setattr(harness, name, lambda config, *a, _f=original: assembled.append(
+            (tuple(c.rng_seed for c in config), set(started), threading.current_thread()))
+            or _f(config, *a))
+    config = small_sweep(n_trials=6, values=(10.0, 20.0), algorithms=algorithms)
     run_sweep(config)
-    assert assembled == [((value, trial, algorithms[0]),)
-                         for value in config.sweep_values
-                         for trial in range(config.n_trials)]
+    blocks = [block for block, _, _ in assembled]
+    assert [seed for block in blocks for seed in block] == [
+        derive_trial_seed(config.master_seed, s_idx, trial)
+        for s_idx in range(2) for trial in range(config.n_trials)]
+    assert started == [block for block in blocks for _ in algorithms]
+    for block, begun, thread in assembled:
+        assert thread is not threading.main_thread() and block not in begun
 
 
 def test_sweep_builds_the_tone_signal_once(monkeypatch):
@@ -306,14 +315,15 @@ def test_undefined_bound_raises_before_any_trial(monkeypatch):
 
 
 def test_interrupted_sweep_returns_partial_table(monkeypatch):
-    # Ctrl-C after two of four trials: the partial table keeps the completed
-    # records and the bounds, which were computed before the trials
+    # Ctrl-C after the first of two blocks (one per point): the partial table
+    # keeps the completed records and the bounds, which were computed before
+    # the trials
     import subnyq.harness as harness
 
     original, done = harness._run_task, []
 
     def interrupting(task, *args):
-        if len(done) == 2:
+        if len(done) == 1:
             raise KeyboardInterrupt
         done.append(task)
         return original(task, *args)
@@ -442,8 +452,8 @@ def test_run_sweep_aggregates_counts_and_metrics():
 
 
 def test_serial_sweep_derives_each_task_when_it_runs(monkeypatch):
-    # a huge serial sweep starts its first trial at once, so a Ctrl-C soon
-    # after returns a partial table
+    # a huge serial sweep starts its first block at once, with one block
+    # derived ahead, so a Ctrl-C soon after returns a partial table
     import subnyq.harness as harness
 
     original, derived, at_first_task = harness.derive_trial_seed, [], []
@@ -458,9 +468,10 @@ def test_serial_sweep_derives_each_task_when_it_runs(monkeypatch):
 
     monkeypatch.setattr(harness, "derive_trial_seed", counting)
     monkeypatch.setattr(harness, "_run_task", interrupting)
+    config = small_sweep(n_trials=1000, values=(10.0, 20.0))
     with pytest.raises(KeyboardInterrupt) as info:
-        run_sweep(small_sweep(n_trials=1000, values=(10.0, 20.0)))
-    assert at_first_task == [2]
+        run_sweep(config)
+    assert at_first_task == [2 * 20]  # blocks of 20 trials of 51 KB
     assert info.value.partial.records == ()
 
 
@@ -502,17 +513,19 @@ def test_noise_envelope_sweep_matches_per_trial_runs(algorithms):
 
 
 def test_serial_sweep_draws_on_a_thread_that_ends_with_it(monkeypatch):
+    # every block's trial_output (draws, assembly, covariance) is built on
+    # the fill thread: two points of 50 trials in blocks of 20, 20 and 10
     import threading
 
     import subnyq.harness as harness
 
     before, fillers = threading.enumerate(), []
-    original = harness._draws
-    monkeypatch.setattr(harness, "_draws", lambda *a: fillers.append(
-        threading.current_thread()) or original(*a))
-    run_sweep(small_sweep(n_trials=3))
-    assert len(fillers) == 6
-    assert threading.main_thread() not in fillers
+    original = harness.trial_output
+    monkeypatch.setattr(harness, "trial_output", lambda block, *a: fillers.append(
+        (threading.current_thread(), len(block))) or original(block, *a))
+    run_sweep(small_sweep(n_trials=50))
+    assert [size for _, size in fillers] == [20, 20, 10] * 2
+    assert threading.main_thread() not in {thread for thread, _ in fillers}
     assert threading.enumerate() == before
 
 
@@ -532,16 +545,17 @@ def test_raising_fill_leaves_no_thread():
 
 
 def test_interrupted_serial_sweep_leaves_no_thread(monkeypatch):
-    # a Ctrl-C in the third trial waits for the fill in flight, at most one
-    # draw ahead, and returns with no thread left
+    # a Ctrl-C in the third block waits for the build in flight, at most one
+    # block ahead, and returns the first two blocks' records with no thread
+    # left
     import threading
 
     import subnyq.harness as harness
 
     before, started, ran = threading.enumerate(), [], []
-    original_draws, original_task = harness._draws, harness._run_task
-    monkeypatch.setattr(harness, "_draws",
-                        lambda *a: started.append(a) or original_draws(*a))
+    original_output, original_task = harness.trial_output, harness._run_task
+    monkeypatch.setattr(harness, "trial_output",
+                        lambda *a: started.append(a) or original_output(*a))
 
     def interrupting(task, *args):
         if len(ran) == 2:
@@ -552,9 +566,70 @@ def test_interrupted_serial_sweep_leaves_no_thread(monkeypatch):
     monkeypatch.setattr(harness, "_run_task", interrupting)
     with pytest.raises(KeyboardInterrupt) as info:
         run_sweep(small_sweep(n_trials=100))
-    assert len(info.value.partial.records) == 2 * 2
+    assert len(info.value.partial.records) == 2 * 20 * 2  # blocks of 20 trials
     assert len(started) <= 4
     assert threading.enumerate() == before
+
+
+FAILING_STEP = {"JDFPI": "music_spatial", "JDFSDPJ": "jdfsdpj_search",
+                "JDFSD-full": "jdfsd_full_search"}
+
+
+@pytest.mark.parametrize("failure", ["peak_count", "ls_solve", "zero_sequence"])
+def test_a_failing_trial_leaves_the_rest_of_its_block_unchanged(monkeypatch, failure):
+    # the middle trial of a block of three fails: with an all-zero output (no
+    # cost minimum), with a singular LS system (two equal steering columns)
+    # or with a zero reconstructed source; it records the step it failed at,
+    # and the other two records are those of run_trial on each seed alone
+    import subnyq.estimators as estimators
+    import subnyq.harness as harness
+
+    base = replace(default_scenario(K=2, snr_db=20.0), n_snapshots=256)
+    seeds = [11, 12, 13]
+    output = harness.trial_output([base.with_seed(s) for s in seeds],
+                                  harness.ALGORITHM_NAMES)
+    if failure == "peak_count":
+        output = {full: (X * [[[1.0]], [[0.0]], [[1.0]]], R * [[[1.0]], [[0.0]], [[1.0]]])
+                  for full, (X, R) in output.items()}
+    elif failure == "ls_solve":
+        original = estimators.build_G_selected
+
+        def singular(phis, *args):
+            G = original(phis, *args)
+            if np.ndim(phis) == 2 and len(phis) == 3:
+                G[1, :, 1] = G[1, :, 0]
+            return G
+        monkeypatch.setattr(estimators, "build_G_selected", singular)
+    else:
+        original = estimators.ls_solve
+
+        def zero_source(mat, obs):
+            x, errors = original(mat, obs)
+            if obs.shape[-1] == base.n_snapshots and len(x) == 3:
+                x[1, 0] = 0.0
+            return x, errors
+        monkeypatch.setattr(estimators, "ls_solve", zero_source)
+    for algorithm in harness.ALGORITHM_NAMES:
+        records = run_trial(base, algorithm, seeds, 20.0, 0, output)
+        step = {"peak_count": FAILING_STEP[algorithm], "ls_solve": "ls_solve",
+                "zero_sequence": "residual_frequency"}[failure]
+        assert records[1].failed and records[1].failure_step == step
+        assert records[1].phase_errors is None and records[1].freq_errors is None
+        for i in (0, 2):
+            alone = run_trial(base, algorithm, seeds[i], 20.0, i)
+            assert not alone.failed and records[i] == replace(
+                alone, phase_errors=records[i].phase_errors,
+                freq_errors=records[i].freq_errors)
+            np.testing.assert_array_equal(records[i].phase_errors, alone.phase_errors)
+            np.testing.assert_array_equal(records[i].freq_errors, alone.freq_errors)
+
+
+def test_sweep_with_a_short_last_block_is_the_same_at_one_and_two_workers():
+    # 6 trials of 241 KB run in blocks of 4 and 2 per point, serially and in
+    # the pool
+    config = small_sweep(n_trials=6, values=(10.0, 20.0),
+                         algorithms=("JDFPI", "JDFSDPJ", "JDFSD-full"))
+    assert format_csv(run_sweep(config, workers=1)) == format_csv(run_sweep(config, workers=2))
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -634,6 +709,8 @@ def test_pool_is_fed_one_window_at_a_time(monkeypatch):
     import concurrent.futures
     import os
 
+    import subnyq.harness as harness
+
     cap, windows = 1000, []
 
     class WindowPool:
@@ -662,6 +739,7 @@ def test_pool_is_fed_one_window_at_a_time(monkeypatch):
     caller = set_blas_variables(monkeypatch)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", WindowPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "BLOCK_BYTES", 2 * 14592)  # two trials a block
     config = small_sweep(n_trials=10**12, values=(20.0,), algorithms=("JDFPI",),
                          n_snapshots=64)
     with pytest.raises(KeyboardInterrupt) as info:
@@ -670,14 +748,16 @@ def test_pool_is_fed_one_window_at_a_time(monkeypatch):
     assert {name: os.environ.get(name) for name in BLAS_CAPS} == caller
     size = len(windows[0])
     assert len(windows) == 2 and len(windows[1]) == size
-    trials = [task[4] for window in windows for task in window]
-    assert trials == list(range(2 * size))
+    # each task is a block of consecutive trials, numbered from task[4]
+    trials = [task[4] + i for window in windows for task in window
+              for i in range(len(task[2]))]
+    assert trials == list(range(len(trials)))
     assert [r.trial_index for r in info.value.partial.records] == trials
     # windows that end inside the sweep leave the table as the serial path
     # writes it
     windows.clear()
     WindowPool.interrupt_at = None
-    config = replace(config, n_trials=size + 3)
+    config = replace(config, n_trials=(size + 3) * 2 - 1)  # the last block short
     assert format_csv(run_sweep(config, workers=2)) == format_csv(run_sweep(config))
     assert [len(window) for window in windows] == [size, 3]
 

@@ -25,10 +25,12 @@ from subnyq.estimators import (  # noqa: E402
     sample_covariance,
 )
 from subnyq.harness import (  # noqa: E402
+    ALGORITHM_NAMES,
     SweepConfig,
     format_csv,
     match_estimates,
     run_sweep,
+    run_trial,
 )
 from subnyq.siggen import assemble_full_snapshots, assemble_snapshots  # noqa: E402
 
@@ -63,6 +65,36 @@ def test_sweep_csv_identical_at_one_and_two_workers(seed):
     )
     assert (format_csv(run_sweep(config, workers=1))
             == format_csv(run_sweep(config, workers=2)))
+
+
+# low-SNR trials may warn about pairing; the records are compared
+@pytest.mark.filterwarnings("ignore:pairing confidence low")
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       snr_db=st.sampled_from([-10.0, -5.0, 0.0, 10.0, 30.0, None]),
+       n_snapshots=st.sampled_from([64, 128, 256, 512]),
+       size=st.integers(min_value=2, max_value=6))
+def test_block_records_equal_single_trial_records(seed, snr_db, n_snapshots, size):
+    # a block of trials run through the pipelines together gives, field for
+    # field and bit for bit, the record run_trial gives for each seed alone
+    rng = np.random.default_rng(seed)
+    base = random_scenario(rng, snr_db=snr_db, n_snapshots=n_snapshots)
+    seeds = [int(s) for s in rng.integers(0, 2**63, size)]
+    for algorithm in ALGORITHM_NAMES:
+        block = run_trial(base, algorithm, seeds, sweep_value=1.5, trial_index=7)
+        assert len(block) == size
+        for i, (got, s) in enumerate(zip(block, seeds)):
+            want = run_trial(base, algorithm, s, sweep_value=1.5, trial_index=7 + i)
+            assert ((got.sweep_value, got.algorithm, got.trial_index, got.seed,
+                     got.failed, got.failure_step)
+                    == (want.sweep_value, want.algorithm, want.trial_index, want.seed,
+                        want.failed, want.failure_step))
+            for a, b in ((got.phase_errors, want.phase_errors),
+                         (got.freq_errors, want.freq_errors)):
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert a.dtype == b.dtype
+                    np.testing.assert_array_equal(a, b)
 
 
 # A small valid scenario (M=4, P=3, L=7, N=64, two tones) and sweep around
