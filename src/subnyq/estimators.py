@@ -100,12 +100,6 @@ def _trialwise(step):
     return run
 
 
-def _first(*step_errors) -> list:
-    """Each trial's error at the first step it failed (a failed trial runs on
-    through the later steps on finite placeholders, their results unused)."""
-    return [next((error for error in errors if error), None) for errors in zip(*step_errors)]
-
-
 def sample_covariance(X: np.ndarray) -> np.ndarray:
     """R = X X^H / N per trial, symmetrized to be Hermitian to machine precision."""
     X = np.asarray(X)
@@ -362,17 +356,20 @@ def residual_frequency(x: np.ndarray, f_s: float):
 
 
 def _finish(W: np.ndarray, phis: np.ndarray, bands, config, algorithm: str,
-            rows, errors: list):
+            rows, *step_errors):
     """Steps shared by every pipeline on a block's receiver outputs W, whose
-    rows are the channels `rows` (flat indices m*P + p), after steps that
-    left `errors`: LS reconstruction, residual frequency, unfolding, and the
-    phase-to-DOA conversion (NaN where the DOA is undefined)."""
+    rows are the channels `rows` (flat indices m*P + p): LS reconstruction,
+    residual frequency, unfolding, and the phase-to-DOA conversion (NaN where
+    the DOA is undefined).  Each trial keeps the error of the first step it
+    failed, earlier ones' `step_errors` first; a failed trial runs on through
+    the later steps on finite placeholders, whose results are dropped."""
     geom, pattern = config.geom, config.pattern
     bands = np.asarray(bands, dtype=int)
     S, ls_errors = ls_solve(build_G_selected(phis, bands, geom, pattern, rows), W)
     f_res, f_errors = residual_frequency(S, pattern.f_s)
     f = bands * pattern.f_s + f_res
-    errors = _first(errors, ls_errors, f_errors)
+    errors = [next((e for e in trial if e), None)
+              for trial in zip(*step_errors, ls_errors, f_errors)]
     return [None if error else EstimationResult(algorithm, *estimate)
             for error, *estimate in zip(errors, phis, bands, f_res, f,
                                         doa_from_phase(phis, f, geom))], errors
@@ -399,10 +396,10 @@ def jdfpi(W: np.ndarray, R: np.ndarray, config) -> EstimationResult:
     omega, support_errors = ctf_support(R[:, y[:, None], y], pattern, K)
     C, b_errors = ls_solve(build_B(pattern)[:, omega].transpose(1, 0, 2),
                            AR.conj().swapaxes(-1, -2))
-    errors = _first(music_errors, a_errors, support_errors, b_errors)
-    bands = [o if error else pair_supports(c.conj().T, o)
-             for c, o, error in zip(C, omega, errors)]
-    return _finish(W, phis, bands, config, "JDFPI", rows, errors)
+    # a failed trial pairs zeros (or one band), which neither raises nor warns
+    bands = [pair_supports(c.conj().T, o) for c, o in zip(C, omega)]
+    return _finish(W, phis, bands, config, "JDFPI", rows,
+                   music_errors, a_errors, support_errors, b_errors)
 
 
 @lru_cache(maxsize=8)

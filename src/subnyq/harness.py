@@ -1,4 +1,4 @@
-"""Monte Carlo harness: seeded trials, RMSE sweeps, CRB columns, CSV output."""
+"""Monte Carlo harness: seeded trials in blocks, RMSE sweeps, CRB columns, CSV output."""
 
 import csv
 import io
@@ -53,7 +53,7 @@ __all__ = [
 _FULL_STRUCTURE = {"JDFPI": False, "JDFSDPJ": False, "JDFSD-full": True}
 ALGORITHM_NAMES = tuple(_FULL_STRUCTURE)
 SWEEP_VARIABLES = ("snr_db", "n_sources")
-BLOCK_BYTES = 2**20  # a sweep block holds as many trial_outputs as fit, at least two
+BLOCK_BYTES = 3 * 2**18  # a sweep block holds as many trial_outputs as fit, at least one
 
 
 def check_algorithms(names, scenarios=()) -> None:
@@ -189,16 +189,20 @@ def default_sweep(variable: str = "snr_db") -> SweepConfig:
                        sweep_variable=variable, sweep_values=values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialRecord:
+    """One trial of one algorithm: its matched phase and frequency errors as
+    the rows of one 2 x K array (a sweep keeps every record), or its failure."""
+
     sweep_value: object
     algorithm: str
     trial_index: int
     seed: int
-    phase_errors: np.ndarray | None = None
-    freq_errors: np.ndarray | None = None
+    errors: np.ndarray | None = None
     failed: bool = False
     failure_step: str | None = None
+    phase_errors = property(lambda self: None if self.errors is None else self.errors[0])
+    freq_errors = property(lambda self: None if self.errors is None else self.errors[1])
 
 
 @dataclass(frozen=True)
@@ -320,7 +324,7 @@ def run_trial(scenario: ScenarioConfig, algorithm: str, seed,
     records = [TrialRecord(sweep_value, algorithm, trial_index + i, s, failed=True,
                            failure_step=error.step or type(error).__name__) if error
                else TrialRecord(sweep_value, algorithm, trial_index + i, s,
-                                *match_estimates(scenario, result))
+                                np.array(match_estimates(scenario, result)))
                for i, (s, result, error) in enumerate(outcomes)]
     return records if isinstance(seed, list) else records[0]
 
@@ -358,10 +362,10 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> ResultTable:
 
     Every point's bounds are computed first, so a point whose bound is
     undefined raises before any trial runs.  Each point's trials run in
-    blocks of BLOCK_BYTES of receiver output, or of two trials when one
-    trial's is larger; each trial is synthesized once, every algorithm runs
-    on the same snapshots, a block at a time, and records come in (sweep
-    value, trial, algorithm) order.  Deterministic in
+    blocks of at most BLOCK_BYTES of receiver output, or of one trial; each
+    trial is synthesized once, every algorithm runs on the same snapshots, a
+    block at a time, and records come in (sweep value, trial, algorithm)
+    order.  Deterministic in
     `config` (including `master_seed`); any worker count produces the
     identical table because each trial's seed depends only on its indices
     and records are aggregated in task order.
@@ -390,7 +394,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> ResultTable:
     bounds = [_point_bounds(scenario, config.algorithms) for scenario, _ in points]
     M, P, N = config.base.geom.M, config.base.pattern.P, config.base.n_snapshots
     rows = {M * P if _FULL_STRUCTURE[name] else M + P - 1 for name in config.algorithms}
-    size, n = max(2, BLOCK_BYTES // sum(16 * r * (N + r) for r in rows)), config.n_trials
+    size, n = max(1, BLOCK_BYTES // sum(16 * r * (N + r) for r in rows)), config.n_trials
     tasks = ((scenario, config.algorithms,
               [derive_trial_seed(config.master_seed, s_idx, trial)
                for trial in range(first, min(first + size, n))], value, first)

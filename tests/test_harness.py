@@ -186,13 +186,13 @@ def test_sweep_synthesizes_each_trial_once(monkeypatch):
                             or _f(config, *a))
     seeds = [derive_trial_seed(7, 0, trial) for trial in range(6)]
     run_sweep(small_sweep(n_trials=6, values=(20.0,)))
-    assert calls == [("assemble_snapshots", seeds)]  # one block of 20 or fewer
+    assert calls == [("assemble_snapshots", seeds)]  # one block of 15 or fewer
     calls.clear()
     run_sweep(small_sweep(n_trials=6, values=(20.0,),
                           algorithms=("JDFPI", "JDFSDPJ", "JDFSD-full")))
-    # blocks of 4 at 241 KB per trial
-    assert calls == [("assemble_full_snapshots", seeds[:4]),
-                     ("assemble_full_snapshots", seeds[4:])]
+    # blocks of 3 at 241 KB per trial
+    assert calls == [("assemble_full_snapshots", seeds[:3]),
+                     ("assemble_full_snapshots", seeds[3:])]
 
 
 @pytest.mark.parametrize("algorithms", [("JDFSDPJ", "JDFPI"),
@@ -471,7 +471,7 @@ def test_serial_sweep_derives_each_task_when_it_runs(monkeypatch):
     config = small_sweep(n_trials=1000, values=(10.0, 20.0))
     with pytest.raises(KeyboardInterrupt) as info:
         run_sweep(config)
-    assert at_first_task == [2 * 20]  # blocks of 20 trials of 51 KB
+    assert at_first_task == [2 * 15]  # blocks of 15 trials of 51 KB
     assert info.value.partial.records == ()
 
 
@@ -514,7 +514,7 @@ def test_noise_envelope_sweep_matches_per_trial_runs(algorithms):
 
 def test_serial_sweep_draws_on_a_thread_that_ends_with_it(monkeypatch):
     # every block's trial_output (draws, assembly, covariance) is built on
-    # the fill thread: two points of 50 trials in blocks of 20, 20 and 10
+    # the fill thread: two points of 50 trials in blocks of 15, 15, 15 and 5
     import threading
 
     import subnyq.harness as harness
@@ -524,7 +524,7 @@ def test_serial_sweep_draws_on_a_thread_that_ends_with_it(monkeypatch):
     monkeypatch.setattr(harness, "trial_output", lambda block, *a: fillers.append(
         (threading.current_thread(), len(block))) or original(block, *a))
     run_sweep(small_sweep(n_trials=50))
-    assert [size for _, size in fillers] == [20, 20, 10] * 2
+    assert [size for _, size in fillers] == [15, 15, 15, 5] * 2
     assert threading.main_thread() not in {thread for thread, _ in fillers}
     assert threading.enumerate() == before
 
@@ -566,7 +566,7 @@ def test_interrupted_serial_sweep_leaves_no_thread(monkeypatch):
     monkeypatch.setattr(harness, "_run_task", interrupting)
     with pytest.raises(KeyboardInterrupt) as info:
         run_sweep(small_sweep(n_trials=100))
-    assert len(info.value.partial.records) == 2 * 20 * 2  # blocks of 20 trials
+    assert len(info.value.partial.records) == 2 * 15 * 2  # blocks of 15 trials
     assert len(started) <= 4
     assert threading.enumerate() == before
 
@@ -617,17 +617,14 @@ def test_a_failing_trial_leaves_the_rest_of_its_block_unchanged(monkeypatch, fai
         assert records[1].phase_errors is None and records[1].freq_errors is None
         for i in (0, 2):
             alone = run_trial(base, algorithm, seeds[i], 20.0, i)
-            assert not alone.failed and records[i] == replace(
-                alone, phase_errors=records[i].phase_errors,
-                freq_errors=records[i].freq_errors)
-            np.testing.assert_array_equal(records[i].phase_errors, alone.phase_errors)
-            np.testing.assert_array_equal(records[i].freq_errors, alone.freq_errors)
+            assert not alone.failed and records[i] == replace(alone, errors=records[i].errors)
+            np.testing.assert_array_equal(records[i].errors, alone.errors)
 
 
 def test_sweep_with_a_short_last_block_is_the_same_at_one_and_two_workers():
-    # 6 trials of 241 KB run in blocks of 4 and 2 per point, serially and in
+    # 5 trials of 241 KB run in blocks of 3 and 2 per point, serially and in
     # the pool
-    config = small_sweep(n_trials=6, values=(10.0, 20.0),
+    config = small_sweep(n_trials=5, values=(10.0, 20.0),
                          algorithms=("JDFPI", "JDFSDPJ", "JDFSD-full"))
     assert format_csv(run_sweep(config, workers=1)) == format_csv(run_sweep(config, workers=2))
 
