@@ -53,7 +53,7 @@ __all__ = [
 _FULL_STRUCTURE = {"JDFPI": False, "JDFSDPJ": False, "JDFSD-full": True}
 ALGORITHM_NAMES = tuple(_FULL_STRUCTURE)
 SWEEP_VARIABLES = ("snr_db", "n_sources")
-BLOCK_BYTES = 3 * 2**18  # a sweep block holds as many trial_outputs as fit, at least one
+BLOCK_BYTES = 3 * 2**18  # a sweep block holds as many trial_outputs as fit, at least two
 
 
 def check_algorithms(names, scenarios=()) -> None:
@@ -362,10 +362,10 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> ResultTable:
 
     Every point's bounds are computed first, so a point whose bound is
     undefined raises before any trial runs.  Each point's trials run in
-    blocks of at most BLOCK_BYTES of receiver output, or of one trial; each
-    trial is synthesized once, every algorithm runs on the same snapshots, a
-    block at a time, and records come in (sweep value, trial, algorithm)
-    order.  Deterministic in
+    blocks of at most BLOCK_BYTES of receiver output, or of two trials (a
+    block of one pays a block's fixed costs for one trial); each trial is
+    synthesized once, every algorithm runs on the same snapshots, a block at
+    a time, and records come in (sweep value, trial, algorithm) order.  Deterministic in
     `config` (including `master_seed`); any worker count produces the
     identical table because each trial's seed depends only on its indices
     and records are aggregated in task order.
@@ -394,7 +394,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> ResultTable:
     bounds = [_point_bounds(scenario, config.algorithms) for scenario, _ in points]
     M, P, N = config.base.geom.M, config.base.pattern.P, config.base.n_snapshots
     rows = {M * P if _FULL_STRUCTURE[name] else M + P - 1 for name in config.algorithms}
-    size, n = max(1, BLOCK_BYTES // sum(16 * r * (N + r) for r in rows)), config.n_trials
+    size, n = max(2, BLOCK_BYTES // sum(16 * r * (N + r) for r in rows)), config.n_trials
     tasks = ((scenario, config.algorithms,
               [derive_trial_seed(config.master_seed, s_idx, trial)
                for trial in range(first, min(first + size, n))], value, first)
