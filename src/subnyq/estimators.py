@@ -12,10 +12,8 @@ Two pipelines operate on the simplified receiver output W:
 `jdfsd_full` is the full-structure (all M*P channels) baseline of the same
 subspace search, used for comparison only.  Every pipeline takes its
 receiver output together with that output's `sample_covariance`, so the
-pipelines run on one output share one covariance.  The pipelines and the
-`_trialwise` steps run a block of trials stacked along a leading axis and
-return (values, errors), one per trial; given one trial, they return its
-value or raise its error.
+pipelines run on one output share one covariance.  Pipelines and steps map a
+block of trials to (values, errors) and one trial to its value or raise.
 
 Every phase search (spatial MUSIC and both joint searches) minimizes a
 noise-subspace cost that is, per band, a trigonometric polynomial in the
@@ -86,13 +84,12 @@ class EstimationResult:
 
 def _trialwise(step):
     """Let a block step take one trial: the first argument of at most two
-    dimensions, and each array argument of its dimension, as a block of one."""
+    dimensions, and each argument of its dimension, as a block of one."""
     @wraps(step)
     def run(x, *args, **kwargs):
         if np.ndim(x) > 2:
             return step(x, *args, **kwargs)
-        args = [a[None] if isinstance(a, np.ndarray) and a.ndim == np.ndim(x) else a
-                for a in args]
+        args = [np.asarray(a)[None] if np.ndim(a) == np.ndim(x) else a for a in args]
         values, (error,) = step(np.asarray(x)[None], *args, **kwargs)
         if error:
             raise error
@@ -223,8 +220,7 @@ def _search(R: np.ndarray, K: int, G: np.ndarray, step: str):
 
     U_N is the noise subspace of the covariance R at model order K, and
     the stack G maps v(phi) to the steering vector of each band l.  Minima
-    are ranked by (cost, band, phi).  Returns (phis, bands), zeros for a
-    trial with fewer than K minima, which fails.
+    are ranked by (cost, band, phi); returns (phis, bands), zeros on failure.
 
     Only bands that can hold one of the K picks are rooted.  Band l's cost
     is v^H C_l v with ||v||^2 = M, so none of its minima costs less than the
@@ -233,7 +229,6 @@ def _search(R: np.ndarray, K: int, G: np.ndarray, step: str):
     K-th lowest cost found, plus a slack far above rounding.  Every band left
     out has only minima that cost more than the K-th pick, and rows are
     rooted independently, so the picks are those of rooting every band.
-    Each stage roots the bands of every trial in one `_phase_minima` call.
     """
     T = decompose(R, K).conj().swapaxes(-1, -2)[:, None] @ G
     C = T.conj().swapaxes(-1, -2) @ T
@@ -256,14 +251,15 @@ def _search(R: np.ndarray, K: int, G: np.ndarray, step: str):
         if t.size:
             found = [np.concatenate(pair) for pair in zip(found, root(t, order[t, j + K]))]
     trial, band, phi, cost = found
+    count = np.bincount(trial, minlength=S)
     phis, bands = np.zeros((S, K)), np.zeros((S, K), dtype=int)
-    for s in range(S):
+    for s in np.flatnonzero(count >= K):  # a failed trial keeps zeros
         mine = np.flatnonzero(trial == s)
         pick = mine[np.lexsort((phi[mine], band[mine], cost[mine]))[:K]]
-        phis[s, :pick.size], bands[s, :pick.size] = phi[pick], band[pick]
+        phis[s], bands[s] = phi[pick], band[pick]
     return (phis, bands), [None if n >= K else PeakCountError(
         f"found {n} noise-subspace cost minima, need {K}", found=int(n), wanted=K,
-        step=step) for n in np.bincount(trial, minlength=S)]
+        step=step) for n in count]
 
 
 @_trialwise
@@ -298,8 +294,8 @@ def ctf_support(R: np.ndarray, pattern, K: int) -> tuple[int, ...]:
     every K + 1 coset columns are independent, as `check_identifiable`
     enforces: the MUSIC criterion for joint-sparse recovery (Lee, Bresler &
     Junge, IEEE TIT 2012)."""
-    U_N = decompose(R, K)
-    cost = np.linalg.norm(U_N.conj().swapaxes(-1, -2) @ build_B(pattern), axis=-2)
+    U_NH = decompose(R, K).conj().swapaxes(-1, -2)
+    cost = np.linalg.norm(U_NH @ build_B(pattern), axis=-2)
     supports = [tuple(sorted(int(l) for l in order[:K]))
                 for order in np.argsort(cost, axis=-1, kind="stable")]
     return supports, [None if np.any(frame) else EmptySupportError(
@@ -357,12 +353,10 @@ def residual_frequency(x: np.ndarray, f_s: float):
 
 def _finish(W: np.ndarray, phis: np.ndarray, bands, config, algorithm: str,
             rows, *step_errors):
-    """Steps shared by every pipeline on a block's receiver outputs W, whose
-    rows are the channels `rows` (flat indices m*P + p): LS reconstruction,
-    residual frequency, unfolding, and the phase-to-DOA conversion (NaN where
-    the DOA is undefined).  Each trial keeps the error of the first step it
-    failed, earlier ones' `step_errors` first; a failed trial runs on through
-    the later steps on finite placeholders, whose results are dropped."""
+    """Steps shared by every pipeline on a block's receiver outputs W, rows
+    `rows` (flat m*P + p): LS reconstruction, residual frequency, unfolding
+    and phase to DOA (NaN where undefined).  A trial keeps its first failed
+    step's error (`step_errors` first), running on finite placeholders."""
     geom, pattern = config.geom, config.pattern
     bands = np.asarray(bands, dtype=int)
     S, ls_errors = ls_solve(build_G_selected(phis, bands, geom, pattern, rows), W)
@@ -396,7 +390,6 @@ def jdfpi(W: np.ndarray, R: np.ndarray, config) -> EstimationResult:
     omega, support_errors = ctf_support(R[:, y[:, None], y], pattern, K)
     C, b_errors = ls_solve(build_B(pattern)[:, omega].transpose(1, 0, 2),
                            AR.conj().swapaxes(-1, -2))
-    # a failed trial pairs zeros (or one band), which neither raises nor warns
     bands = [pair_supports(c.conj().T, o) for c, o in zip(C, omega)]
     return _finish(W, phis, bands, config, "JDFPI", rows,
                    music_errors, a_errors, support_errors, b_errors)

@@ -23,6 +23,7 @@ from .model import (
 from .siggen import (
     ScenarioConfig,
     SourceTruth,
+    _draws,
     assemble_full_snapshots,
     assemble_snapshots,
 )
@@ -73,7 +74,7 @@ def check_algorithms(names, scenarios=()) -> None:
             check_identifiable(scenario.pattern, scenario.n_sources)
 
 
-def trial_output(scenario, algorithms) -> dict:
+def trial_output(scenario, algorithms, draws=None) -> dict:
     """Receiver output of one seeded trial and its sample covariance, as an
     (output, covariance) pair per receiver structure the `algorithms` use,
     keyed like `_point_bounds` (True for the full structure); a block (a
@@ -83,15 +84,16 @@ def trial_output(scenario, algorithms) -> dict:
     output's selected rows, which agree bit-exactly with `assemble_snapshots`
     for the same seed, and its covariance is still taken of W itself.  The
     algorithms of a trial share these arrays: consumers must not modify them.
+    `draws` is the trials' `siggen._draws` for this output's rows, if made.
     """
     structures = {_FULL_STRUCTURE[algorithm] for algorithm in algorithms}
     if True in structures:
-        full = assemble_full_snapshots(scenario)
+        full = assemble_full_snapshots(scenario, draws)
         first = scenario if isinstance(scenario, ScenarioConfig) else scenario[0]
         rows = selected_channel_columns(first.geom.M, first.pattern.P)
         outputs = {True: full, False: full[..., rows, :]}
     else:
-        outputs = {False: assemble_snapshots(scenario)}
+        outputs = {False: assemble_snapshots(scenario, draws)}
     return {s: (outputs[s], sample_covariance(outputs[s])) for s in structures}
 
 
@@ -191,14 +193,11 @@ def default_sweep(variable: str = "snr_db") -> SweepConfig:
 
 @dataclass(frozen=True, slots=True)
 class TrialRecord:
-    """One trial of one algorithm: its matched phase and frequency errors as
-    the rows of one 2 x K array (a sweep keeps every record), or its failure."""
-
     sweep_value: object
     algorithm: str
     trial_index: int
     seed: int
-    errors: np.ndarray | None = None
+    errors: np.ndarray | None = None  # 2 x K: phase, frequency
     failed: bool = False
     failure_step: str | None = None
     phase_errors = property(lambda self: None if self.errors is None else self.errors[0])
@@ -312,10 +311,8 @@ def run_trial(scenario: ScenarioConfig, algorithm: str, seed,
               sweep_value=None, trial_index: int = 0, output=None):
     """One seeded trial; estimation failures are recorded, not raised.  A
     list of seeds is a block of trials numbered from `trial_index`, run
-    together, and gives a list of records.  `output`, if given, is the
-    `trial_output` of `[scenario.with_seed(s) for s in seeds]` for
-    algorithms that include `algorithm`; without it it is built here.
-    """
+    together, and gives a list of records.  `output`, if given, is their
+    `trial_output` for algorithms that include `algorithm`."""
     seeds = seed if isinstance(seed, list) else [seed]
     if sweep_value is None:
         sweep_value = scenario.snr_db
@@ -329,12 +326,12 @@ def run_trial(scenario: ScenarioConfig, algorithm: str, seed,
     return records if isinstance(seed, list) else records[0]
 
 
-def _run_task(task, output=None) -> list[TrialRecord]:
-    """Every algorithm of one block of a sweep point's trials, on the block's
-    `trial_output` (built here when None); records in (trial, algorithm)
-    order."""
+def _run_task(task, draws=None) -> list[TrialRecord]:
+    """Every algorithm of one block of a sweep point's trials, on its shared
+    `trial_output` (from `draws()` if given), in (trial, algorithm) order."""
     scenario, algorithms, seeds, value, first = task
-    output = output or trial_output([scenario.with_seed(s) for s in seeds], algorithms)
+    output = trial_output([scenario.with_seed(s) for s in seeds], algorithms,
+                          draws and draws())
     by_algorithm = [run_trial(scenario, algorithm, seeds, value, first, output)
                     for algorithm in algorithms]
     return [record for trial in zip(*by_algorithm) for record in trial]
@@ -362,24 +359,23 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> ResultTable:
 
     Every point's bounds are computed first, so a point whose bound is
     undefined raises before any trial runs.  Each point's trials run in
-    blocks of at most BLOCK_BYTES of receiver output, or of two trials (a
-    block of one pays a block's fixed costs for one trial); each trial is
-    synthesized once, every algorithm runs on the same snapshots, a block at
-    a time, and records come in (sweep value, trial, algorithm) order.  Deterministic in
-    `config` (including `master_seed`); any worker count produces the
-    identical table because each trial's seed depends only on its indices
-    and records are aggregated in task order.
+    blocks of as many trials as fit in BLOCK_BYTES of `trial_output`, and at
+    least two, which share the estimators' per-call costs; each trial is
+    synthesized once, every algorithm runs on the same snapshots, and
+    records come in (sweep value, trial, algorithm) order.
+    Deterministic in `config` (including `master_seed`); any worker count
+    produces the identical table because each trial's seed depends only on
+    its indices and records are aggregated in task order.
 
     `workers` must be at least 1; the process pool is capped at the CPU
     count, and one worker runs in this process.  Blocks are derived as they
-    run.  Serially that is one block ahead: a fill thread builds each
-    block's `trial_output` while the block before it runs, so at most two
-    blocks' outputs are held (`_run_serial`).  The pool takes one window of
-    blocks at a time, in workers spawned with single-threaded BLAS
-    (`_run_pool`).  No thread or process outlives the call.  On
-    KeyboardInterrupt the records of the completed blocks are aggregated
-    into a partial table that is returned via the exception's `partial`
-    attribute.
+    run.  Serially a fill thread draws each block's noise while the block
+    before it runs (`_run_serial`), so two blocks' outputs are held: each
+    BLOCK_BYTES or less, or two trials.  The pool takes one window of blocks
+    at a time, in workers spawned with single-threaded BLAS (`_run_pool`).
+    No thread or process outlives the call.  On KeyboardInterrupt the
+    records of the completed blocks are aggregated into a partial table
+    that is returned via the exception's `partial` attribute.
 
     Spawned workers start by importing the caller's main module, so a
     script that calls `run_sweep(..., workers=2)` must do so under
@@ -406,7 +402,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> ResultTable:
         if workers > 1:
             _run_pool(tasks, workers, records)
         else:
-            _run_serial(tasks, records)
+            _run_serial(tasks, records, max(rows))
     except KeyboardInterrupt as exc:
         exc.partial = _aggregate(config, records, bounds)
         raise
@@ -416,29 +412,27 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> ResultTable:
 
 # Each runner imports its own executor, so `import subnyq.harness` loads neither.
 
-def _run_serial(tasks, records: list) -> None:
-    """Run `tasks` in this thread, each block's seeded scenarios and
-    `trial_output` built on a fill thread while the block before it runs:
-    numpy releases the GIL while it draws the noise and forms the
-    covariances, and the estimators hold it."""
+def _run_serial(tasks, records: list, n_rows: int) -> None:
+    """Run `tasks` here, each block's `siggen._draws` (`n_rows` channels)
+    made on a fill thread while the block before it runs: numpy releases
+    the GIL while it draws, and the estimators hold it.  All else runs
+    here, so the fill thread calls no public function of the package."""
     from concurrent.futures import ThreadPoolExecutor
 
     fill = ThreadPoolExecutor(max_workers=1)
 
-    def submit(task):
-        return task, fill.submit(lambda: trial_output(
-            [task[0].with_seed(seed) for seed in task[2]], task[1]))
+    def submit(task):  # task: (scenario, algorithms, seeds, value, first trial)
+        return task, fill.submit(_draws, task[0], task[2], n_rows).result
 
     try:
         ahead = map(submit, tasks)
         current = next(ahead, None)
         while current:
             upcoming = next(ahead, None)
-            task, output = current
-            records.extend(_run_task(task, output.result()))
+            records.extend(_run_task(*current))
             current = upcoming
     finally:
-        # waits for the build in flight, also on Ctrl-C; a queued one is dropped
+        # waits for the fill in flight, also on Ctrl-C; a queued one is dropped
         fill.shutdown(cancel_futures=True)
 
 
@@ -547,8 +541,7 @@ def read_csv(path):
 
 
 def _complex_from_json(value):
-    """JSON's [re, im] amplitude as re + j im; any other value goes to
-    `SourceTruth`, which converts it."""
+    """JSON's [re, im] amplitude as re + j im; `SourceTruth` converts others."""
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(_real(value[0]), _real(value[1]))
     return value

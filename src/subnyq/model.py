@@ -56,8 +56,7 @@ def _real(value) -> float:
 
 
 def _complex(value) -> complex:
-    """A real or complex number (numpy numbers included) as a complex;
-    ConfigError for anything else, booleans and strings included."""
+    """A real or complex number as a complex; ConfigError for anything else."""
     if isinstance(value, bool) or not isinstance(value, (int, float, complex, np.number)):
         raise ConfigError(f"expected a number, got {value!r}")
     return complex(value)

@@ -210,18 +210,17 @@ def _envelope_series(coeff, n_points: int) -> np.ndarray:
 
 
 def _white_noise(rng: np.random.Generator, rows: int, cols: int,
-                 sigma2: float, out=None) -> np.ndarray:
-    """Circular Gaussian noise of variance sigma2, shape (rows, cols), drawn
-    into `out` (complex, C-contiguous and zero) if given.
+                 sigma2: float) -> np.ndarray:
+    """Circular Gaussian noise of variance sigma2, shape (rows, cols).
 
     Row r takes its own block of 2*cols consecutive draws (re/im interleaved),
     so a prefix of rows does not depend on how many rows are drawn.
     """
-    out = np.zeros((rows, cols), dtype=complex) if out is None else out
-    if sigma2 != 0.0:
-        draws = rng.standard_normal((rows, 2 * cols), out=out.view(float))
-        draws *= np.sqrt(sigma2 / 2.0)
-    return out
+    if sigma2 == 0.0:
+        return np.zeros((rows, cols), dtype=complex)
+    draws = rng.standard_normal((rows, 2 * cols))
+    draws *= np.sqrt(sigma2 / 2.0)
+    return draws.view(np.complex128)
 
 
 def _envelope_signal(config: ScenarioConfig, coeffs, channels) -> np.ndarray:
@@ -260,52 +259,59 @@ def _tone_signal(config: ScenarioConfig, channels: tuple) -> np.ndarray:
     return signal
 
 
-def _channel_rows(configs, channels) -> np.ndarray:
+def _draws(config: ScenarioConfig, seeds, n_rows: int) -> tuple:
+    """(envelope coefficients, stacked noise rows) of the trials of `config`
+    seeded with `seeds`: each generator draws envelopes, then `n_rows` rows."""
+    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(s))) for s in seeds]
+    coeffs = [_draw_envelopes(config, rng) for rng in rngs]
+    noise = np.empty((len(seeds), n_rows, config.n_snapshots), dtype=complex)
+    for rows, rng in zip(noise, rngs):
+        rows[:] = _white_noise(rng, n_rows, config.n_snapshots, config.sigma2)
+    return coeffs, noise
+
+
+def _channel_rows(configs, channels, draws=None) -> np.ndarray:
     """Receiver output on `channels` (flat indices m*P + p), in that order,
-    of each scenario of a block `configs`, stacked.  Each trial draws its
-    envelopes and then one noise row per channel from one generator seeded
-    with its `rng_seed`, so two calls whose channel lists share a prefix
-    agree bit-exactly on those rows."""
+    of each scenario of a block `configs`, stacked: assembled in the noise of
+    their `_draws` (made here when None).  Two calls whose channel lists
+    share a prefix agree bit-exactly on those rows."""
     config = configs[0]
-    tones = all(src.envelope == "tone" for src in config.sources)
-    if tones:
-        signal = _tone_signal(replace(config, rng_seed=0, snr_db=None),
-                              tuple(int(c) for c in channels))
-    out = np.zeros((len(configs), len(channels), config.n_snapshots), dtype=complex)
-    for rows, trial in zip(out, configs):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(trial.rng_seed)))
-        coeffs = _draw_envelopes(trial, rng)
-        _white_noise(rng, len(channels), trial.n_snapshots, trial.sigma2, rows)
-        rows += signal if tones else _envelope_signal(trial, coeffs, channels)
+    coeffs, out = draws or _draws(config, [c.rng_seed for c in configs], len(channels))
+    if all(src.envelope == "tone" for src in config.sources):
+        out += _tone_signal(replace(config, rng_seed=0, snr_db=None),
+                            tuple(int(c) for c in channels))
+    else:
+        for rows, trial, trial_coeffs in zip(out, configs, coeffs):
+            rows += _envelope_signal(trial, trial_coeffs, channels)
     return out
 
 
-def assemble_snapshots(config) -> np.ndarray:
+def assemble_snapshots(config, draws=None) -> np.ndarray:
     """Simplified receiver output W ((M+P-1) x N), deterministic in rng_seed.
 
     Its rows are the channels `selected_channel_columns(M, P)` (flat indices
     m*P + p), in that order.  A block (scenarios that differ only in seed)
-    gives the outputs stacked.
+    gives the outputs stacked; `draws` is their `_draws`, if made already.
     """
     block = [config] if isinstance(config, ScenarioConfig) else config
-    W = _channel_rows(block, selected_channel_columns(block[0].geom.M, block[0].pattern.P))
+    M, P = block[0].geom.M, block[0].pattern.P
+    W = _channel_rows(block, selected_channel_columns(M, P), draws)
     return W if block is config else W[0]
 
 
-def assemble_full_snapshots(config) -> np.ndarray:
-    """Full-structure output (M*P x N), sensor-major channel order, stacked
-    for a block (see `assemble_snapshots`).
+def assemble_full_snapshots(config, draws=None) -> np.ndarray:
+    """Full-structure output (M*P x N), sensor-major channel order.
 
     Noise is drawn for the J-selected channels first and for the others
     after them, so the rows selected by the J matrix agree bit-exactly with
-    `assemble_snapshots(config)` for the same seed.
+    `assemble_snapshots(config)` for the same seed; blocks stack as there.
     """
     block = [config] if isinstance(config, ScenarioConfig) else config
     M, P = block[0].geom.M, block[0].pattern.P
     selected = selected_channel_columns(M, P)
     order = np.concatenate([selected, np.setdiff1d(np.arange(M * P), selected)])
     Y = np.empty((len(block), M * P, block[0].n_snapshots), dtype=complex)
-    Y[:, order] = _channel_rows(block, order)
+    Y[:, order] = _channel_rows(block, order, draws)
     return Y if block is config else Y[0]
 
 

@@ -971,3 +971,23 @@ def test_peak_count_error_reports_counts():
         _search(R, 2, G, "test_step")
     assert info.value.found == 1 and info.value.wanted == 2
     assert info.value.step == "test_step"
+
+
+def test_a_failed_trial_of_a_search_block_keeps_zero_picks():
+    # trial 1's cost has one minimum where K = 2 needs two: it fails with
+    # all-zero picks, not with its one minimum, and trial 0 keeps the picks
+    # it gets alone
+    def covariance(roots):  # noise eigenvector whose cost vanishes where exp(-j phi) is a root
+        u = np.conj(np.poly(roots)[::-1])
+        u /= np.linalg.norm(u)
+        return np.eye(3) - 0.5 * np.outer(u, u.conj())
+
+    G = np.eye(3)[None]
+    R = np.stack([covariance([np.exp(0.5j), np.exp(-1.0j)]),
+                  covariance([0.2 * np.exp(0.3j), np.exp(1.2j)])])
+    (phis, bands), errors = _search(R, 2, G, "test_step")
+    alone_phis, alone_bands = _search(R[0], 2, G, "test_step")
+    np.testing.assert_array_equal(phis[0], alone_phis)
+    np.testing.assert_array_equal(bands[0], alone_bands)
+    assert errors[0] is None and errors[1].found == 1
+    assert not phis[1].any() and not bands[1].any()

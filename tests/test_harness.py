@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -198,11 +199,11 @@ def test_sweep_synthesizes_each_trial_once(monkeypatch):
 @pytest.mark.parametrize("algorithms", [("JDFSDPJ", "JDFPI"),
                                         ("JDFSD-full", "JDFPI", "JDFSDPJ")],
                          ids=["simplified", "full"])
-def test_sweep_synthesizes_each_block_ahead_on_the_fill_thread(monkeypatch,
-                                                               algorithms):
+def test_sweep_synthesizes_each_block_once_on_the_calling_thread(monkeypatch,
+                                                                 algorithms):
     # each block of a point's trials is assembled once, in task order, on
-    # the fill thread and before a run_trial of its own trials starts; the
-    # run_trial calls then read it, one per (block, algorithm)
+    # the calling thread and before a run_trial of its own trials starts;
+    # the run_trial calls then read it, one per (block, algorithm)
     import threading
 
     import subnyq.harness as harness
@@ -228,7 +229,7 @@ def test_sweep_synthesizes_each_block_ahead_on_the_fill_thread(monkeypatch,
         for s_idx in range(2) for trial in range(config.n_trials)]
     assert started == [block for block in blocks for _ in algorithms]
     for block, begun, thread in assembled:
-        assert thread is not threading.main_thread() and block not in begun
+        assert thread is threading.main_thread() and block not in begun
 
 
 def test_sweep_builds_the_tone_signal_once(monkeypatch):
@@ -513,20 +514,40 @@ def test_noise_envelope_sweep_matches_per_trial_runs(algorithms):
 
 
 def test_serial_sweep_draws_on_a_thread_that_ends_with_it(monkeypatch):
-    # every block's trial_output (draws, assembly, covariance) is built on
-    # the fill thread: two points of 50 trials in blocks of 15, 15, 15 and 5
     import threading
 
     import subnyq.harness as harness
 
     before, fillers = threading.enumerate(), []
-    original = harness.trial_output
-    monkeypatch.setattr(harness, "trial_output", lambda block, *a: fillers.append(
-        (threading.current_thread(), len(block))) or original(block, *a))
-    run_sweep(small_sweep(n_trials=50))
-    assert [size for _, size in fillers] == [15, 15, 15, 5] * 2
+    original = harness._draws
+    monkeypatch.setattr(harness, "_draws", lambda config, seeds, *a: fillers.append(
+        (threading.current_thread(), len(seeds))) or original(config, seeds, *a))
+    run_sweep(small_sweep(n_trials=3))
+    assert [size for _, size in fillers] == [3, 3]  # one block a point
     assert threading.main_thread() not in {thread for thread, _ in fillers}
     assert threading.enumerate() == before
+
+
+def test_serial_sweep_calls_public_functions_on_the_calling_thread(monkeypatch):
+    # the fill thread only draws: every public function of the package,
+    # wrapped where its callers look it up (as a call tracer wraps them),
+    # runs on the calling thread, and synthesis still runs through them
+    import inspect
+    import sys
+    import threading
+
+    threads = {}
+    for module in ("subnyq.harness", "subnyq.estimators", "subnyq.siggen", "subnyq.crb"):
+        for attr, fn in list(vars(sys.modules[module]).items()):
+            if (attr.startswith("_") or not inspect.isfunction(fn)
+                    or not fn.__module__.startswith("subnyq.")):
+                continue
+            monkeypatch.setattr(sys.modules[module], attr, lambda *a, _f=fn, _n=attr, **k:
+                                threads.setdefault(_n, set()).add(threading.current_thread())
+                                or _f(*a, **k))
+    run_sweep(small_sweep(n_trials=20, algorithms=("JDFPI", "JDFSDPJ", "JDFSD-full")))
+    assert {"assemble_full_snapshots", "sample_covariance", "jdfpi"} <= set(threads)
+    assert set().union(*threads.values()) == {threading.main_thread()}
 
 
 def test_raising_fill_leaves_no_thread():
@@ -545,7 +566,7 @@ def test_raising_fill_leaves_no_thread():
 
 
 def test_interrupted_serial_sweep_leaves_no_thread(monkeypatch):
-    # a Ctrl-C in the third block waits for the build in flight, at most one
+    # a Ctrl-C in the third block waits for the draws in flight, at most one
     # block ahead, and returns the first two blocks' records with no thread
     # left
     import threading
@@ -553,9 +574,9 @@ def test_interrupted_serial_sweep_leaves_no_thread(monkeypatch):
     import subnyq.harness as harness
 
     before, started, ran = threading.enumerate(), [], []
-    original_output, original_task = harness.trial_output, harness._run_task
-    monkeypatch.setattr(harness, "trial_output",
-                        lambda *a: started.append(a) or original_output(*a))
+    original_draws, original_task = harness._draws, harness._run_task
+    monkeypatch.setattr(harness, "_draws",
+                        lambda *a: started.append(a) or original_draws(*a))
 
     def interrupting(task, *args):
         if len(ran) == 2:
@@ -610,7 +631,10 @@ def test_a_failing_trial_leaves_the_rest_of_its_block_unchanged(monkeypatch, fai
             return x, errors
         monkeypatch.setattr(estimators, "ls_solve", zero_source)
     for algorithm in harness.ALGORITHM_NAMES:
-        records = run_trial(base, algorithm, seeds, 20.0, 0, output)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            records = run_trial(base, algorithm, seeds, 20.0, 0, output)
+        assert not caught  # a failed trial's placeholders pair without a warning
         step = {"peak_count": FAILING_STEP[algorithm], "ls_solve": "ls_solve",
                 "zero_sequence": "residual_frequency"}[failure]
         assert records[1].failed and records[1].failure_step == step
