@@ -99,7 +99,7 @@ def cmd_single(args):
                           f"{scenario.snr_db} dB overflows the sample covariance")
     for name in algorithms:
         try:
-            result = run_algorithm(name, scenario, output)
+            result = run_algorithm(name, scenario, lambda: output)
         except EstimationError as exc:
             print(f"algorithm {name} failed at step {exc.step}: {exc}",
                   file=sys.stderr)

@@ -5,6 +5,7 @@ import io
 import itertools
 import os
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
@@ -100,12 +101,13 @@ def trial_output(scenario, algorithms, draws=None) -> dict:
 def run_algorithm(name: str, scenario: ScenarioConfig, output=None):
     """Run pipeline `name` on `scenario`'s receiver output.
 
-    `output` is the `trial_output` of `scenario` (same seed) for a list of
-    algorithms that includes `name`; without it the output is assembled
-    here.  A block's output gives the pipeline's (results, errors).
+    `output` is a zero-argument callable returning the `trial_output` of
+    `scenario` (same seed) for a list of algorithms that includes `name`;
+    without it the output is assembled here.  A block's output gives the
+    pipeline's (results, errors).
     """
     check_algorithms((name,))
-    X, R = (output or trial_output(scenario, (name,)))[_FULL_STRUCTURE[name]]
+    X, R = (output() if output else trial_output(scenario, (name,)))[_FULL_STRUCTURE[name]]
     # looked up at call time, so a pipeline replaced on this module is run
     pipeline = {"JDFPI": jdfpi, "JDFSDPJ": jdfsdpj, "JDFSD-full": jdfsd_full}[name]
     return pipeline(X, R, scenario)
@@ -311,12 +313,12 @@ def run_trial(scenario: ScenarioConfig, algorithm: str, seed,
               sweep_value=None, trial_index: int = 0, output=None):
     """One seeded trial; estimation failures are recorded, not raised.  A
     list of seeds is a block of trials numbered from `trial_index`, run
-    together, and gives a list of records.  `output`, if given, is their
-    `trial_output` for algorithms that include `algorithm`."""
+    together, and gives a list of records.  `output` (see `run_algorithm`)
+    returns their `trial_output` for algorithms that include `algorithm`."""
     seeds = seed if isinstance(seed, list) else [seed]
     if sweep_value is None:
         sweep_value = scenario.snr_db
-    output = output or trial_output([scenario.with_seed(s) for s in seeds], (algorithm,))
+    output = output or (lambda: trial_output(list(map(scenario.with_seed, seeds)), (algorithm,)))
     outcomes = zip(seeds, *run_algorithm(algorithm, scenario, output))
     records = [TrialRecord(sweep_value, algorithm, trial_index + i, s, failed=True,
                            failure_step=error.step or type(error).__name__) if error
@@ -327,11 +329,12 @@ def run_trial(scenario: ScenarioConfig, algorithm: str, seed,
 
 
 def _run_task(task, draws=None) -> list[TrialRecord]:
-    """Every algorithm of one block of a sweep point's trials, on its shared
-    `trial_output` (from `draws()` if given), in (trial, algorithm) order."""
+    """Every algorithm of one block of a sweep point's trials, in (trial,
+    algorithm) order, on one shared `trial_output`, built (from `draws()` if
+    given) inside the first `run_trial` call."""
     scenario, algorithms, seeds, value, first = task
-    output = trial_output([scenario.with_seed(s) for s in seeds], algorithms,
-                          draws and draws())
+    block = [scenario.with_seed(s) for s in seeds]
+    output = cache(lambda: trial_output(block, algorithms, draws and draws()))
     by_algorithm = [run_trial(scenario, algorithm, seeds, value, first, output)
                     for algorithm in algorithms]
     return [record for trial in zip(*by_algorithm) for record in trial]

@@ -264,10 +264,8 @@ def _draws(config: ScenarioConfig, seeds, n_rows: int) -> tuple:
     seeded with `seeds`: each generator draws envelopes, then `n_rows` rows."""
     rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(s))) for s in seeds]
     coeffs = [_draw_envelopes(config, rng) for rng in rngs]
-    noise = np.empty((len(seeds), n_rows, config.n_snapshots), dtype=complex)
-    for rows, rng in zip(noise, rngs):
-        rows[:] = _white_noise(rng, n_rows, config.n_snapshots, config.sigma2)
-    return coeffs, noise
+    return coeffs, np.stack([_white_noise(rng, n_rows, config.n_snapshots, config.sigma2)
+                             for rng in rngs])
 
 
 def _channel_rows(configs, channels, draws=None) -> np.ndarray:

@@ -199,37 +199,42 @@ def test_sweep_synthesizes_each_trial_once(monkeypatch):
 @pytest.mark.parametrize("algorithms", [("JDFSDPJ", "JDFPI"),
                                         ("JDFSD-full", "JDFPI", "JDFSDPJ")],
                          ids=["simplified", "full"])
-def test_sweep_synthesizes_each_block_once_on_the_calling_thread(monkeypatch,
-                                                                 algorithms):
+def test_sweep_synthesizes_each_block_inside_its_first_run_trial(monkeypatch,
+                                                                  algorithms):
     # each block of a point's trials is assembled once, in task order, on
-    # the calling thread and before a run_trial of its own trials starts;
-    # the run_trial calls then read it, one per (block, algorithm)
+    # the calling thread, while the run_trial of its first algorithm is
+    # active: a trace of run_trial spans then holds synthesis
     import threading
 
     import subnyq.harness as harness
 
-    started, assembled = [], []
+    active, assembled = [], []
     original_trial = harness.run_trial
 
-    def tracked_trial(scenario, algorithm, seed, *args, **kwargs):
-        started.append(tuple(seed))
-        return original_trial(scenario, algorithm, seed, *args, **kwargs)
+    def tracked_trial(scenario, algorithm, seed, sweep_value=None, trial_index=0,
+                      *args, **kwargs):
+        active.append((sweep_value, trial_index, algorithm))
+        try:
+            return original_trial(scenario, algorithm, seed, sweep_value, trial_index,
+                                  *args, **kwargs)
+        finally:
+            active.pop()
 
     monkeypatch.setattr(harness, "run_trial", tracked_trial)
     for name in ("assemble_snapshots", "assemble_full_snapshots"):
         original = getattr(harness, name)
         monkeypatch.setattr(harness, name, lambda config, *a, _f=original: assembled.append(
-            (tuple(c.rng_seed for c in config), set(started), threading.current_thread()))
+            (tuple(c.rng_seed for c in config), tuple(active), threading.current_thread()))
             or _f(config, *a))
     config = small_sweep(n_trials=6, values=(10.0, 20.0), algorithms=algorithms)
     run_sweep(config)
-    blocks = [block for block, _, _ in assembled]
-    assert [seed for block in blocks for seed in block] == [
-        derive_trial_seed(config.master_seed, s_idx, trial)
-        for s_idx in range(2) for trial in range(config.n_trials)]
-    assert started == [block for block in blocks for _ in algorithms]
-    for block, begun, thread in assembled:
-        assert thread is threading.main_thread() and block not in begun
+    seeds = [[derive_trial_seed(config.master_seed, s_idx, trial) for trial in range(6)]
+             for s_idx in range(2)]
+    size = 3 if "JDFSD-full" in algorithms else 6  # 241 KB or 51 KB a trial
+    assert [(block, now) for block, now, _ in assembled] == [
+        (tuple(seeds[s_idx][first:first + size]), ((value, first, algorithms[0]),))
+        for s_idx, value in enumerate(config.sweep_values) for first in range(0, 6, size)]
+    assert {thread for *_, thread in assembled} == {threading.main_thread()}
 
 
 def test_sweep_builds_the_tone_signal_once(monkeypatch):
@@ -633,7 +638,7 @@ def test_a_failing_trial_leaves_the_rest_of_its_block_unchanged(monkeypatch, fai
     for algorithm in harness.ALGORITHM_NAMES:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            records = run_trial(base, algorithm, seeds, 20.0, 0, output)
+            records = run_trial(base, algorithm, seeds, 20.0, 0, lambda: output)
         assert not caught  # a failed trial's placeholders pair without a warning
         step = {"peak_count": FAILING_STEP[algorithm], "ls_solve": "ls_solve",
                 "zero_sequence": "residual_frequency"}[failure]
