@@ -98,9 +98,11 @@ def _trialwise(step):
 
 
 def sample_covariance(X: np.ndarray) -> np.ndarray:
-    """R = X X^H / N per trial, symmetrized to be Hermitian to machine precision."""
+    """R = X X^H / N per trial, symmetrized to be Hermitian to machine
+    precision; a stack one trial at a time, so only one trial is conjugated."""
     X = np.asarray(X)
-    R = X @ X.conj().swapaxes(-1, -2) / X.shape[-1]
+    R = np.stack([x @ x.conj().T for x in X.reshape(-1, *X.shape[-2:])]) / X.shape[-1]
+    R = R.reshape(X.shape[:-1] + X.shape[-2:-1])
     return 0.5 * (R + R.conj().swapaxes(-1, -2))
 
 

@@ -55,7 +55,7 @@ __all__ = [
 _FULL_STRUCTURE = {"JDFPI": False, "JDFSDPJ": False, "JDFSD-full": True}
 ALGORITHM_NAMES = tuple(_FULL_STRUCTURE)
 SWEEP_VARIABLES = ("snr_db", "n_sources")
-BLOCK_BYTES = 3 * 2**18  # a sweep block holds as many trial_outputs as fit, at least two
+BLOCK_BYTES = 5 * 2**18  # a sweep block holds as many trial_outputs as fit, at least two
 
 
 def check_algorithms(names, scenarios=()) -> None:
@@ -85,7 +85,8 @@ def trial_output(scenario, algorithms, draws=None) -> dict:
     output's selected rows, which agree bit-exactly with `assemble_snapshots`
     for the same seed, and its covariance is still taken of W itself.  The
     algorithms of a trial share these arrays: consumers must not modify them.
-    `draws` is the trials' `siggen._draws` for this output's rows, if made.
+    `draws` is the trials' `siggen._draws` for this output's structure (full
+    if any algorithm's is), if made; it becomes the output.
     """
     structures = {_FULL_STRUCTURE[algorithm] for algorithm in algorithms}
     if True in structures:
@@ -373,10 +374,11 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> ResultTable:
     `workers` must be at least 1; the process pool is capped at the CPU
     count, and one worker runs in this process.  Blocks are derived as they
     run.  Serially a fill thread draws each block's noise while the block
-    before it runs (`_run_serial`), so two blocks' outputs are held: each
-    BLOCK_BYTES or less, or two trials.  The pool takes one window of blocks
-    at a time, in workers spawned with single-threaded BLAS (`_run_pool`).
-    No thread or process outlives the call.  On KeyboardInterrupt the
+    before it runs (`_run_serial`), so two blocks' outputs are held, each
+    BLOCK_BYTES or less, or two trials: a block's noise buffer, of which
+    only a full block's simplified rows are copied.  The pool takes one
+    window of blocks at a time, in workers spawned with single-threaded
+    BLAS (`_run_pool`).  No thread or process outlives the call.  On KeyboardInterrupt the
     records of the completed blocks are aggregated into a partial table
     that is returned via the exception's `partial` attribute.
 
@@ -405,7 +407,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> ResultTable:
         if workers > 1:
             _run_pool(tasks, workers, records)
         else:
-            _run_serial(tasks, records, max(rows))
+            _run_serial(tasks, records, any(map(_FULL_STRUCTURE.get, config.algorithms)))
     except KeyboardInterrupt as exc:
         exc.partial = _aggregate(config, records, bounds)
         raise
@@ -415,8 +417,8 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> ResultTable:
 
 # Each runner imports its own executor, so `import subnyq.harness` loads neither.
 
-def _run_serial(tasks, records: list, n_rows: int) -> None:
-    """Run `tasks` here, each block's `siggen._draws` (`n_rows` channels)
+def _run_serial(tasks, records: list, full_structure: bool) -> None:
+    """Run `tasks` here, each block's `siggen._draws` (of `full_structure`)
     made on a fill thread while the block before it runs: numpy releases
     the GIL while it draws, and the estimators hold it.  All else runs
     here, so the fill thread calls no public function of the package."""
@@ -425,7 +427,7 @@ def _run_serial(tasks, records: list, n_rows: int) -> None:
     fill = ThreadPoolExecutor(max_workers=1)
 
     def submit(task):  # task: (scenario, algorithms, seeds, value, first trial)
-        return task, fill.submit(_draws, task[0], task[2], n_rows).result
+        return task, fill.submit(_draws, task[0], task[2], full_structure).result
 
     try:
         ahead = map(submit, tasks)

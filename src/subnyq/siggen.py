@@ -209,20 +209,6 @@ def _envelope_series(coeff, n_points: int) -> np.ndarray:
     return np.fft.ifft(buf) * n_points
 
 
-def _white_noise(rng: np.random.Generator, rows: int, cols: int,
-                 sigma2: float) -> np.ndarray:
-    """Circular Gaussian noise of variance sigma2, shape (rows, cols).
-
-    Row r takes its own block of 2*cols consecutive draws (re/im interleaved),
-    so a prefix of rows does not depend on how many rows are drawn.
-    """
-    if sigma2 == 0.0:
-        return np.zeros((rows, cols), dtype=complex)
-    draws = rng.standard_normal((rows, 2 * cols))
-    draws *= np.sqrt(sigma2 / 2.0)
-    return draws.view(np.complex128)
-
-
 def _envelope_signal(config: ScenarioConfig, coeffs, channels) -> np.ndarray:
     """Noiseless aligned signal on `channels` (flat indices m*P + p) for the
     envelope coefficients `coeffs` of `_draw_envelopes` (None for a tone).
@@ -259,22 +245,45 @@ def _tone_signal(config: ScenarioConfig, channels: tuple) -> np.ndarray:
     return signal
 
 
-def _draws(config: ScenarioConfig, seeds, n_rows: int) -> tuple:
-    """(envelope coefficients, stacked noise rows) of the trials of `config`
-    seeded with `seeds`: each generator draws envelopes, then `n_rows` rows."""
-    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(s))) for s in seeds]
-    coeffs = [_draw_envelopes(config, rng) for rng in rngs]
-    return coeffs, np.stack([_white_noise(rng, n_rows, config.n_snapshots, config.sigma2)
-                             for rng in rngs])
+@lru_cache(maxsize=8)
+def _draw_order(M: int, P: int) -> np.ndarray:
+    """Read-only order (flat indices m*P + p) in which a trial draws its
+    channels' noise: `selected_channel_columns(M, P)`, then the rest."""
+    selected = selected_channel_columns(M, P)
+    order = np.concatenate([selected, np.setdiff1d(np.arange(M * P), selected)])
+    order.setflags(write=False)
+    return order
 
 
-def _channel_rows(configs, channels, draws=None) -> np.ndarray:
-    """Receiver output on `channels` (flat indices m*P + p), in that order,
-    of each scenario of a block `configs`, stacked: assembled in the noise of
-    their `_draws` (made here when None).  Two calls whose channel lists
-    share a prefix agree bit-exactly on those rows."""
+def _draws(config: ScenarioConfig, seeds, full_structure: bool) -> tuple:
+    """(envelope coefficients, noise) of the trials of `config` seeded with
+    `seeds`; the noise is one (trials, channels, N) buffer whose rows are
+    the structure's `selected_channel_columns(M, P, full_structure)`.
+
+    Each generator draws its envelopes, then one row of 2N normals (re/im
+    interleaved, scaled to variance sigma2) per channel in `_draw_order`,
+    each written straight to its channel's row, so a prefix of rows does
+    not depend on how many rows are drawn.
+    """
+    M, P, N = config.geom.M, config.pattern.P, config.n_snapshots
+    rows = _draw_order(M, P) if full_structure else range(M + P - 1)
+    noise, coeffs = np.zeros((len(seeds), len(rows), 2 * N)), []
+    for trial, seed in zip(noise, seeds):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        coeffs.append(_draw_envelopes(config, rng))
+        for row in rows if config.sigma2 else ():
+            rng.standard_normal(out=trial[row])
+    noise *= np.sqrt(config.sigma2 / 2.0)
+    return coeffs, noise.view(np.complex128)
+
+
+def _channel_rows(configs, full_structure: bool, draws=None) -> np.ndarray:
+    """Receiver output of each scenario of a block `configs` on the
+    structure's channels, stacked: the signal added in place to the noise
+    of their `_draws` (made here when None), which is returned."""
     config = configs[0]
-    coeffs, out = draws or _draws(config, [c.rng_seed for c in configs], len(channels))
+    channels = selected_channel_columns(config.geom.M, config.pattern.P, full_structure)
+    coeffs, out = draws or _draws(config, [c.rng_seed for c in configs], full_structure)
     if all(src.envelope == "tone" for src in config.sources):
         out += _tone_signal(replace(config, rng_seed=0, snr_db=None),
                             tuple(int(c) for c in channels))
@@ -292,8 +301,7 @@ def assemble_snapshots(config, draws=None) -> np.ndarray:
     gives the outputs stacked; `draws` is their `_draws`, if made already.
     """
     block = [config] if isinstance(config, ScenarioConfig) else config
-    M, P = block[0].geom.M, block[0].pattern.P
-    W = _channel_rows(block, selected_channel_columns(M, P), draws)
+    W = _channel_rows(block, False, draws)
     return W if block is config else W[0]
 
 
@@ -302,14 +310,11 @@ def assemble_full_snapshots(config, draws=None) -> np.ndarray:
 
     Noise is drawn for the J-selected channels first and for the others
     after them, so the rows selected by the J matrix agree bit-exactly with
-    `assemble_snapshots(config)` for the same seed; blocks stack as there.
+    `assemble_snapshots(config)` for the same seed; blocks stack as there,
+    and `draws` (with `full_structure`) becomes the output.
     """
     block = [config] if isinstance(config, ScenarioConfig) else config
-    M, P = block[0].geom.M, block[0].pattern.P
-    selected = selected_channel_columns(M, P)
-    order = np.concatenate([selected, np.setdiff1d(np.arange(M * P), selected)])
-    Y = np.empty((len(block), M * P, block[0].n_snapshots), dtype=complex)
-    Y[:, order] = _channel_rows(block, order, draws)
+    Y = _channel_rows(block, True, draws)
     return Y if block is config else Y[0]
 
 

@@ -11,7 +11,8 @@ pairwise duplicate rule that its sort-based `_first_of_each` replaced;
 the joint search that roots every band, kept as the reference for its
 bound-pruned form; the brute-force Fisher oracles and the exact tone
 moments behind the bounds; and the Nyquist-rate streams and coset decimation
-behind the per-channel snapshot synthesis.
+behind the per-channel snapshot synthesis, with the per-trial noise draw
+that `siggen._draws` replaced by one buffer per block.
 """
 
 import numpy as np
@@ -35,7 +36,6 @@ from subnyq.siggen import (
     SourceTruth,
     _draw_envelopes,
     _envelope_series,
-    _white_noise,
 )
 
 MIN_PHASE_SEPARATION = 0.15  # rad, far above the oracle's grid step
@@ -438,6 +438,20 @@ def exact_tone_moments(inp: CrbInput) -> np.ndarray:
     return out
 
 
+def white_noise(rng: np.random.Generator, rows: int, cols: int,
+                 sigma2: float) -> np.ndarray:
+    """Circular Gaussian noise of variance sigma2, shape (rows, cols).
+
+    Row r takes its own block of 2*cols consecutive draws (re/im interleaved),
+    as `siggen._draws` draws a trial's channel rows.
+    """
+    if sigma2 == 0.0:
+        return np.zeros((rows, cols), dtype=complex)
+    draws = rng.standard_normal((rows, 2 * cols))
+    draws *= np.sqrt(sigma2 / 2.0)
+    return draws.view(np.complex128)
+
+
 def synthesize_streams(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
     """Nyquist-rate sensor streams x_m[n], shape (M, n_snapshots * L)."""
     geom, pattern = config.geom, config.pattern
@@ -451,7 +465,7 @@ def synthesize_streams(config: ScenarioConfig, rng: np.random.Generator) -> np.n
         carrier = np.exp(2j * np.pi * src.f_c * t_idx * pattern.T_N)
         a = np.exp(-1j * phis[k] * np.arange(geom.M))
         streams += np.outer(a, src.amplitude * g * carrier)
-    streams += _white_noise(rng, geom.M, n_fine, config.sigma2)
+    streams += white_noise(rng, geom.M, n_fine, config.sigma2)
     return streams
 
 

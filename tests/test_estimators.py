@@ -68,6 +68,23 @@ def test_sample_covariance_matches_definition():
     np.testing.assert_allclose(R, R.conj().T, atol=0)
 
 
+def test_stacked_sample_covariance_is_each_trials_one_trial_at_a_time():
+    # a block's covariances are its trials' bit for bit, and the stack is
+    # conjugated one trial at a time, not copied whole
+    import tracemalloc
+
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((4, 12, 2048)) + 1j * rng.standard_normal((4, 12, 2048))
+    tracemalloc.start()
+    try:
+        R = sample_covariance(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(R, np.stack([sample_covariance(x) for x in X]))
+    assert peak < 2 * X[0].nbytes
+
+
 def test_decompose_orders_and_splits():
     rng = np.random.default_rng(1)
     A = build_A([0.5, -1.0], 5)

@@ -187,13 +187,13 @@ def test_sweep_synthesizes_each_trial_once(monkeypatch):
                             or _f(config, *a))
     seeds = [derive_trial_seed(7, 0, trial) for trial in range(6)]
     run_sweep(small_sweep(n_trials=6, values=(20.0,)))
-    assert calls == [("assemble_snapshots", seeds)]  # one block of 15 or fewer
+    assert calls == [("assemble_snapshots", seeds)]  # one block of 25 or fewer
     calls.clear()
     run_sweep(small_sweep(n_trials=6, values=(20.0,),
                           algorithms=("JDFPI", "JDFSDPJ", "JDFSD-full")))
-    # blocks of 3 at 241 KB per trial
-    assert calls == [("assemble_full_snapshots", seeds[:3]),
-                     ("assemble_full_snapshots", seeds[3:])]
+    # blocks of 5 at 241 KB per trial
+    assert calls == [("assemble_full_snapshots", seeds[:5]),
+                     ("assemble_full_snapshots", seeds[5:])]
 
 
 @pytest.mark.parametrize("algorithms", [("JDFSDPJ", "JDFPI"),
@@ -230,7 +230,7 @@ def test_sweep_synthesizes_each_block_inside_its_first_run_trial(monkeypatch,
     run_sweep(config)
     seeds = [[derive_trial_seed(config.master_seed, s_idx, trial) for trial in range(6)]
              for s_idx in range(2)]
-    size = 3 if "JDFSD-full" in algorithms else 6  # 241 KB or 51 KB a trial
+    size = 5 if "JDFSD-full" in algorithms else 6  # 241 KB or 51 KB a trial
     assert [(block, now) for block, now, _ in assembled] == [
         (tuple(seeds[s_idx][first:first + size]), ((value, first, algorithms[0]),))
         for s_idx, value in enumerate(config.sweep_values) for first in range(0, 6, size)]
@@ -477,7 +477,7 @@ def test_serial_sweep_derives_each_task_when_it_runs(monkeypatch):
     config = small_sweep(n_trials=1000, values=(10.0, 20.0))
     with pytest.raises(KeyboardInterrupt) as info:
         run_sweep(config)
-    assert at_first_task == [2 * 15]  # blocks of 15 trials of 51 KB
+    assert at_first_task == [2 * 25]  # blocks of 25 trials of 51 KB
     assert info.value.partial.records == ()
 
 
@@ -555,6 +555,26 @@ def test_serial_sweep_calls_public_functions_on_the_calling_thread(monkeypatch):
     assert set().union(*threads.values()) == {threading.main_thread()}
 
 
+def test_serial_full_structure_sweep_holds_two_blocks_and_little_else():
+    # a block's output is its noise buffer, so a serial sweep holds the
+    # running block, the one drawn ahead, the simplified rows cut from the
+    # running one and the estimators' work
+    import tracemalloc
+
+    import subnyq.harness as harness
+
+    config = small_sweep(n_trials=10, values=(20.0,),
+                         algorithms=("JDFPI", "JDFSDPJ", "JDFSD-full"))
+    run_sweep(config)  # fills the caches
+    tracemalloc.start()
+    try:
+        run_sweep(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * harness.BLOCK_BYTES
+
+
 def test_raising_fill_leaves_no_thread():
     # the second point's noise envelope is narrower than one frequency bin:
     # its first draw raises the ConfigError of a per-trial run, after the
@@ -592,7 +612,7 @@ def test_interrupted_serial_sweep_leaves_no_thread(monkeypatch):
     monkeypatch.setattr(harness, "_run_task", interrupting)
     with pytest.raises(KeyboardInterrupt) as info:
         run_sweep(small_sweep(n_trials=100))
-    assert len(info.value.partial.records) == 2 * 15 * 2  # blocks of 15 trials
+    assert len(info.value.partial.records) == 2 * 25 * 2  # blocks of 25 trials
     assert len(started) <= 4
     assert threading.enumerate() == before
 
@@ -651,9 +671,9 @@ def test_a_failing_trial_leaves_the_rest_of_its_block_unchanged(monkeypatch, fai
 
 
 def test_sweep_with_a_short_last_block_is_the_same_at_one_and_two_workers():
-    # 5 trials of 241 KB run in blocks of 3 and 2 per point, serially and in
+    # 7 trials of 241 KB run in blocks of 5 and 2 per point, serially and in
     # the pool
-    config = small_sweep(n_trials=5, values=(10.0, 20.0),
+    config = small_sweep(n_trials=7, values=(10.0, 20.0),
                          algorithms=("JDFPI", "JDFSDPJ", "JDFSD-full"))
     assert format_csv(run_sweep(config, workers=1)) == format_csv(run_sweep(config, workers=2))
 

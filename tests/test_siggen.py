@@ -11,6 +11,7 @@ from helpers import (
     pattern_coherence,
     random_scenario,
     synthesize_streams,
+    white_noise,
 )
 from subnyq.errors import ConfigError
 from subnyq.model import (
@@ -25,7 +26,6 @@ from subnyq.siggen import (
     SourceTruth,
     _draw_envelopes,
     _envelope_signal,
-    _white_noise,
     assemble_full_snapshots,
     assemble_snapshots,
     dump_snapshots,
@@ -231,12 +231,50 @@ def test_full_snapshots_agree_with_selected_rows():
     np.testing.assert_array_equal(Y_full[rows], W)
 
 
+@pytest.mark.parametrize("snr_db", [5.0, None], ids=["noisy", "noiseless"])
+@pytest.mark.parametrize("full_structure", [False, True], ids=["simplified", "full"])
+def test_block_draws_are_the_per_trial_draws_in_channel_rows(full_structure, snr_db):
+    # a block's one noise buffer holds each trial's envelopes-then-noise
+    # stream, drawn row by row in `_draw_order`, each row on its channel's
+    # row of the structure (selected_channel_columns order)
+    f_s = PATTERN.f_s
+    noisy = SourceTruth(theta=0.3, f_c=(4 + 0.2) * f_s, envelope="noise",
+                        bandwidth=0.4 * f_s)
+    config = replace(tone_scenario(snr_db=snr_db), sources=(noisy,))
+    M, P, seeds = GEOM.M, PATTERN.P, [4, 9, 2]
+    order = siggen._draw_order(M, P)
+    assert siggen._draw_order(M, P) is order and not order.flags.writeable
+    np.testing.assert_array_equal(order[:M + P - 1], selected_channel_columns(M, P))
+    channels = selected_channel_columns(M, P, full_structure)
+    coeffs, noise = siggen._draws(config, seeds, full_structure)
+    assert noise.shape == (len(seeds), len(channels), config.n_snapshots)
+    for seed, trial_coeffs, rows in zip(seeds, coeffs, noise):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        np.testing.assert_array_equal(trial_coeffs[0], _draw_envelopes(config, rng)[0])
+        drawn = white_noise(rng, len(channels), config.n_snapshots, config.sigma2)
+        np.testing.assert_array_equal(rows[order] if full_structure else rows, drawn)
+
+
+def test_block_output_is_its_noise_buffer():
+    # the signal is added to the drawn noise in place, for either structure,
+    # and the full output's selected rows are the simplified output
+    block = [tone_scenario(snr_db=5.0, seed=s) for s in (3, 8)]
+    rows = selected_channel_columns(GEOM.M, PATTERN.P)
+    for assemble, full_structure in ((assemble_snapshots, False),
+                                     (assemble_full_snapshots, True)):
+        draws = siggen._draws(block[0], [3, 8], full_structure)
+        output = assemble(block, draws)
+        assert np.shares_memory(output, draws[1])
+        np.testing.assert_array_equal(output[:, rows] if full_structure else output,
+                                      assemble_snapshots(block))
+
+
 def per_trial_rows(config, channels):
     """Receiver output drawn the per-trial way: envelopes, then the signal,
     then the noise added to it, all from one generator."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.rng_seed)))
     rows = _envelope_signal(config, _draw_envelopes(config, rng), channels)
-    rows += _white_noise(rng, len(channels), config.n_snapshots, config.sigma2)
+    rows += white_noise(rng, len(channels), config.n_snapshots, config.sigma2)
     return rows
 
 
