@@ -375,12 +375,12 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> ResultTable:
     count, and one worker runs in this process.  Blocks are derived as they
     run.  Serially a fill thread draws each block's noise while the block
     before it runs (`_run_serial`), so two blocks' outputs are held, each
-    BLOCK_BYTES or less, or two trials: a block's noise buffer, of which
-    only a full block's simplified rows are copied.  The pool takes one
-    window of blocks at a time, in workers spawned with single-threaded
-    BLAS (`_run_pool`).  No thread or process outlives the call.  On KeyboardInterrupt the
-    records of the completed blocks are aggregated into a partial table
-    that is returned via the exception's `partial` attribute.
+    BLOCK_BYTES or less, or two trials: a block's output is its noise
+    buffer, and only a full block's simplified rows are copied.  The pool
+    takes one window of blocks at a time, in workers spawned with
+    single-threaded BLAS (`_run_pool`).  No thread or process outlives the
+    call.  On KeyboardInterrupt the records of the completed blocks are
+    aggregated into a partial table, returned as the exception's `partial`.
 
     Spawned workers start by importing the caller's main module, so a
     script that calls `run_sweep(..., workers=2)` must do so under

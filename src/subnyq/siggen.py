@@ -261,13 +261,14 @@ def _draws(config: ScenarioConfig, seeds, full_structure: bool) -> tuple:
     the structure's `selected_channel_columns(M, P, full_structure)`.
 
     Each generator draws its envelopes, then one row of 2N normals (re/im
-    interleaved, scaled to variance sigma2) per channel in `_draw_order`,
-    each written straight to its channel's row, so a prefix of rows does
-    not depend on how many rows are drawn.
+    interleaved, scaled to variance sigma2) per channel in `_draw_order`
+    (the simplified rows, in order, in one call), each straight to its
+    channel's row, so a prefix of rows does not depend on how many are drawn.
     """
     M, P, N = config.geom.M, config.pattern.P, config.n_snapshots
-    rows = _draw_order(M, P) if full_structure else range(M + P - 1)
-    noise, coeffs = np.zeros((len(seeds), len(rows), 2 * N)), []
+    rows = _draw_order(M, P) if full_structure else [slice(None)]
+    n_rows = M * P if full_structure else M + P - 1
+    noise, coeffs = np.zeros((len(seeds), n_rows, 2 * N)), []
     for trial, seed in zip(noise, seeds):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
         coeffs.append(_draw_envelopes(config, rng))
