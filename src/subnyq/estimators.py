@@ -280,7 +280,12 @@ def ls_solve(mat: np.ndarray, obs: np.ndarray) -> np.ndarray:
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         bad = (s[:, -1] == 0.0) | (s[:, 0] / s[:, -1] > COND_LIMIT)
-        x = vh.conj().swapaxes(-1, -2) @ ((u.conj().swapaxes(-1, -2) @ obs) / s[..., None])
+        uh_obs = u.conj().swapaxes(-1, -2) @ obs
+        # numpy divides a complex by a real as a product with the reciprocal:
+        # the same values, here in place and with two multiplies an element
+        scaled = uh_obs.view(float)
+        scaled *= (1.0 / s)[..., None]
+        x = vh.conj().swapaxes(-1, -2) @ uh_obs
     x[bad] = 0.0  # finite, for the later steps a failed trial runs through
     return x, [RankDeficiencyError(
         f"system matrix condition number exceeds {COND_LIMIT:.0e} (duplicated "
@@ -336,13 +341,17 @@ def residual_frequency(x: np.ndarray, f_s: float):
     """
     if x.shape[-1] < 2:
         raise ConfigError("need at least 2 samples for a frequency estimate")
+    x = x.astype(complex, copy=False)
     lag = np.conj(x[..., :-1])  # named: numpy would multiply a large temporary in
     prods = x[..., 1:] * lag  # place, rounding differently as a block grows
+    del lag
     z = np.sum(prods, axis=-1)
     coarse = np.angle(z) / (2.0 * np.pi)  # cycles per snapshot, in (-0.5, 0.5]
-    # derotate so the remaining increments sit near zero phase
+    # derotate so the remaining increments sit near zero phase; arctan2 of
+    # contiguous parts is np.angle's, from a faster loop than strided views
     n = x.shape[-1]
-    incr = np.angle(prods * np.exp(-2j * np.pi * coarse)[..., None])
+    prods *= np.exp(-2j * np.pi * coarse)[..., None]
+    incr = np.arctan2(prods.imag.copy(), prods.real.copy())
     t = np.arange(n - 1)
     w = 1.0 - ((t - (n / 2.0 - 1.0)) / (n / 2.0)) ** 2
     w /= np.sum(w)

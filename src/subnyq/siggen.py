@@ -69,6 +69,11 @@ class SourceTruth:
             raise ConfigError(f"DOA must lie in (-pi/2, pi/2), got {self.theta}")
         if not np.isfinite(self.amplitude):
             raise ConfigError(f"amplitude must be finite, got {self.amplitude}")
+        try:
+            self.power
+        except OverflowError:  # |a| or |a|^2 beyond the float range
+            raise ConfigError(f"amplitude {self.amplitude} has a power |a|^2 "
+                              "beyond the float range") from None
         if self.envelope not in ENVELOPE_KINDS:
             raise ConfigError(f"unknown envelope kind {self.envelope!r}")
         if self.envelope == "tone" and self.bandwidth != 0.0:
@@ -107,6 +112,12 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"SNR {self.snr_db} dB is a power ratio of {ratio}; it "
                     "must be positive and finite")
+            with np.errstate(over="ignore"):
+                sigma2 = self.sigma2
+            if sigma2 == np.inf:
+                raise ConfigError(
+                    f"SNR {self.snr_db} dB gives a noise power sigma2 beyond "
+                    "the float range")
         if self.rng_seed < 0:
             raise ConfigError(f"RNG seed must be non-negative, got {self.rng_seed}")
         if K >= M:
@@ -264,17 +275,22 @@ def _draws(config: ScenarioConfig, seeds, full_structure: bool) -> tuple:
     interleaved, scaled to variance sigma2) per channel in `_draw_order`
     (the simplified rows, in order, in one call), each straight to its
     channel's row, so a prefix of rows does not depend on how many are drawn.
+    With noise every row is drawn, so the buffer starts uninitialized: a
+    serial sweep runs this on its fill thread, and numpy holds the GIL while
+    it zeroes memory but not while it draws or scales.
     """
     M, P, N = config.geom.M, config.pattern.P, config.n_snapshots
     rows = _draw_order(M, P) if full_structure else [slice(None)]
     n_rows = M * P if full_structure else M + P - 1
-    noise, coeffs = np.zeros((len(seeds), n_rows, 2 * N)), []
+    sigma2 = config.sigma2
+    noise = (np.empty if sigma2 else np.zeros)((len(seeds), n_rows, 2 * N))
+    coeffs = []
     for trial, seed in zip(noise, seeds):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
         coeffs.append(_draw_envelopes(config, rng))
-        for row in rows if config.sigma2 else ():
+        for row in rows if sigma2 else ():
             rng.standard_normal(out=trial[row])
-    noise *= np.sqrt(config.sigma2 / 2.0)
+    noise *= np.sqrt(sigma2 / 2.0)
     return coeffs, noise.view(np.complex128)
 
 

@@ -12,7 +12,10 @@ the joint search that roots every band, kept as the reference for its
 bound-pruned form; the brute-force Fisher oracles and the exact tone
 moments behind the bounds; and the Nyquist-rate streams and coset decimation
 behind the per-channel snapshot synthesis, with the per-trial noise draw
-that `siggen._draws` replaced by one buffer per block.
+that `siggen._draws` replaced by one buffer per block; and the block
+expressions of `ls_solve` (a complex division by the singular values) and
+of `residual_frequency` (`np.angle` of derotated copies) that their in-place
+forms replaced.
 """
 
 import numpy as np
@@ -20,7 +23,7 @@ from scipy.optimize import minimize_scalar
 
 from subnyq.crb import CrbInput
 from subnyq.errors import ConfigError, PeakCountError, RankDeficiencyError
-from subnyq.estimators import _phase_minima, decompose
+from subnyq.estimators import COND_LIMIT, _phase_minima, decompose
 from subnyq.model import (
     ArrayGeometry,
     MultiCosetPattern,
@@ -483,3 +486,29 @@ def multicoset_sample(stream: np.ndarray, pattern: MultiCosetPattern,
     return np.stack(
         [stream[c::pattern.L][:n_snapshots] for c in pattern.offsets]
     )
+
+
+def ls_solve_reference(mat: np.ndarray, obs: np.ndarray):
+    """(x, bad) of `estimators.ls_solve` on a block: u^H obs divided by the
+    singular values as a complex array, zeros for an ill-conditioned trial."""
+    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bad = (s[:, -1] == 0.0) | (s[:, 0] / s[:, -1] > COND_LIMIT)
+        x = vh.conj().swapaxes(-1, -2) @ ((u.conj().swapaxes(-1, -2) @ obs) / s[..., None])
+    x[bad] = 0.0
+    return x, bad
+
+
+def residual_frequency_reference(x: np.ndarray, f_s: float) -> np.ndarray:
+    """`estimators.residual_frequency` of each row of a block of sequences,
+    with the increments' phases taken by `np.angle` of a derotated copy."""
+    lag = np.conj(x[..., :-1])
+    prods = x[..., 1:] * lag
+    coarse = np.angle(np.sum(prods, axis=-1)) / (2.0 * np.pi)
+    n = x.shape[-1]
+    incr = np.angle(prods * np.exp(-2j * np.pi * coarse)[..., None])
+    t = np.arange(n - 1)
+    w = 1.0 - ((t - (n / 2.0 - 1.0)) / (n / 2.0)) ** 2
+    w /= np.sum(w)
+    frac = (coarse + np.sum(w * incr, axis=-1) / (2.0 * np.pi)) % 1.0
+    return np.where(frac < 1.0, frac, 0.0) * f_s

@@ -352,6 +352,25 @@ def test_single_at_overflowing_noise_is_config_error(tmp_path, snr_db):
     assert proc.stderr.count("\n") == 1 and proc.stdout == ""
 
 
+@pytest.mark.parametrize("command", ["single", "crb", "sweep-snr", "dump-snapshots"])
+@pytest.mark.parametrize("overrides, named", [
+    ({"snr_db": -3085.0}, "SNR -3085.0 dB"),
+    ({"sources": [{"theta": 0.5, "f_c": 0.31, "amplitude": 1e200}]}, "amplitude (1e+200+0j)"),
+])
+def test_overflowing_power_is_config_error(tmp_path, command, overrides, named):
+    # at -3085 dB the power ratio 3.2e-309 is finite but the noise power is
+    # not; an amplitude of 1e200 has no finite power |a|^2
+    config = scenario_json(tmp_path, **overrides)
+    out = tmp_path / "snapshots.bin"
+    args = {"sweep-snr": ["--config", sweep_json(tmp_path)],
+            "dump-snapshots": ["--config", config, "--out", str(out)]}
+    proc = python("-m", "subnyq.cli", command, *args.get(command, ["--config", config]))
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith("configuration error") and named in proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+    assert not out.exists()
+
+
 def test_import_loads_no_process_pool():
     # the pool's modules load only when a sweep runs with workers > 1
     proc = python("-c", "import sys, subnyq, subnyq.cli; print(sorted(m for m in "

@@ -12,9 +12,11 @@ from helpers import (
     channel_maps,
     complex_companion_minima,
     grid_search_oracle,
+    ls_solve_reference,
     pairwise_first_of_each,
     pattern_coherence,
     random_scenario,
+    residual_frequency_reference,
     steering_column,
     structure_rows,
 )
@@ -661,6 +663,32 @@ def test_residual_frequency_of_a_block_equals_each_trial():
     assert errors == [None] * 48
     for got, x in zip(block, X):
         np.testing.assert_array_equal(got, residual_frequency(x, 2.5))
+
+
+@pytest.mark.parametrize("N", [64, 4096, 8193])
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
+def test_finish_steps_equal_their_reference_expressions(K, N):
+    # the in-place LS scaling and derotation give the reference expressions'
+    # values bit for bit on blocks of K tones in 12 channels, for blocks of
+    # (S, K, N) products below and above numpy's 256 KiB threshold for
+    # reusing a temporary; the first trial of a block of two or more has a
+    # zero column, so LS leaves it a zero sequence
+    rng = np.random.default_rng(K * 10_000 + N)
+    n = np.arange(N)
+    for S in (1, 2, 8):
+        mat = rng.standard_normal((S, 12, K)) + 1j * rng.standard_normal((S, 12, K))
+        if S > 1:
+            mat[0, :, -1] = 0.0
+        tones = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, (S, K, 1)) * n)
+        obs = mat @ tones + 0.3 * (rng.standard_normal((S, 12, N))
+                                   + 1j * rng.standard_normal((S, 12, N)))
+        x, ls_errors = ls_solve(mat, obs)
+        want_x, bad = ls_solve_reference(mat, obs)
+        assert np.array_equal(x, want_x)
+        assert [e is not None for e in ls_errors] == bad.tolist() == [S > 1] + [False] * (S - 1)
+        f, f_errors = residual_frequency(x, 1 / 13)
+        assert np.array_equal(f, residual_frequency_reference(x, 1 / 13))
+        assert [e is not None for e in f_errors] == bad.tolist()
 
 
 @pytest.mark.parametrize("pipeline,full", [(jdfpi, False), (jdfsdpj, False),

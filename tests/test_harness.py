@@ -575,6 +575,26 @@ def test_serial_full_structure_sweep_holds_two_blocks_and_little_else():
     assert peak <= 2.5 * harness.BLOCK_BYTES
 
 
+def test_serial_default_point_sweep_holds_two_blocks_and_less_than_one_more():
+    # default-point blocks are two trials: a serial sweep holds the running
+    # block's output, the one drawn ahead and the estimators' work, which
+    # stays under one more block's worth (LS and the residual frequency's
+    # temporaries peak at about 0.9 of it)
+    import tracemalloc
+
+    config = SweepConfig(base=default_scenario(K=3, snr_db=20.0), sweep_variable="snr_db",
+                         sweep_values=(20.0,), n_trials=6)
+    block = 2 * 12 * 4096 * np.dtype(complex).itemsize
+    run_sweep(config)  # fills the caches
+    tracemalloc.start()
+    try:
+        run_sweep(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * block
+
+
 def test_raising_fill_leaves_no_thread():
     # the second point's noise envelope is narrower than one frequency bin:
     # its first draw raises the ConfigError of a per-trial run, after the
