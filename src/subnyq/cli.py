@@ -87,7 +87,7 @@ def _print_result(result, scenario):
 def cmd_single(args):
     scenario = _scenario_from_args(args)
     if args.seed is not None:
-        scenario = scenario.with_seed(args.seed)
+        scenario = replace(scenario, rng_seed=args.seed)
     algorithms = _algorithms_from_args(args, ("JDFPI", "JDFSDPJ"))
     check_algorithms(algorithms, (scenario,))  # before any algorithm prints
     with np.errstate(over="ignore", invalid="ignore"):
@@ -99,7 +99,7 @@ def cmd_single(args):
                           f"{scenario.snr_db} dB overflows the sample covariance")
     for name in algorithms:
         try:
-            result = run_algorithm(name, scenario, lambda: output)
+            result = run_algorithm(name, scenario, output)
         except EstimationError as exc:
             print(f"algorithm {name} failed at step {exc.step}: {exc}",
                   file=sys.stderr)
@@ -165,7 +165,7 @@ def cmd_crb(args):
 def cmd_dump_snapshots(args):
     scenario = _scenario_from_args(args)
     if args.seed is not None:
-        scenario = scenario.with_seed(args.seed)
+        scenario = replace(scenario, rng_seed=args.seed)
     W = assemble_snapshots(scenario)
     try:
         dump_snapshots(W, scenario.rng_seed, args.out)

@@ -24,6 +24,7 @@ from .model import (
 from .siggen import (
     ScenarioConfig,
     SourceTruth,
+    _draw_order,
     _draws,
     assemble_full_snapshots,
     assemble_snapshots,
@@ -75,24 +76,23 @@ def check_algorithms(names, scenarios=()) -> None:
             check_identifiable(scenario.pattern, scenario.n_sources)
 
 
-def trial_output(scenario, algorithms, draws=None) -> dict:
+def trial_output(scenario: ScenarioConfig, algorithms, draws=None) -> dict:
     """Receiver output of one seeded trial and its sample covariance, as an
     (output, covariance) pair per receiver structure the `algorithms` use,
-    keyed like `_point_bounds` (True for the full structure); a block (a
-    list of scenarios differing only in seed) gives them stacked.
+    keyed like `_point_bounds` (True for the full structure).  Given a
+    block's `siggen._draws` for this output's structure (full if any
+    algorithm's is), it gives the block's, stacked in that buffer.
 
     With a full-structure pipeline, the simplified output W is the full
     output's selected rows, which agree bit-exactly with `assemble_snapshots`
     for the same seed, and its covariance is still taken of W itself.  The
     algorithms of a trial share these arrays: consumers must not modify them.
-    `draws` is the trials' `siggen._draws` for this output's structure (full
-    if any algorithm's is), if made; it becomes the output.
     """
+    check_algorithms(algorithms)
     structures = {_FULL_STRUCTURE[algorithm] for algorithm in algorithms}
     if True in structures:
         full = assemble_full_snapshots(scenario, draws)
-        first = scenario if isinstance(scenario, ScenarioConfig) else scenario[0]
-        rows = selected_channel_columns(first.geom.M, first.pattern.P)
+        rows = selected_channel_columns(scenario.geom.M, scenario.pattern.P)
         outputs = {True: full, False: full[..., rows, :]}
     else:
         outputs = {False: assemble_snapshots(scenario, draws)}
@@ -102,13 +102,12 @@ def trial_output(scenario, algorithms, draws=None) -> dict:
 def run_algorithm(name: str, scenario: ScenarioConfig, output=None):
     """Run pipeline `name` on `scenario`'s receiver output.
 
-    `output` is a zero-argument callable returning the `trial_output` of
-    `scenario` (same seed) for a list of algorithms that includes `name`;
-    without it the output is assembled here.  A block's output gives the
-    pipeline's (results, errors).
+    `output` is the `trial_output` of `scenario` for a list of algorithms
+    that includes `name`; without it the output is assembled here.  A
+    block's output gives the pipeline's (results, errors).
     """
     check_algorithms((name,))
-    X, R = (output() if output else trial_output(scenario, (name,)))[_FULL_STRUCTURE[name]]
+    X, R = (output or trial_output(scenario, (name,)))[_FULL_STRUCTURE[name]]
     # looked up at call time, so a pipeline replaced on this module is run
     pipeline = {"JDFPI": jdfpi, "JDFSDPJ": jdfsdpj, "JDFSD-full": jdfsd_full}[name]
     return pipeline(X, R, scenario)
@@ -312,15 +311,17 @@ def derive_trial_seed(master_seed: int, sweep_index: int, trial_index: int) -> i
 
 def run_trial(scenario: ScenarioConfig, algorithm: str, seed,
               sweep_value=None, trial_index: int = 0, output=None):
-    """One seeded trial; estimation failures are recorded, not raised.  A
-    list of seeds is a block of trials numbered from `trial_index`, run
-    together, and gives a list of records.  `output` (see `run_algorithm`)
-    returns their `trial_output` for algorithms that include `algorithm`."""
+    """One trial of `scenario` seeded with `seed`; estimation failures are
+    recorded, not raised.  A list of seeds is a block of trials numbered
+    from `trial_index`, run together, and gives a list of records.
+    `output`, called here with no arguments, returns their `trial_output`
+    for algorithms that include `algorithm`."""
     seeds = seed if isinstance(seed, list) else [seed]
     if sweep_value is None:
         sweep_value = scenario.snr_db
-    output = output or (lambda: trial_output(list(map(scenario.with_seed, seeds)), (algorithm,)))
-    outcomes = zip(seeds, *run_algorithm(algorithm, scenario, output))
+    output = output or (lambda: trial_output(
+        scenario, (algorithm,), _draws(scenario, seeds, _FULL_STRUCTURE.get(algorithm))))
+    outcomes = zip(seeds, *run_algorithm(algorithm, scenario, output()))
     records = [TrialRecord(sweep_value, algorithm, trial_index + i, s, failed=True,
                            failure_step=error.step or type(error).__name__) if error
                else TrialRecord(sweep_value, algorithm, trial_index + i, s,
@@ -331,11 +332,12 @@ def run_trial(scenario: ScenarioConfig, algorithm: str, seed,
 
 def _run_task(task, draws=None) -> list[TrialRecord]:
     """Every algorithm of one block of a sweep point's trials, in (trial,
-    algorithm) order, on one shared `trial_output`, built (from `draws()` if
-    given) inside the first `run_trial` call."""
+    algorithm) order, on one shared `trial_output`, built inside the first
+    `run_trial` call from `draws()`, or from draws made there."""
     scenario, algorithms, seeds, value, first = task
-    block = [scenario.with_seed(s) for s in seeds]
-    output = cache(lambda: trial_output(block, algorithms, draws and draws()))
+    full = any(map(_FULL_STRUCTURE.get, algorithms))
+    draws = draws or (lambda: _draws(scenario, seeds, full))
+    output = cache(lambda: trial_output(scenario, algorithms, draws()))
     by_algorithm = [run_trial(scenario, algorithm, seeds, value, first, output)
                     for algorithm in algorithms]
     return [record for trial in zip(*by_algorithm) for record in trial]
@@ -394,7 +396,8 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> ResultTable:
               for value in config.sweep_values]
     bounds = [_point_bounds(scenario, config.algorithms) for scenario, _ in points]
     M, P, N = config.base.geom.M, config.base.pattern.P, config.base.n_snapshots
-    rows = {M * P if _FULL_STRUCTURE[name] else M + P - 1 for name in config.algorithms}
+    rows = {selected_channel_columns(M, P, _FULL_STRUCTURE[name]).size
+            for name in config.algorithms}
     size, n = max(2, BLOCK_BYTES // sum(16 * r * (N + r) for r in rows)), config.n_trials
     tasks = ((scenario, config.algorithms,
               [derive_trial_seed(config.master_seed, s_idx, trial)
@@ -427,6 +430,8 @@ def _run_serial(tasks, records: list, full_structure: bool) -> None:
     fill = ThreadPoolExecutor(max_workers=1)
 
     def submit(task):  # task: (scenario, algorithms, seeds, value, first trial)
+        if full_structure:  # built here: it calls `selected_channel_columns`
+            _draw_order(task[0].geom.M, task[0].pattern.P)
         return task, fill.submit(_draws, task[0], task[2], full_structure).result
 
     try:
@@ -529,19 +534,20 @@ def _format_value(value) -> str:
 
 
 def read_csv(path):
-    """Parse a file written by `emit_csv` back into ResultRow tuples."""
+    """Parse a file written by `emit_csv` back into ResultRow tuples; a
+    file that is not one is a ConfigError naming its path and line."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != CSV_HEADER:
-            raise ConfigError(f"{path}: unexpected CSV header {header}")
-        for rec in reader:
-            rows.append(ResultRow(
-                sweep_variable=rec[0], sweep_value=float(rec[1]),
-                algorithm=rec[2], metric=rec[3], rmse=float(rec[4]),
-                crb=float(rec[5]), n_success=int(rec[6]), n_trials=int(rec[7]),
-            ))
+        try:
+            header = next(reader, None)
+            if tuple(header or ()) != CSV_HEADER:
+                raise ConfigError(f"{path}: unexpected CSV header {header}")
+            for variable, value, algorithm, metric, rmse, crb, n_success, n_trials in reader:
+                rows.append(ResultRow(variable, float(value), algorithm, metric, float(rmse),
+                                      float(crb), int(n_success), int(n_trials)))
+        except (ValueError, csv.Error) as exc:
+            raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from None
     return tuple(rows)
 
 

@@ -114,10 +114,10 @@ class ScenarioConfig:
                     "must be positive and finite")
             with np.errstate(over="ignore"):
                 sigma2 = self.sigma2
-            if sigma2 == np.inf:
+            if not 0 < sigma2 < np.inf:
                 raise ConfigError(
-                    f"SNR {self.snr_db} dB gives a noise power sigma2 beyond "
-                    "the float range")
+                    f"SNR {self.snr_db} dB gives a noise power sigma2 of "
+                    f"{sigma2}; it must be positive and finite")
         if self.rng_seed < 0:
             raise ConfigError(f"RNG seed must be non-negative, got {self.rng_seed}")
         if K >= M:
@@ -181,10 +181,6 @@ class ScenarioConfig:
         return np.array(
             [phase_from_doa(s.theta, s.f_c, self.geom) for s in self.sources]
         )
-
-    def with_seed(self, seed: int) -> "ScenarioConfig":
-        """This scenario with RNG seed `seed`; itself if it already has it."""
-        return self if self.rng_seed == seed else replace(self, rng_seed=int(seed))
 
 
 def _draw_envelopes(config: ScenarioConfig, rng: np.random.Generator):
@@ -294,45 +290,40 @@ def _draws(config: ScenarioConfig, seeds, full_structure: bool) -> tuple:
     return coeffs, noise.view(np.complex128)
 
 
-def _channel_rows(configs, full_structure: bool, draws=None) -> np.ndarray:
-    """Receiver output of each scenario of a block `configs` on the
-    structure's channels, stacked: the signal added in place to the noise
-    of their `_draws` (made here when None), which is returned."""
-    config = configs[0]
+def _channel_rows(config: ScenarioConfig, full_structure: bool, draws=None) -> np.ndarray:
+    """Receiver output of `config` on the structure's channels: the signal
+    added in place to the noise of a block's `_draws`, which is returned
+    stacked, or, without them, of one trial seeded with `config.rng_seed`."""
     channels = selected_channel_columns(config.geom.M, config.pattern.P, full_structure)
-    coeffs, out = draws or _draws(config, [c.rng_seed for c in configs], full_structure)
+    coeffs, out = draws or _draws(config, [config.rng_seed], full_structure)
     if all(src.envelope == "tone" for src in config.sources):
         out += _tone_signal(replace(config, rng_seed=0, snr_db=None),
                             tuple(int(c) for c in channels))
     else:
-        for rows, trial, trial_coeffs in zip(out, configs, coeffs):
-            rows += _envelope_signal(trial, trial_coeffs, channels)
-    return out
+        for rows, trial_coeffs in zip(out, coeffs):
+            rows += _envelope_signal(config, trial_coeffs, channels)
+    return out if draws else out[0]
 
 
-def assemble_snapshots(config, draws=None) -> np.ndarray:
+def assemble_snapshots(config: ScenarioConfig, draws=None) -> np.ndarray:
     """Simplified receiver output W ((M+P-1) x N), deterministic in rng_seed.
 
     Its rows are the channels `selected_channel_columns(M, P)` (flat indices
-    m*P + p), in that order.  A block (scenarios that differ only in seed)
-    gives the outputs stacked; `draws` is their `_draws`, if made already.
+    m*P + p), in that order.  Given a block's `_draws(config, seeds, False)`,
+    the block's outputs come stacked, in that buffer.
     """
-    block = [config] if isinstance(config, ScenarioConfig) else config
-    W = _channel_rows(block, False, draws)
-    return W if block is config else W[0]
+    return _channel_rows(config, False, draws)
 
 
-def assemble_full_snapshots(config, draws=None) -> np.ndarray:
+def assemble_full_snapshots(config: ScenarioConfig, draws=None) -> np.ndarray:
     """Full-structure output (M*P x N), sensor-major channel order.
 
     Noise is drawn for the J-selected channels first and for the others
     after them, so the rows selected by the J matrix agree bit-exactly with
-    `assemble_snapshots(config)` for the same seed; blocks stack as there,
-    and `draws` (with `full_structure`) becomes the output.
+    `assemble_snapshots(config)` for the same seed; a block's
+    `_draws(config, seeds, True)` give the outputs stacked as there.
     """
-    block = [config] if isinstance(config, ScenarioConfig) else config
-    Y = _channel_rows(block, True, draws)
-    return Y if block is config else Y[0]
+    return _channel_rows(config, True, draws)
 
 
 _MAGIC = b"SNYQ"

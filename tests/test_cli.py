@@ -356,10 +356,12 @@ def test_single_at_overflowing_noise_is_config_error(tmp_path, snr_db):
 @pytest.mark.parametrize("overrides, named", [
     ({"snr_db": -3085.0}, "SNR -3085.0 dB"),
     ({"sources": [{"theta": 0.5, "f_c": 0.31, "amplitude": 1e200}]}, "amplitude (1e+200+0j)"),
+    ({"sources": [{"theta": 0.5, "f_c": 0.31, "amplitude": [0, 0]}]}, "sigma2 of 0.0"),
 ])
 def test_overflowing_power_is_config_error(tmp_path, command, overrides, named):
     # at -3085 dB the power ratio 3.2e-309 is finite but the noise power is
-    # not; an amplitude of 1e200 has no finite power |a|^2
+    # not; an amplitude of 1e200 has no finite power |a|^2; and an SNR over
+    # a silent source is a noise power of 0, which would run noiseless
     config = scenario_json(tmp_path, **overrides)
     out = tmp_path / "snapshots.bin"
     args = {"sweep-snr": ["--config", sweep_json(tmp_path)],

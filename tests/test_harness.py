@@ -150,11 +150,11 @@ def test_run_trial_records_failure_without_raising():
 
 
 def test_failed_trials_excluded_from_rmse():
+    # a silent source has no SNR, so the sweep runs noiseless over K
     base = replace(default_scenario(K=1, snr_db=None), n_snapshots=256)
-    silent = replace(base, sources=(replace(base.sources[0], amplitude=0.0),),
-                     snr_db=0.0)
-    config = SweepConfig(base=silent, sweep_variable="snr_db",
-                         sweep_values=(0.0,), n_trials=2,
+    silent = replace(base, sources=(replace(base.sources[0], amplitude=0.0),))
+    config = SweepConfig(base=silent, sweep_variable="n_sources",
+                         sweep_values=(1,), n_trials=2,
                          algorithms=("JDFPI",), master_seed=0)
     table = run_sweep(config)
     for row in table.rows:
@@ -178,22 +178,26 @@ def test_table_invariant_to_source_order():
 def test_sweep_synthesizes_each_trial_once(monkeypatch):
     import subnyq.harness as harness
 
-    # each call assembles one block, a list of one scenario per trial seed
-    calls = []
+    # each block's seeds are drawn once, and the block's draws assembled once
+    drawn, calls = [], []
+    original_draws = harness._draws
+    monkeypatch.setattr(harness, "_draws", lambda config, seeds, *a: drawn.append(
+        list(seeds)) or original_draws(config, seeds, *a))
     for name in ("assemble_snapshots", "assemble_full_snapshots"):
         original = getattr(harness, name)
-        monkeypatch.setattr(harness, name, lambda config, *a, _f=original, _n=name:
-                            calls.append((_n, [c.rng_seed for c in config]))
-                            or _f(config, *a))
+        monkeypatch.setattr(harness, name, lambda config, draws, _f=original, _n=name:
+                            calls.append((_n, len(draws[1]))) or _f(config, draws))
     seeds = [derive_trial_seed(7, 0, trial) for trial in range(6)]
     run_sweep(small_sweep(n_trials=6, values=(20.0,)))
-    assert calls == [("assemble_snapshots", seeds)]  # one block of 25 or fewer
+    assert drawn == [seeds]  # one block of 25 or fewer
+    assert calls == [("assemble_snapshots", 6)]
+    drawn.clear()
     calls.clear()
     run_sweep(small_sweep(n_trials=6, values=(20.0,),
                           algorithms=("JDFPI", "JDFSDPJ", "JDFSD-full")))
     # blocks of 5 at 241 KB per trial
-    assert calls == [("assemble_full_snapshots", seeds[:5]),
-                     ("assemble_full_snapshots", seeds[5:])]
+    assert drawn == [seeds[:5], seeds[5:]]
+    assert calls == [("assemble_full_snapshots", 5), ("assemble_full_snapshots", 1)]
 
 
 @pytest.mark.parametrize("algorithms", [("JDFSDPJ", "JDFPI"),
@@ -208,8 +212,8 @@ def test_sweep_synthesizes_each_block_inside_its_first_run_trial(monkeypatch,
 
     import subnyq.harness as harness
 
-    active, assembled = [], []
-    original_trial = harness.run_trial
+    active, assembled, drawn = [], [], []
+    original_trial, original_draws = harness.run_trial, harness._draws
 
     def tracked_trial(scenario, algorithm, seed, sweep_value=None, trial_index=0,
                       *args, **kwargs):
@@ -220,12 +224,18 @@ def test_sweep_synthesizes_each_block_inside_its_first_run_trial(monkeypatch,
         finally:
             active.pop()
 
+    def recorded_draws(config, seeds, *args):
+        draws = original_draws(config, seeds, *args)
+        drawn.append((draws, tuple(seeds)))
+        return draws
+
     monkeypatch.setattr(harness, "run_trial", tracked_trial)
+    monkeypatch.setattr(harness, "_draws", recorded_draws)
     for name in ("assemble_snapshots", "assemble_full_snapshots"):
         original = getattr(harness, name)
-        monkeypatch.setattr(harness, name, lambda config, *a, _f=original: assembled.append(
-            (tuple(c.rng_seed for c in config), tuple(active), threading.current_thread()))
-            or _f(config, *a))
+        monkeypatch.setattr(harness, name, lambda config, draws, _f=original: assembled.append(
+            (next(seeds for made, seeds in drawn if made is draws), tuple(active),
+             threading.current_thread())) or _f(config, draws))
     config = small_sweep(n_trials=6, values=(10.0, 20.0), algorithms=algorithms)
     run_sweep(config)
     seeds = [[derive_trial_seed(config.master_seed, s_idx, trial) for trial in range(6)]
@@ -252,19 +262,22 @@ def test_sweep_builds_the_tone_signal_once(monkeypatch):
     assert len(built) == 1
 
 
-def test_sweep_validates_each_trial_scenario_once(monkeypatch):
-    # one seeded scenario per (point, trial), shared by its algorithms
+def test_sweep_validates_no_scenario_per_trial(monkeypatch):
+    # a block is its point's scenario and its trials' seeds: a sweep
+    # validates one scenario per point and one tone-signal key per block
     from subnyq import siggen
 
+    config = small_sweep(n_trials=6, values=(10.0, 20.0),
+                         algorithms=("JDFPI", "JDFSDPJ", "JDFSD-full"))
     built = []
     post_init = siggen.ScenarioConfig.__post_init__
     monkeypatch.setattr(siggen.ScenarioConfig, "__post_init__",
                         lambda self: built.append(self.rng_seed) or post_init(self))
-    config = small_sweep(n_trials=2, values=(20.0,),
-                         algorithms=("JDFPI", "JDFSDPJ", "JDFSD-full"))
-    seeds = [derive_trial_seed(config.master_seed, 0, t) for t in range(2)]
     run_sweep(config)
-    assert sorted(s for s in built if s in seeds) == sorted(seeds)
+    seeds = {derive_trial_seed(config.master_seed, s_idx, t)
+             for s_idx in range(2) for t in range(6)}
+    assert len(built) <= 2 + 2 * 2  # blocks of 5 and 1 per point
+    assert not seeds & set(built)
 
 
 def test_repeated_sweep_value_is_config_error():
@@ -536,11 +549,15 @@ def test_serial_sweep_draws_on_a_thread_that_ends_with_it(monkeypatch):
 def test_serial_sweep_calls_public_functions_on_the_calling_thread(monkeypatch):
     # the fill thread only draws: every public function of the package,
     # wrapped where its callers look it up (as a call tracer wraps them),
-    # runs on the calling thread, and synthesis still runs through them
+    # runs on the calling thread, and synthesis still runs through them;
+    # also when the draw order is built in this sweep
     import inspect
     import sys
     import threading
 
+    from subnyq import siggen
+
+    siggen._draw_order.cache_clear()
     threads = {}
     for module in ("subnyq.harness", "subnyq.estimators", "subnyq.siggen", "subnyq.crb"):
         for attr, fn in list(vars(sys.modules[module]).items()):
@@ -652,8 +669,8 @@ def test_a_failing_trial_leaves_the_rest_of_its_block_unchanged(monkeypatch, fai
 
     base = replace(default_scenario(K=2, snr_db=20.0), n_snapshots=256)
     seeds = [11, 12, 13]
-    output = harness.trial_output([base.with_seed(s) for s in seeds],
-                                  harness.ALGORITHM_NAMES)
+    output = harness.trial_output(base, harness.ALGORITHM_NAMES,
+                                  harness._draws(base, seeds, True))
     if failure == "peak_count":
         output = {full: (X * [[[1.0]], [[0.0]], [[1.0]]], R * [[[1.0]], [[0.0]], [[1.0]]])
                   for full, (X, R) in output.items()}
@@ -931,6 +948,24 @@ def test_read_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "foreign.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ConfigError):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("body, line", [
+    ("", 0),
+    ("\nsnr_db,10,JDFPI,phase_rmse,1e-3,1e-4,3,3\n", 2),
+    ("snr_db,10,JDFPI,phase_rmse,1e-3,1e-4,3\n", 2),
+    ("snr_db,10,JDFPI,phase_rmse,1e-3,1e-4,3,3,3\n", 2),
+    ("snr_db,10,JDFPI,phase_rmse,1e-3,1e-4,3,3\nsnr_db,10,JDFPI,freq_rmse,x,1e-4,3,3\n", 3),
+    ("snr_db,10,JDFPI,phase_rmse,1e-3,1e-4,3.5,3\n", 2),
+], ids=["empty", "blank_row", "short_row", "long_row", "non_numeric", "fractional_count"])
+def test_read_csv_rejects_a_malformed_file_naming_its_line(tmp_path, body, line):
+    from subnyq.harness import CSV_HEADER
+
+    path = tmp_path / "bad.csv"
+    path.write_text(body and ",".join(CSV_HEADER) + "\n" + body)
+    with pytest.raises(ConfigError, match=f"{path.name}, line {line}:" if line
+                       else "unexpected CSV header None"):
         read_csv(path)
 
 

@@ -258,15 +258,33 @@ def test_block_draws_are_the_per_trial_draws_in_channel_rows(full_structure, snr
 def test_block_output_is_its_noise_buffer():
     # the signal is added to the drawn noise in place, for either structure,
     # and the full output's selected rows are the simplified output
-    block = [tone_scenario(snr_db=5.0, seed=s) for s in (3, 8)]
+    config, seeds = tone_scenario(snr_db=5.0), [3, 8]
     rows = selected_channel_columns(GEOM.M, PATTERN.P)
     for assemble, full_structure in ((assemble_snapshots, False),
                                      (assemble_full_snapshots, True)):
-        draws = siggen._draws(block[0], [3, 8], full_structure)
-        output = assemble(block, draws)
+        draws = siggen._draws(config, seeds, full_structure)
+        output = assemble(config, draws)
         assert np.shares_memory(output, draws[1])
-        np.testing.assert_array_equal(output[:, rows] if full_structure else output,
-                                      assemble_snapshots(block))
+        for trial, seed in zip(output, seeds):
+            np.testing.assert_array_equal(trial[rows] if full_structure else trial,
+                                          assemble_snapshots(replace(config, rng_seed=seed)))
+
+
+@pytest.mark.parametrize("assemble", [assemble_snapshots, assemble_full_snapshots],
+                         ids=["simplified", "full"])
+def test_noise_envelope_block_is_each_seeds_single_trial(assemble):
+    # a block with a noise-envelope source adds each trial's own envelopes:
+    # trial i is the single-trial output of the scenario at seed i, bit for bit
+    f_s = PATTERN.f_s
+    noisy = SourceTruth(theta=0.3, f_c=(4 + 0.2) * f_s, envelope="noise",
+                        bandwidth=0.4 * f_s)
+    config = replace(tone_scenario(snr_db=5.0), sources=(tone_scenario().sources[0], noisy))
+    seeds = [4, 9, 2]
+    block = assemble(config, siggen._draws(config, seeds, assemble is assemble_full_snapshots))
+    assert len(block) == len(seeds)
+    for trial, seed in zip(block, seeds):
+        np.testing.assert_array_equal(trial, assemble(replace(config, rng_seed=seed)))
+    assert not np.array_equal(block[0], block[1])
 
 
 def per_trial_rows(config, channels):
