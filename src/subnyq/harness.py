@@ -4,6 +4,7 @@ import csv
 import io
 import itertools
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cache
 
@@ -24,7 +25,6 @@ from .model import (
 from .siggen import (
     ScenarioConfig,
     SourceTruth,
-    _draw_order,
     _draws,
     assemble_full_snapshots,
     assemble_snapshots,
@@ -83,19 +83,16 @@ def trial_output(scenario: ScenarioConfig, algorithms, draws=None) -> dict:
     block's `siggen._draws` for this output's structure (full if any
     algorithm's is), it gives the block's, stacked in that buffer.
 
-    With a full-structure pipeline, the simplified output W is the full
-    output's selected rows, which agree bit-exactly with `assemble_snapshots`
-    for the same seed, and its covariance is still taken of W itself.  The
-    algorithms of a trial share these arrays: consumers must not modify them.
+    With a full-structure pipeline, the simplified output W is a view of
+    the full output's first M+P-1 rows, `assemble_snapshots` bit for bit,
+    and its covariance is still taken of W itself.  The algorithms of a
+    trial share these arrays: consumers must not modify them.
     """
     check_algorithms(algorithms)
     structures = {_FULL_STRUCTURE[algorithm] for algorithm in algorithms}
-    if True in structures:
-        full = assemble_full_snapshots(scenario, draws)
-        rows = selected_channel_columns(scenario.geom.M, scenario.pattern.P)
-        outputs = {True: full, False: full[..., rows, :]}
-    else:
-        outputs = {False: assemble_snapshots(scenario, draws)}
+    X = (assemble_full_snapshots if True in structures else assemble_snapshots)(
+        scenario, draws)
+    outputs = {True: X, False: X[..., :scenario.geom.M + scenario.pattern.P - 1, :]}
     return {s: (outputs[s], sample_covariance(outputs[s])) for s in structures}
 
 
@@ -311,12 +308,16 @@ def derive_trial_seed(master_seed: int, sweep_index: int, trial_index: int) -> i
 
 def run_trial(scenario: ScenarioConfig, algorithm: str, seed,
               sweep_value=None, trial_index: int = 0, output=None):
-    """One trial of `scenario` seeded with `seed`; estimation failures are
-    recorded, not raised.  A list of seeds is a block of trials numbered
-    from `trial_index`, run together, and gives a list of records.
-    `output`, called here with no arguments, returns their `trial_output`
-    for algorithms that include `algorithm`."""
-    seeds = seed if isinstance(seed, list) else [seed]
+    """One trial of `scenario` seeded with the integer `seed`; estimation
+    failures are recorded, not raised.  A sequence of seeds (a list, tuple,
+    range or 1-D array) is a block of trials numbered from `trial_index`,
+    run together, and gives a list of records.  A seed that is not an
+    integer >= 0 is a ConfigError.  `output`, called with no arguments,
+    returns their `trial_output` for algorithms that include `algorithm`."""
+    block = isinstance(seed, Sequence) or np.ndim(seed) > 0
+    seeds = [_integer(s) for s in (seed if block else [seed])]
+    if not seeds or min(seeds) < 0:
+        raise ConfigError(f"need one or more non-negative seeds, got {seed!r}")
     if sweep_value is None:
         sweep_value = scenario.snr_db
     output = output or (lambda: trial_output(
@@ -327,7 +328,7 @@ def run_trial(scenario: ScenarioConfig, algorithm: str, seed,
                else TrialRecord(sweep_value, algorithm, trial_index + i, s,
                                 np.array(match_estimates(scenario, result)))
                for i, (s, result, error) in enumerate(outcomes)]
-    return records if isinstance(seed, list) else records[0]
+    return records if block else records[0]
 
 
 def _run_task(task, draws=None) -> list[TrialRecord]:
@@ -378,7 +379,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> ResultTable:
     run.  Serially a fill thread draws each block's noise while the block
     before it runs (`_run_serial`), so two blocks' outputs are held, each
     BLOCK_BYTES or less, or two trials: a block's output is its noise
-    buffer, and only a full block's simplified rows are copied.  The pool
+    buffer, and a full block's simplified rows are a view of it.  The pool
     takes one window of blocks at a time, in workers spawned with
     single-threaded BLAS (`_run_pool`).  No thread or process outlives the
     call.  On KeyboardInterrupt the records of the completed blocks are
@@ -428,14 +429,9 @@ def _run_serial(tasks, records: list, full_structure: bool) -> None:
     from concurrent.futures import ThreadPoolExecutor
 
     fill = ThreadPoolExecutor(max_workers=1)
-
-    def submit(task):  # task: (scenario, algorithms, seeds, value, first trial)
-        if full_structure:  # built here: it calls `selected_channel_columns`
-            _draw_order(task[0].geom.M, task[0].pattern.P)
-        return task, fill.submit(_draws, task[0], task[2], full_structure).result
-
-    try:
-        ahead = map(submit, tasks)
+    try:  # a task is (scenario, algorithms, seeds, value, first trial)
+        ahead = ((task, fill.submit(_draws, task[0], task[2], full_structure).result)
+                 for task in tasks)
         current = next(ahead, None)
         while current:
             upcoming = next(ahead, None)

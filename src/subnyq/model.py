@@ -10,7 +10,8 @@ Conventions used throughout the package:
   matrix times a P x L matrix must give an MP x KL matrix, so nothing else
   is dimensionally possible),
 * the selection J keeps all P branches of sensor 1 followed by branch 1 of
-  sensors 2..M (`selected_channel_columns`).
+  sensors 2..M, and the full structure lists these M+P-1 channels first,
+  then the rest (`selected_channel_columns`).
 """
 
 import itertools
@@ -194,22 +195,20 @@ def check_identifiable(pattern: MultiCosetPattern, K: int) -> None:
 
 
 def selected_channel_columns(M: int, P: int, full_structure: bool = False) -> np.ndarray:
-    """Flat channel indices (sensor-major, m*P + p) a receiver structure
-    keeps: the selection matrix's, or all M*P when `full_structure`."""
-    if full_structure:
-        return np.arange(M * P)
-    sensor1 = np.arange(P)
-    others = np.arange(1, M) * P
-    return np.concatenate([sensor1, others])
+    """Flat channel indices m*P + p a structure keeps, as its output's rows:
+    the selection matrix's (sensor 1 or branch 1, m = 0 or p = 0), then, if
+    `full_structure`, the rest, each part ascending."""
+    m, p = np.divmod(np.arange(M * P), P)
+    rows = np.argsort((m > 0) & (p > 0), kind="stable")
+    return rows if full_structure else rows[:M + P - 1]
 
 
 def build_G_selected(phis, bands, geom: ArrayGeometry,
                      pattern: MultiCosetPattern, rows) -> np.ndarray:
     """len(rows) x K steering columns: rows `rows` (flat channel indices
     m*P + p) of a(phi_k) kron B[:, band_k], the package's one steering model
-    (row m*P + p is e^{-j m phi} B[p, l]).  The full structure keeps every
-    row, the simplified receiver its `selected_channel_columns`; stacks give
-    one per trial."""
+    (row m*P + p is e^{-j m phi} B[p, l]), such as a structure's
+    `selected_channel_columns`; stacks give one per trial."""
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     bands = np.atleast_1d(np.asarray(bands, dtype=int))
     rows = np.asarray(rows)

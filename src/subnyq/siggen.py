@@ -216,15 +216,14 @@ def _envelope_series(coeff, n_points: int) -> np.ndarray:
     return np.fft.ifft(buf) * n_points
 
 
-def _envelope_signal(config: ScenarioConfig, coeffs, channels) -> np.ndarray:
-    """Noiseless aligned signal on `channels` (flat indices m*P + p) for the
-    envelope coefficients `coeffs` of `_draw_envelopes` (None for a tone).
-
-    Row r is accumulated element-wise from channel channels[r] alone, so it
-    does not depend on which other channels are listed.
-    """
+def _envelope_signal(config: ScenarioConfig, coeffs, full_structure: bool) -> np.ndarray:
+    """Noiseless aligned signal on the structure's `selected_channel_columns`
+    for the envelope coefficients `coeffs` of `_draw_envelopes` (None for a
+    tone).  Each row is accumulated element-wise from its own channel alone,
+    so the full structure's first rows are the simplified structure's."""
     geom, pattern = config.geom, config.pattern
     N = config.n_snapshots
+    channels = selected_channel_columns(geom.M, pattern.P, full_structure)
     signal = np.zeros((len(channels), N), dtype=complex)
     if not config.n_sources:
         return signal
@@ -240,26 +239,16 @@ def _envelope_signal(config: ScenarioConfig, coeffs, channels) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _tone_signal(config: ScenarioConfig, channels: tuple) -> np.ndarray:
+def _tone_signal(config: ScenarioConfig, full_structure: bool) -> np.ndarray:
     """Read-only `_envelope_signal` of a scenario whose sources are all tones.
 
     Tones draw nothing from the RNG, so the signal depends on neither the
     seed nor the SNR: callers key it on the scenario with both cleared, and
     one entry serves every trial of an SNR sweep.
     """
-    signal = _envelope_signal(config, (None,) * config.n_sources, channels)
+    signal = _envelope_signal(config, (None,) * config.n_sources, full_structure)
     signal.setflags(write=False)
     return signal
-
-
-@lru_cache(maxsize=8)
-def _draw_order(M: int, P: int) -> np.ndarray:
-    """Read-only order (flat indices m*P + p) in which a trial draws its
-    channels' noise: `selected_channel_columns(M, P)`, then the rest."""
-    selected = selected_channel_columns(M, P)
-    order = np.concatenate([selected, np.setdiff1d(np.arange(M * P), selected)])
-    order.setflags(write=False)
-    return order
 
 
 def _draws(config: ScenarioConfig, seeds, full_structure: bool) -> tuple:
@@ -267,16 +256,14 @@ def _draws(config: ScenarioConfig, seeds, full_structure: bool) -> tuple:
     `seeds`; the noise is one (trials, channels, N) buffer whose rows are
     the structure's `selected_channel_columns(M, P, full_structure)`.
 
-    Each generator draws its envelopes, then one row of 2N normals (re/im
-    interleaved, scaled to variance sigma2) per channel in `_draw_order`
-    (the simplified rows, in order, in one call), each straight to its
-    channel's row, so a prefix of rows does not depend on how many are drawn.
-    With noise every row is drawn, so the buffer starts uninitialized: a
-    serial sweep runs this on its fill thread, and numpy holds the GIL while
-    it zeroes memory but not while it draws or scales.
+    Each generator draws its envelopes, then all its trial's rows in one
+    call (2N normals a row, re/im interleaved, scaled to variance sigma2):
+    the full structure's first rows are the simplified ones.  With noise
+    every row is drawn, so the buffer starts uninitialized: a serial sweep
+    runs this on its fill thread, and numpy holds the GIL while it zeroes
+    memory but not while it draws or scales.
     """
     M, P, N = config.geom.M, config.pattern.P, config.n_snapshots
-    rows = _draw_order(M, P) if full_structure else [slice(None)]
     n_rows = M * P if full_structure else M + P - 1
     sigma2 = config.sigma2
     noise = (np.empty if sigma2 else np.zeros)((len(seeds), n_rows, 2 * N))
@@ -284,8 +271,8 @@ def _draws(config: ScenarioConfig, seeds, full_structure: bool) -> tuple:
     for trial, seed in zip(noise, seeds):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
         coeffs.append(_draw_envelopes(config, rng))
-        for row in rows if sigma2 else ():
-            rng.standard_normal(out=trial[row])
+        if sigma2:
+            rng.standard_normal(out=trial)
     noise *= np.sqrt(sigma2 / 2.0)
     return coeffs, noise.view(np.complex128)
 
@@ -294,14 +281,12 @@ def _channel_rows(config: ScenarioConfig, full_structure: bool, draws=None) -> n
     """Receiver output of `config` on the structure's channels: the signal
     added in place to the noise of a block's `_draws`, which is returned
     stacked, or, without them, of one trial seeded with `config.rng_seed`."""
-    channels = selected_channel_columns(config.geom.M, config.pattern.P, full_structure)
     coeffs, out = draws or _draws(config, [config.rng_seed], full_structure)
     if all(src.envelope == "tone" for src in config.sources):
-        out += _tone_signal(replace(config, rng_seed=0, snr_db=None),
-                            tuple(int(c) for c in channels))
+        out += _tone_signal(replace(config, rng_seed=0, snr_db=None), full_structure)
     else:
         for rows, trial_coeffs in zip(out, coeffs):
-            rows += _envelope_signal(config, trial_coeffs, channels)
+            rows += _envelope_signal(config, trial_coeffs, full_structure)
     return out if draws else out[0]
 
 
@@ -316,12 +301,11 @@ def assemble_snapshots(config: ScenarioConfig, draws=None) -> np.ndarray:
 
 
 def assemble_full_snapshots(config: ScenarioConfig, draws=None) -> np.ndarray:
-    """Full-structure output (M*P x N), sensor-major channel order.
+    """Full-structure output (M*P x N) on the channels
+    `selected_channel_columns(M, P, True)`, in that order.
 
-    Noise is drawn for the J-selected channels first and for the others
-    after them, so the rows selected by the J matrix agree bit-exactly with
-    `assemble_snapshots(config)` for the same seed; a block's
-    `_draws(config, seeds, True)` give the outputs stacked as there.
+    Its first M+P-1 rows are `assemble_snapshots(config)` bit for bit; a
+    block's `_draws(config, seeds, True)` give the outputs stacked as there.
     """
     return _channel_rows(config, True, draws)
 

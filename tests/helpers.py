@@ -46,14 +46,16 @@ MIN_PHASE_SEPARATION = 0.15  # rad, far above the oracle's grid step
 
 def structure_rows(geom: ArrayGeometry, pattern: MultiCosetPattern,
                    full_structure: bool = False) -> np.ndarray:
-    """Flat channel indices m*P + p a receiver structure keeps: every one
-    for the full structure, `selected_channel_columns` for the simplified."""
+    """Flat channel indices m*P + p a receiver structure keeps, in its
+    output's row order: `selected_channel_columns`, whose full form lists
+    the simplified structure's first."""
     return selected_channel_columns(geom.M, pattern.P, full_structure)
 
 
 def steering_column(phi: float, band: int, geom: ArrayGeometry,
                     pattern: MultiCosetPattern, full_structure: bool = False):
-    """One steering column of a receiver structure."""
+    """One steering column of a receiver structure, on its
+    `structure_rows` in that order."""
     rows = structure_rows(geom, pattern, full_structure)
     return build_G_selected([phi], [band], geom, pattern, rows)[:, 0]
 

@@ -723,7 +723,8 @@ def test_root_search_matches_grid_oracle():
                                  n_snapshots=256)
         K, M, pattern = config.n_sources, config.geom.M, config.pattern
         B = build_B(pattern)
-        rows = selected_channel_columns(M, pattern.P)
+        rows, all_rows = (selected_channel_columns(M, pattern.P, full)
+                          for full in (False, True))
         W = assemble_snapshots(config)
         Q = W[np.r_[0, pattern.P:M + pattern.P - 1]]
         full = assemble_full_snapshots(config)
@@ -733,7 +734,7 @@ def test_root_search_matches_grid_oracle():
                       np.zeros(K, dtype=int))),
             (W, lambda ph, l: np.kron(build_A(ph, M), B[:, [l]])[rows], pattern.L,
              lambda: phase_band(jdfsdpj(W, sample_covariance(W), config))),
-            (full, lambda ph, l: np.kron(build_A(ph, M), B[:, [l]]), pattern.L,
+            (full, lambda ph, l: np.kron(build_A(ph, M), B[:, [l]])[all_rows], pattern.L,
              lambda: phase_band(jdfsd_full(full, sample_covariance(full),
                                            config))),
         )
@@ -911,7 +912,7 @@ def test_pruned_search_equals_all_band_search(rooted_rows):
         for X, maps in ((assemble_snapshots(config),
                          channel_maps(M, B, selected_channel_columns(M, P))),
                         (assemble_full_snapshots(config),
-                         channel_maps(M, B, np.arange(M * P)))):
+                         channel_maps(M, B, selected_channel_columns(M, P, True)))):
             for K in range(1, 5):
                 rooted_rows.clear()
                 R = sample_covariance(X)

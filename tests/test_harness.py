@@ -457,6 +457,44 @@ def test_run_trial_deterministic():
     np.testing.assert_array_equal(a.freq_errors, b.freq_errors)
 
 
+def test_run_trial_takes_any_sequence_of_seeds_as_a_block():
+    # an int is one trial; a tuple, range or 1-D array of seeds is a block
+    # whose records are the list's, with int seeds; a boolean, a negative
+    # or a non-integer seed, or no seed at all, is a ConfigError
+    scenario = replace(default_scenario(K=2, snr_db=15.0), n_snapshots=256)
+    listed = run_trial(scenario, "JDFSDPJ", [11, 12])
+    assert [r.seed for r in listed] == [11, 12]
+    for seeds in ((11, 12), range(11, 13), np.array([11, 12])):
+        records = run_trial(scenario, "JDFSDPJ", seeds)
+        assert [type(r.seed) for r in records] == [int, int]
+        for record, expected in zip(records, listed, strict=True):
+            assert replace(record, errors=None) == replace(expected, errors=None)
+            np.testing.assert_array_equal(record.errors, expected.errors)
+    for bad in (True, -1, [11, -1], [11, True], [], 1.5, "12"):
+        with pytest.raises(ConfigError):
+            run_trial(scenario, "JDFSDPJ", bad)
+
+
+def test_full_structure_simplified_output_is_a_view_of_the_full_output():
+    # W is the full output's first M+P-1 rows, not a copy, and it and its
+    # covariance are a simplified-only trial_output of the same seeds, bit
+    # for bit, for a block and for one trial
+    import subnyq.harness as harness
+
+    base = replace(default_scenario(K=2, snr_db=20.0), n_snapshots=256)
+    seeds = [11, 12, 13]
+    for both, simplified in (
+            (harness.trial_output(base, harness.ALGORITHM_NAMES,
+                                  harness._draws(base, seeds, True)),
+             harness.trial_output(base, ("JDFSDPJ",), harness._draws(base, seeds, False))),
+            (harness.trial_output(base, ("JDFPI", "JDFSD-full")),
+             harness.trial_output(base, ("JDFPI",)))):
+        (full, _), (W, R) = both[True], both[False]
+        assert np.shares_memory(W, full)
+        np.testing.assert_array_equal(W, simplified[False][0])
+        np.testing.assert_array_equal(R, simplified[False][1])
+
+
 def test_run_sweep_aggregates_counts_and_metrics():
     config = small_sweep()
     table = run_sweep(config)
@@ -550,14 +588,14 @@ def test_serial_sweep_calls_public_functions_on_the_calling_thread(monkeypatch):
     # the fill thread only draws: every public function of the package,
     # wrapped where its callers look it up (as a call tracer wraps them),
     # runs on the calling thread, and synthesis still runs through them;
-    # also when the draw order is built in this sweep
+    # also when the tone signal is built in this sweep
     import inspect
     import sys
     import threading
 
     from subnyq import siggen
 
-    siggen._draw_order.cache_clear()
+    siggen._tone_signal.cache_clear()
     threads = {}
     for module in ("subnyq.harness", "subnyq.estimators", "subnyq.siggen", "subnyq.crb"):
         for attr, fn in list(vars(sys.modules[module]).items()):
@@ -573,9 +611,9 @@ def test_serial_sweep_calls_public_functions_on_the_calling_thread(monkeypatch):
 
 
 def test_serial_full_structure_sweep_holds_two_blocks_and_little_else():
-    # a block's output is its noise buffer, so a serial sweep holds the
-    # running block, the one drawn ahead, the simplified rows cut from the
-    # running one and the estimators' work
+    # a block's output is its noise buffer and W a view of it, so a serial
+    # sweep holds the running block, the one drawn ahead and the
+    # estimators' work
     import tracemalloc
 
     import subnyq.harness as harness
@@ -590,6 +628,26 @@ def test_serial_full_structure_sweep_holds_two_blocks_and_little_else():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * harness.BLOCK_BYTES
+
+
+def test_serial_source_count_sweep_with_every_pipeline_holds_little_over_two_blocks():
+    # the short source-count sweep with the full structure runs blocks of
+    # five trials of all M*P rows; W is a view of each, so a serial sweep
+    # holds the running block, the one drawn ahead and the estimators' work
+    import tracemalloc
+
+    import subnyq.harness as harness
+
+    config = small_sweep(n_trials=10, values=(1, 2, 3), variable="n_sources",
+                         algorithms=harness.ALGORITHM_NAMES)
+    run_sweep(config)  # fills the caches
+    tracemalloc.start()
+    try:
+        run_sweep(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.15 * harness.BLOCK_BYTES
 
 
 def test_serial_default_point_sweep_holds_two_blocks_and_less_than_one_more():

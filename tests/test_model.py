@@ -57,8 +57,8 @@ def test_selection_matrix_small_example():
     np.testing.assert_array_equal(np.eye(6)[selected_channel_columns(3, 2)],
                                   expected)
     np.testing.assert_array_equal(selected_channel_columns(3, 2), [0, 1, 2, 4])
-    # the full structure keeps every channel
-    np.testing.assert_array_equal(selected_channel_columns(3, 2, True), np.arange(6))
+    # the full structure keeps every channel, the selected ones first
+    np.testing.assert_array_equal(selected_channel_columns(3, 2, True), [0, 1, 2, 4, 3, 5])
 
 
 def test_selection_matrix_orthonormal_rows():
@@ -109,7 +109,8 @@ def test_full_steering_is_kron():
     phi, band = -0.9, 5
     g = steering_column(phi, band, GEOM, PATTERN, full_structure=True)
     direct = np.kron(build_A(phi, GEOM.M)[:, 0], build_B(PATTERN)[:, band])
-    np.testing.assert_allclose(g, direct, atol=1e-14)
+    np.testing.assert_allclose(
+        g, direct[selected_channel_columns(GEOM.M, PATTERN.P, True)], atol=1e-14)
 
 
 def test_combined_matrix_columns():

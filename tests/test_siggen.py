@@ -188,7 +188,8 @@ def _noise_statistics(Y, sigma2):
 
 def test_direct_channel_noise_matches_decimated_nyquist_streams():
     # the receiver draws decimated noise per channel; the reference decimates
-    # white Nyquist-rate sensor streams through the coset sampler
+    # white Nyquist-rate sensor streams through the coset sampler, its rows
+    # taken in the full output's channel order
     pattern = MultiCosetPattern(L=7, offsets=(0, 2, 3), f_N=1.0)
     geom = ArrayGeometry(M=5, d=0.5, c_prop=1.0)
     n = 20000
@@ -197,7 +198,8 @@ def test_direct_channel_noise_matches_decimated_nyquist_streams():
     sigma2 = config.sigma2
     direct = assemble_full_snapshots(config)
     streams = synthesize_streams(config, np.random.default_rng(17))
-    reference = np.vstack([multicoset_sample(s, pattern, n) for s in streams])
+    reference = np.vstack([multicoset_sample(s, pattern, n) for s in streams])[
+        selected_channel_columns(geom.M, pattern.P, True)]
     assert direct.shape == reference.shape == (geom.M * pattern.P, n)
     limit = 5.0 * sigma2 / np.sqrt(n)
     for Y in (direct, reference):
@@ -227,46 +229,42 @@ def test_full_snapshots_agree_with_selected_rows():
     config = tone_scenario(snr_db=5.0, seed=3)
     W = assemble_snapshots(config)
     Y_full = assemble_full_snapshots(config)
-    rows = selected_channel_columns(GEOM.M, PATTERN.P)
-    np.testing.assert_array_equal(Y_full[rows], W)
+    np.testing.assert_array_equal(Y_full[:GEOM.M + PATTERN.P - 1], W)
 
 
 @pytest.mark.parametrize("snr_db", [5.0, None], ids=["noisy", "noiseless"])
 @pytest.mark.parametrize("full_structure", [False, True], ids=["simplified", "full"])
 def test_block_draws_are_the_per_trial_draws_in_channel_rows(full_structure, snr_db):
     # a block's one noise buffer holds each trial's envelopes-then-noise
-    # stream, drawn row by row in `_draw_order`, each row on its channel's
-    # row of the structure (selected_channel_columns order)
+    # stream, its channel rows in the structure's selected_channel_columns
+    # order, whose full form lists the simplified rows first
     f_s = PATTERN.f_s
     noisy = SourceTruth(theta=0.3, f_c=(4 + 0.2) * f_s, envelope="noise",
                         bandwidth=0.4 * f_s)
     config = replace(tone_scenario(snr_db=snr_db), sources=(noisy,))
     M, P, seeds = GEOM.M, PATTERN.P, [4, 9, 2]
-    order = siggen._draw_order(M, P)
-    assert siggen._draw_order(M, P) is order and not order.flags.writeable
-    np.testing.assert_array_equal(order[:M + P - 1], selected_channel_columns(M, P))
     channels = selected_channel_columns(M, P, full_structure)
+    np.testing.assert_array_equal(channels[:M + P - 1], selected_channel_columns(M, P))
     coeffs, noise = siggen._draws(config, seeds, full_structure)
     assert noise.shape == (len(seeds), len(channels), config.n_snapshots)
     for seed, trial_coeffs, rows in zip(seeds, coeffs, noise):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
         np.testing.assert_array_equal(trial_coeffs[0], _draw_envelopes(config, rng)[0])
         drawn = white_noise(rng, len(channels), config.n_snapshots, config.sigma2)
-        np.testing.assert_array_equal(rows[order] if full_structure else rows, drawn)
+        np.testing.assert_array_equal(rows, drawn)
 
 
 def test_block_output_is_its_noise_buffer():
     # the signal is added to the drawn noise in place, for either structure,
-    # and the full output's selected rows are the simplified output
+    # and the full output's first M+P-1 rows are the simplified output
     config, seeds = tone_scenario(snr_db=5.0), [3, 8]
-    rows = selected_channel_columns(GEOM.M, PATTERN.P)
     for assemble, full_structure in ((assemble_snapshots, False),
                                      (assemble_full_snapshots, True)):
         draws = siggen._draws(config, seeds, full_structure)
         output = assemble(config, draws)
         assert np.shares_memory(output, draws[1])
         for trial, seed in zip(output, seeds):
-            np.testing.assert_array_equal(trial[rows] if full_structure else trial,
+            np.testing.assert_array_equal(trial[:GEOM.M + PATTERN.P - 1],
                                           assemble_snapshots(replace(config, rng_seed=seed)))
 
 
@@ -287,12 +285,12 @@ def test_noise_envelope_block_is_each_seeds_single_trial(assemble):
     assert not np.array_equal(block[0], block[1])
 
 
-def per_trial_rows(config, channels):
+def per_trial_rows(config, full_structure):
     """Receiver output drawn the per-trial way: envelopes, then the signal,
     then the noise added to it, all from one generator."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.rng_seed)))
-    rows = _envelope_signal(config, _draw_envelopes(config, rng), channels)
-    rows += white_noise(rng, len(channels), config.n_snapshots, config.sigma2)
+    rows = _envelope_signal(config, _draw_envelopes(config, rng), full_structure)
+    rows += white_noise(rng, len(rows), config.n_snapshots, config.sigma2)
     return rows
 
 
@@ -303,21 +301,18 @@ def test_cached_tone_signal_is_read_only_and_output_is_unchanged():
     f_s = PATTERN.f_s
     noisy = SourceTruth(theta=0.3, f_c=(4 + 0.2) * f_s, envelope="noise",
                         bandwidth=0.4 * f_s)
-    rows = selected_channel_columns(GEOM.M, PATTERN.P)
-    order = np.concatenate([rows, np.setdiff1d(np.arange(GEOM.M * PATTERN.P), rows)])
     for config in (tone_scenario(snr_db=5.0, seed=4), tone_scenario(snr_db=None),
                    replace(tone_scenario(snr_db=5.0, seed=4), sources=(noisy,)),
                    replace(tone_scenario(snr_db=5.0, seed=4),
                            sources=(tone_scenario().sources[0], noisy))):
         W = assemble_snapshots(config)
-        np.testing.assert_array_equal(W, per_trial_rows(config, rows))
+        np.testing.assert_array_equal(W, per_trial_rows(config, False))
         full = assemble_full_snapshots(config)
-        np.testing.assert_array_equal(full[order], per_trial_rows(config, order))
+        np.testing.assert_array_equal(full, per_trial_rows(config, True))
         W[:] = 0.0
         np.testing.assert_array_equal(assemble_snapshots(config),
-                                      per_trial_rows(config, rows))
-    cached = siggen._tone_signal(replace(tone_scenario(), rng_seed=0, snr_db=None),
-                                 tuple(int(c) for c in rows))
+                                      per_trial_rows(config, False))
+    cached = siggen._tone_signal(replace(tone_scenario(), rng_seed=0, snr_db=None), False)
     assert not cached.flags.writeable
     with pytest.raises(ValueError):
         cached[0, 0] = 1.0
