@@ -38,6 +38,7 @@ from .model import (
     ArrayGeometry,
     MultiCosetPattern,
     _integer,
+    _positive,
     _real,
     build_G_selected,
     selected_channel_columns,
@@ -68,10 +69,11 @@ class CrbInput:
     pattern: MultiCosetPattern
 
     def __post_init__(self):
-        for name, kind in (("phis", _real), ("bands", _integer), ("powers", _real),
+        for name, kind in (("phis", _real), ("bands", _integer), ("powers", _positive),
                            ("f_residuals", _real)):
-            object.__setattr__(self, name, tuple(kind(v) for v in getattr(self, name)))
-        object.__setattr__(self, "sigma2", _real(self.sigma2))
+            object.__setattr__(self, name, tuple(kind(v, name) for v in getattr(self, name)))
+        object.__setattr__(self, "sigma2", _positive(self.sigma2, "sigma2"))
+        object.__setattr__(self, "n_snapshots", _integer(self.n_snapshots, "n_snapshots", 1))
         K = len(self.phis)
         if K == 0:
             raise ConfigError("bounds need at least one source")
@@ -80,21 +82,9 @@ class CrbInput:
                 f"inconsistent sizes: {K} phases, {len(self.bands)} bands, "
                 f"{len(self.powers)} powers, {len(self.f_residuals)} residuals"
             )
-        if not all(0 < p < np.inf for p in self.powers):
-            raise ConfigError(
-                f"source powers must be positive and finite, got {self.powers}")
-        if not np.isfinite(self.phis + self.f_residuals).all():
-            raise ConfigError(
-                f"phases and residual frequencies must be finite, got "
-                f"{self.phis} and {self.f_residuals}")
-        if not self.sigma2 > 0:
-            raise ConfigError(f"noise power must be positive, got {self.sigma2}")
-        try:
-            object.__setattr__(self, "n_snapshots", _integer(self.n_snapshots))
-        except ConfigError as exc:
-            raise ConfigError(f"n_snapshots: {exc}") from None
-        if self.n_snapshots < 1:
-            raise ConfigError(f"need n_snapshots >= 1, got {self.n_snapshots}")
+        for name in ("phis", "f_residuals"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
 
     @property
     def n_sources(self) -> int:

@@ -62,7 +62,10 @@ BLOCK_BYTES = 5 * 2**18  # a sweep block holds as many trial_outputs as fit, at 
 def check_algorithms(names, scenarios=()) -> None:
     """Raise ConfigError unless there is at least one name, every name is
     one of ALGORITHM_NAMES and none is repeated, and JDFPI, if named, can
-    identify the bands of every one of `scenarios` (`check_identifiable`)."""
+    identify the bands of every one of `scenarios` (`check_identifiable`);
+    a bare string is no list of names."""
+    if isinstance(names, str):
+        raise ConfigError(f"algorithms must be a list of names, got {names!r}")
     if not names:
         raise ConfigError("need at least one algorithm")
     for name in names:
@@ -104,7 +107,11 @@ def run_algorithm(name: str, scenario: ScenarioConfig, output=None):
     block's output gives the pipeline's (results, errors).
     """
     check_algorithms((name,))
-    X, R = (output or trial_output(scenario, (name,)))[_FULL_STRUCTURE[name]]
+    output = output or trial_output(scenario, (name,))
+    if (full := _FULL_STRUCTURE[name]) not in output:
+        raise ConfigError(f"{name} needs the {'full' if full else 'simplified'} "
+                          "structure's output, which this trial_output lacks")
+    X, R = output[full]
     # looked up at call time, so a pipeline replaced on this module is run
     pipeline = {"JDFPI": jdfpi, "JDFSDPJ": jdfsdpj, "JDFSD-full": jdfsd_full}[name]
     return pipeline(X, R, scenario)
@@ -145,10 +152,12 @@ class SweepConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
-        object.__setattr__(self, "algorithms", tuple(self.algorithms))
-        for name in ("n_trials", "master_seed"):
-            object.__setattr__(self, name, _integer(getattr(self, name)))
+        for name in ("sweep_values", "algorithms"):
+            if isinstance(getattr(self, name), str):
+                raise ConfigError(f"{name} must be a list, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "n_trials", _integer(self.n_trials, "n_trials", 1))
+        object.__setattr__(self, "master_seed", _integer(self.master_seed, "master_seed", 0))
         if self.sweep_variable not in SWEEP_VARIABLES:
             raise ConfigError(
                 f"sweep variable must be one of {SWEEP_VARIABLES}, "
@@ -156,11 +165,6 @@ class SweepConfig:
             )
         if not self.sweep_values:
             raise ConfigError("sweep needs at least one value")
-        if self.n_trials < 1:
-            raise ConfigError(f"need n_trials >= 1, got {self.n_trials}")
-        if self.master_seed < 0:
-            raise ConfigError(
-                f"master seed must be non-negative, got {self.master_seed}")
         # validates each value; a repeated point would be run twice and
         # counted twice in its rows
         points = [_scenario_for_value(self.base, self.sweep_variable, value)
@@ -173,12 +177,11 @@ class SweepConfig:
 
 def _scenario_for_value(base: ScenarioConfig, variable: str, value) -> ScenarioConfig:
     if variable == "snr_db":
-        return replace(base, snr_db=_real(value))
-    k = _integer(value)
-    if not 1 <= k <= len(base.sources):
+        return replace(base, snr_db=_real(value, "sweep_values"))
+    k = _integer(value, "sweep_values", 1)
+    if k > len(base.sources):
         raise ConfigError(
-            f"n_sources sweep value {k} outside 1..{len(base.sources)}"
-        )
+            f"sweep_values: n_sources {k} outside 1..{len(base.sources)}")
     return replace(base, sources=base.sources[:k])
 
 
@@ -313,16 +316,21 @@ def run_trial(scenario: ScenarioConfig, algorithm: str, seed,
     range or 1-D array) is a block of trials numbered from `trial_index`,
     run together, and gives a list of records.  A seed that is not an
     integer >= 0 is a ConfigError.  `output`, called with no arguments,
-    returns their `trial_output` for algorithms that include `algorithm`."""
+    returns their block's `trial_output` for algorithms that include
+    `algorithm`, one stacked trial per seed, or ConfigError."""
     block = isinstance(seed, Sequence) or np.ndim(seed) > 0
-    seeds = [_integer(s) for s in (seed if block else [seed])]
-    if not seeds or min(seeds) < 0:
-        raise ConfigError(f"need one or more non-negative seeds, got {seed!r}")
+    seeds = [_integer(s, "seed", 0) for s in (seed if block else [seed])]
+    if not seeds:
+        raise ConfigError(f"need one or more seeds, got {seed!r}")
     if sweep_value is None:
         sweep_value = scenario.snr_db
-    output = output or (lambda: trial_output(
-        scenario, (algorithm,), _draws(scenario, seeds, _FULL_STRUCTURE.get(algorithm))))
-    outcomes = zip(seeds, *run_algorithm(algorithm, scenario, output()))
+    output = output() if output else trial_output(
+        scenario, (algorithm,), _draws(scenario, seeds, _FULL_STRUCTURE.get(algorithm)))
+    for X, _ in output.values():
+        if X.ndim != 3 or len(X) != len(seeds):
+            held = f"{len(X)} stacked trials" if X.ndim == 3 else "one unstacked trial"
+            raise ConfigError(f"output holds {held} for {len(seeds)} seed(s)")
+    outcomes = zip(seeds, *run_algorithm(algorithm, scenario, output))
     records = [TrialRecord(sweep_value, algorithm, trial_index + i, s, failed=True,
                            failure_step=error.step or type(error).__name__) if error
                else TrialRecord(sweep_value, algorithm, trial_index + i, s,
@@ -390,9 +398,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> ResultTable:
     `if __name__ == "__main__":`; at module level each worker would run the
     sweep again on import, and the call fails with `BrokenProcessPool`.
     """
-    if workers < 1:
-        raise ConfigError(f"need workers >= 1, got {workers}")
-    workers = min(workers, os.cpu_count() or 1)
+    workers = min(_integer(workers, "workers", 1), os.cpu_count() or 1)
     points = [(_scenario_for_value(config.base, config.sweep_variable, value), value)
               for value in config.sweep_values]
     bounds = [_point_bounds(scenario, config.algorithms) for scenario, _ in points]
@@ -550,7 +556,7 @@ def read_csv(path):
 def _complex_from_json(value):
     """JSON's [re, im] amplitude as re + j im; `SourceTruth` converts others."""
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(_real(value[0]), _real(value[1]))
+        return complex(_real(value[0], "amplitude"), _real(value[1], "amplitude"))
     return value
 
 

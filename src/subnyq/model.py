@@ -38,28 +38,37 @@ __all__ = [
 SUBSET_TABLE_BYTES = 2**25  # cap on the subset matrices `check_identifiable` reads
 
 
-def _integer(value) -> int:
-    """A number equal to an integer (8 or 8.0) as an int; ConfigError for
-    anything else, booleans included."""
-    if isinstance(value, float) and value.is_integer() or (
-            isinstance(value, (int, np.integer)) and not isinstance(value, bool)):
-        return int(value)
-    raise ConfigError(f"expected an integer, got {value!r}")
+def _integer(value, name: str, least: int | None = None) -> int:
+    """A number equal to an integer (8 or 8.0), and at least `least` if given,
+    as an int; ConfigError naming the field `name` otherwise, for booleans too."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) or (
+            isinstance(value, float) and value.is_integer())):
+        raise ConfigError(f"{name}: expected an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"need {name} >= {least}, got {int(value)}")
+    return int(value)
 
 
-def _real(value) -> float:
-    """An int, float or real numpy number as a float; ConfigError for
-    anything else, booleans and strings included."""
+def _real(value, name: str) -> float:
+    """An int, float or real numpy number as a float; ConfigError naming
+    the field `name` for anything else, booleans and strings included."""
     if isinstance(value, bool) or not isinstance(
             value, (int, float, np.integer, np.floating)):
-        raise ConfigError(f"expected a real number, got {value!r}")
+        raise ConfigError(f"{name}: expected a real number, got {value!r}")
     return float(value)
 
 
-def _complex(value) -> complex:
-    """A real or complex number as a complex; ConfigError for anything else."""
+def _positive(value, name: str) -> float:
+    """A `_real` in (0, inf); ConfigError naming the field `name` otherwise."""
+    if not 0 < (number := _real(value, name)) < np.inf:
+        raise ConfigError(f"{name} must be positive and finite, got {number}")
+    return number
+
+
+def _complex(value, name: str) -> complex:
+    """A real or complex number as a complex; ConfigError naming `name` otherwise."""
     if isinstance(value, bool) or not isinstance(value, (int, float, complex, np.number)):
-        raise ConfigError(f"expected a number, got {value!r}")
+        raise ConfigError(f"{name}: expected a number, got {value!r}")
     return complex(value)
 
 
@@ -72,17 +81,9 @@ class ArrayGeometry:
     c_prop: float = 3e8
 
     def __post_init__(self):
-        object.__setattr__(self, "M", _integer(self.M))
+        object.__setattr__(self, "M", _integer(self.M, "M", 2))
         for name in ("d", "c_prop"):
-            object.__setattr__(self, name, _real(getattr(self, name)))
-        if self.M < 2:
-            raise ConfigError(f"need at least 2 sensors, got M={self.M}")
-        if not 0 < self.d < np.inf:
-            raise ConfigError(
-                f"sensor spacing must be positive and finite, got d={self.d}")
-        if not 0 < self.c_prop < np.inf:
-            raise ConfigError(
-                f"propagation speed must be positive and finite, got {self.c_prop}")
+            object.__setattr__(self, name, _positive(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
@@ -98,14 +99,9 @@ class MultiCosetPattern:
     f_N: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "L", _integer(self.L))
-        object.__setattr__(self, "f_N", _real(self.f_N))
-        if self.L < 1:
-            raise ConfigError(f"downsampling factor must be >= 1, got L={self.L}")
-        if not 0 < self.f_N < np.inf:
-            raise ConfigError(
-                f"Nyquist rate must be positive and finite, got f_N={self.f_N}")
-        offs = tuple(_integer(c) for c in self.offsets)
+        object.__setattr__(self, "L", _integer(self.L, "L", 1))
+        object.__setattr__(self, "f_N", _positive(self.f_N, "f_N"))
+        offs = tuple(_integer(c, "offsets") for c in self.offsets)
         object.__setattr__(self, "offsets", offs)
         if not offs:
             raise ConfigError("sampling pattern needs at least one offset")

@@ -28,6 +28,7 @@ from .model import (
     MultiCosetPattern,
     _complex,
     _integer,
+    _positive,
     _real,
     build_G_selected,
     phase_from_doa,
@@ -63,10 +64,10 @@ class SourceTruth:
 
     def __post_init__(self):
         for name in ("theta", "f_c", "bandwidth"):
-            object.__setattr__(self, name, _real(getattr(self, name)))
-        object.__setattr__(self, "amplitude", _complex(self.amplitude))
+            object.__setattr__(self, name, _real(getattr(self, name), name))
+        object.__setattr__(self, "amplitude", _complex(self.amplitude, "amplitude"))
         if not -np.pi / 2 < self.theta < np.pi / 2:
-            raise ConfigError(f"DOA must lie in (-pi/2, pi/2), got {self.theta}")
+            raise ConfigError(f"DOA theta must lie in (-pi/2, pi/2), got {self.theta}")
         if not np.isfinite(self.amplitude):
             raise ConfigError(f"amplitude must be finite, got {self.amplitude}")
         try:
@@ -78,9 +79,8 @@ class SourceTruth:
             raise ConfigError(f"unknown envelope kind {self.envelope!r}")
         if self.envelope == "tone" and self.bandwidth != 0.0:
             raise ConfigError("pure-tone sources must have zero bandwidth")
-        if self.envelope == "noise" and not 0.0 < self.bandwidth < np.inf:
-            raise ConfigError(
-                "filtered-noise sources need a positive, finite bandwidth")
+        if self.envelope == "noise":
+            _positive(self.bandwidth, "bandwidth")
 
     @property
     def power(self) -> float:
@@ -100,12 +100,13 @@ class ScenarioConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(self.sources))
-        for name in ("n_snapshots", "rng_seed"):
-            object.__setattr__(self, name, _integer(getattr(self, name)))
         K = len(self.sources)
         M, P, L = self.geom.M, self.pattern.P, self.pattern.L
+        object.__setattr__(self, "n_snapshots",
+                           _integer(self.n_snapshots, "n_snapshots", 2 * (M + P - 1)))
+        object.__setattr__(self, "rng_seed", _integer(self.rng_seed, "rng_seed", 0))
         if self.snr_db is not None:
-            object.__setattr__(self, "snr_db", _real(self.snr_db))
+            object.__setattr__(self, "snr_db", _real(self.snr_db, "snr_db"))
             with np.errstate(over="ignore"):
                 ratio = np.float64(10.0) ** (self.snr_db / 10.0)
             if not 0 < ratio < np.inf:
@@ -118,15 +119,8 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"SNR {self.snr_db} dB gives a noise power sigma2 of "
                     f"{sigma2}; it must be positive and finite")
-        if self.rng_seed < 0:
-            raise ConfigError(f"RNG seed must be non-negative, got {self.rng_seed}")
         if K >= M:
             raise ConfigError(f"need K < M, got K={K}, M={M}")
-        if self.n_snapshots < 2 * (M + P - 1):
-            raise ConfigError(
-                f"need n_snapshots >= {2 * (M + P - 1)} for covariance "
-                f"estimation, got {self.n_snapshots}"
-            )
         # the largest arrays are the full output (M*P x N) and the fine
         # Nyquist grid (N*L); numpy cannot hold more than 2**63 - 1 bytes
         elements = self.n_snapshots * max(M * P, L)
@@ -148,7 +142,7 @@ class ScenarioConfig:
         for k, src in enumerate(self.sources):
             if not 0 <= src.f_c < f_N:
                 raise ConfigError(
-                    f"source {k}: carrier {src.f_c} outside [0, f_N={f_N})"
+                    f"source {k}: carrier f_c={src.f_c} outside [0, f_N={f_N})"
                 )
             lo = int(np.floor(src.f_c * L / f_N))
             hi = int(np.floor((src.f_c + src.bandwidth) * L / f_N))
@@ -225,8 +219,6 @@ def _envelope_signal(config: ScenarioConfig, coeffs, full_structure: bool) -> np
     N = config.n_snapshots
     channels = selected_channel_columns(geom.M, pattern.P, full_structure)
     signal = np.zeros((len(channels), N), dtype=complex)
-    if not config.n_sources:
-        return signal
     bands = [config.band_of(k) for k in range(config.n_sources)]
     G = build_G_selected(config.phases(), bands, geom, pattern, channels)
     G *= np.sqrt(pattern.L)

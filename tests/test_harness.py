@@ -475,6 +475,49 @@ def test_run_trial_takes_any_sequence_of_seeds_as_a_block():
             run_trial(scenario, "JDFSDPJ", bad)
 
 
+def test_run_trial_refuses_an_output_of_another_trial_count():
+    # zip used to cut the records to the shorter of seeds and output, an
+    # int seed took the first of a block, and an unstacked output was a
+    # TypeError; each is now a ConfigError naming both counts
+    import subnyq.harness as harness
+
+    scenario = replace(default_scenario(K=2, snr_db=15.0), n_snapshots=256)
+    two = harness.trial_output(scenario, ("JDFPI",), harness._draws(scenario, [1, 2], False))
+    one = harness.trial_output(scenario, ("JDFPI",))
+    for seed, output, match in (([1, 2, 3], two, "2 stacked trials for 3 seed"),
+                                (5, two, "2 stacked trials for 1 seed"),
+                                (5, one, "one unstacked trial for 1 seed")):
+        with pytest.raises(ConfigError, match=match):
+            run_trial(scenario, "JDFPI", seed, output=lambda: output)
+    assert len(run_trial(scenario, "JDFPI", [1, 2], output=lambda: two)) == 2
+
+
+def test_run_algorithm_needs_its_structure_in_the_output():
+    # a simplified-only output used to end in a bare KeyError: True
+    import subnyq.harness as harness
+
+    scenario = replace(default_scenario(K=2, snr_db=15.0), n_snapshots=256)
+    with pytest.raises(ConfigError, match="JDFSD-full needs the full structure"):
+        harness.run_algorithm("JDFSD-full", scenario,
+                              harness.trial_output(scenario, ("JDFPI",)))
+    with pytest.raises(ConfigError, match="JDFPI needs the simplified structure"):
+        harness.run_algorithm("JDFPI", scenario, {True: None})
+
+
+def test_list_field_given_a_string_is_config_error_naming_it():
+    # tuple("JDFPI") used to be five one-letter names ("unknown algorithm
+    # 'J'") and tuple("10") two sweep values
+    base = default_scenario()
+    fields = dict(sweep_variable="snr_db", sweep_values=(10,))
+    for name, value in (("algorithms", "JDFPI"), ("sweep_values", "10")):
+        with pytest.raises(ConfigError, match=f"{name} must be a list"):
+            SweepConfig(base=base, **fields | {name: value})
+        with pytest.raises(ConfigError, match=f"{name} must be a list"):
+            sweep_from_dict({"base": scenario_dict(), **fields, name: value})
+    with pytest.raises(ConfigError, match="algorithms must be a list"):
+        check_algorithms("JDFPI")
+
+
 def test_full_structure_simplified_output_is_a_view_of_the_full_output():
     # W is the full output's first M+P-1 rows, not a copy, and it and its
     # covariance are a simplified-only trial_output of the same seeds, bit

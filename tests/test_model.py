@@ -1,6 +1,7 @@
 """Receiver-algebra identities, worked small examples, and validation errors."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from helpers import (
     steering_column,
 )
 from subnyq import model
+from subnyq.crb import crb_input_from_scenario
 from subnyq.errors import ConfigError
+from subnyq.harness import SweepConfig, run_sweep, run_trial
 from subnyq.model import (
     ArrayGeometry,
     MultiCosetPattern,
@@ -25,6 +28,7 @@ from subnyq.model import (
     phase_from_doa,
     selected_channel_columns,
 )
+from subnyq.siggen import ScenarioConfig, SourceTruth
 
 GEOM = ArrayGeometry(M=5, d=0.5, c_prop=1.0)
 PATTERN = MultiCosetPattern(L=7, offsets=(0, 1, 3), f_N=2.0)
@@ -229,6 +233,91 @@ def test_integer_fields_are_stored_as_int():
     assert type(pattern.L) is int and pattern.L == 13
     assert pattern.offsets == (0, 1, 4)
     assert all(type(c) is int for c in pattern.offsets)
+
+
+def scenario_with(part, name, value):
+    """A small valid noise-source scenario with field `name` of `part`
+    ("geom", "pattern", "source" or "scenario") set to `value`."""
+    parts = {"geom": dict(M=5, d=0.5, c_prop=1.0),
+             "pattern": dict(L=7, offsets=(0, 1, 3), f_N=2.0),
+             "source": dict(theta=0.3, f_c=0.5, envelope="noise", bandwidth=0.05),
+             "scenario": dict(snr_db=10.0, n_snapshots=64, rng_seed=0)}
+    parts[part][name] = value
+    return ScenarioConfig(ArrayGeometry(**parts["geom"]),
+                          MultiCosetPattern(**parts["pattern"]),
+                          (SourceTruth(**parts["source"]),), **parts["scenario"])
+
+
+def sweep_with(name, value, variable="snr_db"):
+    fields = dict(sweep_values=(10.0,), n_trials=1, master_seed=0) | {name: value}
+    return SweepConfig(base=scenario_with("scenario", "rng_seed", 0),
+                       sweep_variable=variable, algorithms=("JDFSDPJ",), **fields)
+
+
+def crb_with(name, value):
+    inp = crb_input_from_scenario(scenario_with("scenario", "rng_seed", 0))
+    return replace(inp, **{name: (value,) if isinstance(getattr(inp, name), tuple)
+                           else value})
+
+
+# (owner, field, kind, least, constructor taking the field's value): a
+# count ("integer") may have a least value, a "positive" quantity lies in
+# (0, inf), and a "real" or "complex" number is any finite one
+NUMBER_FIELDS = [
+    ("ArrayGeometry", "M", "integer", 2, lambda v: scenario_with("geom", "M", v)),
+    ("ArrayGeometry", "d", "positive", None, lambda v: scenario_with("geom", "d", v)),
+    ("ArrayGeometry", "c_prop", "positive", None,
+     lambda v: scenario_with("geom", "c_prop", v)),
+    ("MultiCosetPattern", "L", "integer", 1, lambda v: scenario_with("pattern", "L", v)),
+    ("MultiCosetPattern", "offsets", "integer", 0,
+     lambda v: scenario_with("pattern", "offsets", (0, v, 3))),
+    ("MultiCosetPattern", "f_N", "positive", None,
+     lambda v: scenario_with("pattern", "f_N", v)),
+    ("SourceTruth", "theta", "real", None, lambda v: scenario_with("source", "theta", v)),
+    ("SourceTruth", "f_c", "real", None, lambda v: scenario_with("source", "f_c", v)),
+    ("SourceTruth", "amplitude", "complex", None,
+     lambda v: scenario_with("source", "amplitude", v)),
+    ("SourceTruth", "bandwidth", "positive", None,
+     lambda v: scenario_with("source", "bandwidth", v)),
+    ("ScenarioConfig", "n_snapshots", "integer", 14,
+     lambda v: scenario_with("scenario", "n_snapshots", v)),
+    ("ScenarioConfig", "rng_seed", "integer", 0,
+     lambda v: scenario_with("scenario", "rng_seed", v)),
+    ("CrbInput", "phis", "real", None, lambda v: crb_with("phis", v)),
+    ("CrbInput", "bands", "integer", None, lambda v: crb_with("bands", v)),
+    ("CrbInput", "powers", "positive", None, lambda v: crb_with("powers", v)),
+    ("CrbInput", "f_residuals", "real", None, lambda v: crb_with("f_residuals", v)),
+    ("CrbInput", "sigma2", "positive", None, lambda v: crb_with("sigma2", v)),
+    ("CrbInput", "n_snapshots", "integer", 1, lambda v: crb_with("n_snapshots", v)),
+    ("SweepConfig", "n_trials", "integer", 1, lambda v: sweep_with("n_trials", v)),
+    ("SweepConfig", "master_seed", "integer", 0, lambda v: sweep_with("master_seed", v)),
+    ("SweepConfig", "sweep_values", "integer", 1,
+     lambda v: sweep_with("sweep_values", (v,), variable="n_sources")),
+    ("run_trial", "seed", "integer", 0,
+     lambda v: run_trial(scenario_with("scenario", "rng_seed", 0), "JDFSDPJ", v)),
+    ("run_sweep", "workers", "integer", 1,
+     lambda v: run_sweep(sweep_with("n_trials", 1), workers=v)),
+]
+
+
+def wrong_values(kind, least):
+    """A boolean and a string for every kind; NaN and inf for a real or
+    positive field; a non-integer for a count; and the value just below
+    the field's least value, if it has one."""
+    if kind == "integer":
+        return (True, "1", 1.5) + (() if least is None else (least - 1,))
+    return (True, "1", np.nan, np.inf) + ((0.0, -5e-324) if kind == "positive" else ())
+
+
+@pytest.mark.parametrize("name, value, build", [
+    pytest.param(name, value, build, id=f"{owner}.{name}={value!r}")
+    for owner, name, kind, least, build in NUMBER_FIELDS
+    for value in wrong_values(kind, least)])
+def test_every_number_field_names_itself(name, value, build):
+    # one rule per kind of number: each wrong value is a ConfigError whose
+    # message names the field, so a config file's error points at its line
+    with pytest.raises(ConfigError, match=rf"\b{name}\b"):
+        build(value)
 
 
 def test_band_bounds_checked():
